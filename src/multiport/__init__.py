@@ -38,7 +38,6 @@ from .statistics import (
     ClassProbabilityRow,
     DistributionTable,
     Table1Row,
-    bosonic_approximation,
     class_probability_table,
     classical_class_distribution,
     distribution,

@@ -174,9 +174,7 @@ def quantum_class_of(s: Sequence[int]) -> QuantumClass:
     return QuantumClass(representative=min(orbit), orbit_size=len(orbit))
 
 
-def enumerate_quantum_classes(
-    n: int, max_total: int | None = DEFAULT_ENUMERATION_CAP
-) -> list[QuantumClass]:
+def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     """One QuantumClass per dihedral orbit, ordered by representative.
 
     Uses a canonical-form filter over the full enumeration: an arrangement
@@ -185,9 +183,9 @@ def enumerate_quantum_classes(
     the arrangement count.
     """
     total = count_arrangements(n)
-    if max_total is not None and total > max_total:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"n={n} has {total} arrangements, above the cap of {max_total}"
+            f"n={n} has {total} arrangements, above the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     classes = []
     covered = 0

@@ -16,6 +16,7 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -75,7 +76,6 @@ class RunConfig:
     cache_dir: Path | None
     kind: str | None = None
     variant: str = "marginal"
-    allow_large: bool = False
 
 
 def _fmt_float(x: float) -> str:
@@ -135,6 +135,12 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
 
 
 def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
+    """Write an entry to a temp file beside it, then os.replace it into place.
+
+    A crash or a concurrent reader thus sees the previous entry or the new
+    one, never a partial file; on failure the temp file is removed.
+    """
+    tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
@@ -143,10 +149,11 @@ def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
             "checksum": digest,
             "payload": payload,
         }
-        _cache_path(cache_dir, key).write_text(
-            json.dumps(entry, indent=1, sort_keys=True), encoding="utf-8"
-        )
+        tmp.write_text(json.dumps(entry, indent=1, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, _cache_path(cache_dir, key))
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise CacheCorruptionError(f"cannot write cache under {cache_dir}: {exc}") from exc
 
 
@@ -607,7 +614,6 @@ def main(argv=None) -> int:
             cache_dir=_resolve_cache_dir(args.cache_dir),
             kind=getattr(args, "kind", None),
             variant=getattr(args, "variant", "marginal"),
-            allow_large=args.allow_large,
         )
 
         if args.command == "classes":

@@ -53,14 +53,14 @@ def fourier_unitary(n: int) -> np.ndarray:
     return u
 
 
-def permanent_naive(matrix: np.ndarray, limit: int = NAIVE_PERMANENT_LIMIT) -> complex:
+def permanent_naive(matrix: np.ndarray) -> complex:
     """Permanent by direct summation over all permutations (reference oracle)."""
     m = np.asarray(matrix)
     size = m.shape[0]
     if m.shape != (size, size):
         raise ValueError("matrix must be square")
-    if size > limit:
-        raise ResourceLimitError(f"naive permanent limited to {limit}x{limit}")
+    if size > NAIVE_PERMANENT_LIMIT:
+        raise ResourceLimitError(f"naive permanent limited to size {NAIVE_PERMANENT_LIMIT}")
     rows = range(size)
     total = 0j
     for perm in itertools.permutations(range(size)):
@@ -71,7 +71,7 @@ def permanent_naive(matrix: np.ndarray, limit: int = NAIVE_PERMANENT_LIMIT) -> c
     return complex(total)
 
 
-def permanent_ryser(matrix: np.ndarray, limit: int = RYSER_PERMANENT_LIMIT) -> complex:
+def permanent_ryser(matrix: np.ndarray) -> complex:
     """Permanent via Ryser's inclusion-exclusion in O(m * 2^m).
 
     Subsets are visited in Gray-code order so each step updates the running
@@ -82,8 +82,8 @@ def permanent_ryser(matrix: np.ndarray, limit: int = RYSER_PERMANENT_LIMIT) -> c
     size = m.shape[0]
     if m.shape != (size, size):
         raise ValueError("matrix must be square")
-    if size > limit:
-        raise ResourceLimitError(f"Ryser permanent limited to {limit}x{limit}")
+    if size > RYSER_PERMANENT_LIMIT:
+        raise ResourceLimitError(f"Ryser permanent limited to size {RYSER_PERMANENT_LIMIT}")
     if size == 0:
         return 1.0 + 0j
     rowsums = np.zeros(size, dtype=complex)
@@ -179,9 +179,7 @@ def _all_permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def ck_decomposition(
-    s: Sequence[int], limit: int = CK_BRUTE_FORCE_LIMIT
-) -> CyclotomicVector:
+def ck_decomposition(s: Sequence[int]) -> CyclotomicVector:
     """Histogram of the n! permutation terms by their phase class.
 
     Each permutation contributes w**theta to the unnormalized permanent,
@@ -192,9 +190,9 @@ def ck_decomposition(
     """
     t = validate_arrangement(s)
     n = len(t)
-    if n > limit:
+    if n > CK_BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
-            f"brute-force decomposition limited to n <= {limit} (n! terms)"
+            f"brute-force decomposition limited to n <= {CK_BRUTE_FORCE_LIMIT} (n! terms)"
         )
     d0 = np.array(port_assignment(t), dtype=np.int64) - 1
     theta = (_all_permutations(n) @ d0) % n
@@ -202,7 +200,7 @@ def ck_decomposition(
     return CyclotomicVector(tuple(int(c) for c in counts))
 
 
-def verify_gamma_shift(s: Sequence[int], limit: int = CK_BRUTE_FORCE_LIMIT) -> bool:
+def verify_gamma_shift(s: Sequence[int]) -> bool:
     """Check that the phase histogram is periodic under index shift by Q.
 
     Shift invariance by Q implies invariance by every multiple a*Q, so a
@@ -211,7 +209,7 @@ def verify_gamma_shift(s: Sequence[int], limit: int = CK_BRUTE_FORCE_LIMIT) -> b
     t = validate_arrangement(s)
     n = len(t)
     q = suppression_Q(t)
-    c = ck_decomposition(t, limit=limit).coefficients
+    c = ck_decomposition(t).coefficients
     return all(c[(r + q) % n] == c[r] for r in range(n))
 
 
@@ -246,9 +244,7 @@ def _exact_coefficient_bound(n: int) -> int:
     return sum(math.comb(n, k) * k**n for k in range(1, n + 1))
 
 
-def exact_amplitude(
-    s: Sequence[int], limit: int = EXACT_AMPLITUDE_LIMIT
-) -> CyclotomicVector:
+def exact_amplitude(s: Sequence[int]) -> CyclotomicVector:
     """Unnormalized permanent of the root-of-unity matrix, exactly.
 
     The matrix has entries w^((d_j - 1) * k) for k = 0..n-1; the permanent
@@ -263,8 +259,8 @@ def exact_amplitude(
     """
     t = validate_arrangement(s)
     n = len(t)
-    if n > limit:
-        raise ResourceLimitError(f"exact amplitude limited to n <= {limit}")
+    if n > EXACT_AMPLITUDE_LIMIT:
+        raise ResourceLimitError(f"exact amplitude limited to n <= {EXACT_AMPLITUDE_LIMIT}")
     bound = _exact_coefficient_bound(n)
     if bound > np.iinfo(np.int64).max:
         raise ResourceLimitError(
@@ -280,12 +276,12 @@ def exact_amplitude(
     return CyclotomicVector(tuple(int(c) for c in coeffs))
 
 
-def is_suppressed_exact(s: Sequence[int], limit: int = EXACT_AMPLITUDE_LIMIT) -> bool:
+def is_suppressed_exact(s: Sequence[int]) -> bool:
     """Tolerance-free suppression verdict: is the exact amplitude zero?"""
-    return exact_amplitude(s, limit=limit).is_zero()
+    return exact_amplitude(s).is_zero()
 
 
-def exact_integer_amplitude(s: Sequence[int], limit: int = EXACT_AMPLITUDE_LIMIT) -> int:
+def exact_integer_amplitude(s: Sequence[int]) -> int:
     """The unnormalized permanent as a plain integer.
 
     For the Fourier matrix the permanent is fixed by every Galois
@@ -293,17 +289,17 @@ def exact_integer_amplitude(s: Sequence[int], limit: int = EXACT_AMPLITUDE_LIMIT
     matrix columns), so it is a rational integer.  A non-integer reduction
     would mean a broken invariant and raises.
     """
-    z = exact_amplitude(s, limit=limit).as_integer()
+    z = exact_amplitude(s).as_integer()
     if z is None:
         raise ArithmeticError(f"amplitude of {tuple(s)} did not reduce to an integer")
     return z
 
 
-def exact_quantum_probability(s: Sequence[int], limit: int = EXACT_AMPLITUDE_LIMIT) -> Fraction:
+def exact_quantum_probability(s: Sequence[int]) -> Fraction:
     """Quantum probability as an exact rational, z^2 / (n^n * prod s_j!)."""
     t = validate_arrangement(s)
     n = len(t)
-    z = exact_integer_amplitude(t, limit=limit)
+    z = exact_integer_amplitude(t)
     denom = n**n
     for x in t:
         denom *= math.factorial(x)

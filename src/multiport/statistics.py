@@ -10,15 +10,14 @@ denominator) when exact mode is requested.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arrangements import (
     Arrangement,
-    canonical_classical,
     count_arrangements,
-    enumerate_arrangements,
     enumerate_quantum_classes,
     partition_count,
     validate_arrangement,
@@ -35,7 +34,6 @@ from .scattering import (
 )
 
 FLOAT_TABLE_LIMIT = 14
-APPROXIMATION_LIMIT = 16
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
 OCCUPANCY_VARIANTS = ("marginal", "at-least-one")
@@ -48,27 +46,6 @@ def suppressed_fraction_estimate(n: int) -> float:
     residues; compare with the measured N_law / N_quantum ratio.
     """
     return 1.0 - 1.0 / n
-
-
-def bosonic_approximation(n: int, limit: int = APPROXIMATION_LIMIT) -> dict[Arrangement, float]:
-    """Interference-free estimate of all quantum probabilities.
-
-    Weights each arrangement by prod(s_j!) times its classical probability
-    (the constructively interfering permutations) and normalizes over the
-    full enumeration.  Note the result is uniform across arrangements: the
-    weight reduces to n!/n^n for every s.  Memory scales with the number of
-    arrangements.
-    """
-    if n > limit:
-        raise ResourceLimitError(f"approximation map limited to n <= {limit}")
-    weights: dict[Arrangement, Fraction] = {}
-    for s in enumerate_arrangements(n):
-        w = classical_probability(s)
-        for x in s:
-            w *= math.factorial(x)
-        weights[s] = w
-    total = sum(weights.values())
-    return {s: float(w / total) for s, w in weights.items()}
 
 
 def enhancement(s: Sequence[int], exact: bool = True) -> Fraction | float:
@@ -138,7 +115,7 @@ def class_probability_table(
 
     Ties are broken by the lexicographic representative so the order never
     depends on enumeration or scheduling.  Pass precomputed rows (e.g. from
-    a worker pool) to reuse them; they are then only validated and sorted.
+    a worker pool) to reuse them; they are then only sorted, not checked.
     """
     if rows is None:
         if exact and n > EXACT_AMPLITUDE_LIMIT:
@@ -150,8 +127,7 @@ def class_probability_table(
             compute_class_row(c.representative, c.orbit_size, exact, tolerance_scale)
             for c in classes
         ]
-    out = sorted(rows, key=lambda r: (r.p_classical, r.representative))
-    return out
+    return sorted(rows, key=lambda r: (r.p_classical, r.representative))
 
 
 @dataclass(frozen=True)
@@ -211,41 +187,47 @@ class DistributionTable:
         return [row[index] for row in self.rows]
 
 
-def _approx_weight(s: Arrangement) -> Fraction:
-    w = classical_probability(s)
-    for x in s:
-        w *= math.factorial(x)
-    return w
+def _reduce(
+    kind: str, n: int, rows, exact: bool, weights, categories=None, scale: int = 1
+) -> DistributionTable:
+    """Sum the three columns over the quantum classes, per category.
 
-
-def _spread(rows: list[ClassProbabilityRow]):
-    """Yield (rep, members, p_class, p_quantum, approx_weight) per class."""
+    weights(rep) yields (category, w) pairs: every arrangement of the class
+    counts w / scale times towards that category.  The classical column sums
+    orbit * n!/prod(s_j!) * w as an integer over n^n * scale, and the approx
+    column, uniform over arrangements, sums orbit * w over C(2n-1, n) * scale;
+    each cell is one correctly rounded int / int division.  Without a fixed
+    category list the rows ascend in the exact classical value.
+    """
+    rows = class_probability_table(n, exact=exact, rows=rows)
+    classical: dict[Arrangement, int] = defaultdict(int)
+    quantum: dict[Arrangement, float] = defaultdict(float)
+    approx: dict[Arrangement, int] = defaultdict(int)
     for r in rows:
-        yield r.representative, r.orbit_size, r.p_classical, r.p_quantum, _approx_weight(
-            r.representative
-        )
+        multinomial = math.factorial(n) // math.prod(math.factorial(x) for x in r.representative)
+        for cat, w in weights(r.representative):
+            classical[cat] += r.orbit_size * multinomial * w
+            quantum[cat] += r.orbit_size * r.p_quantum * (w / scale)
+            approx[cat] += r.orbit_size * w
+    if categories is None:
+        categories = sorted(classical, key=lambda c: (classical[c], c))
+    c_den, a_den = n**n * scale, count_arrangements(n) * scale
+    table_rows = tuple(
+        (",".join(map(str, cat)), classical[cat] / c_den, quantum[cat], approx[cat] / a_den)
+        for cat in categories
+    )
+    return DistributionTable(kind=kind, n=n, rows=table_rows)
 
 
 def occupied_ports_distribution(
     n: int, rows: list[ClassProbabilityRow] | None = None, exact: bool = False
 ) -> DistributionTable:
     """Probability that exactly k of the n output ports are occupied, k = 1..n."""
-    rows = class_probability_table(n, exact=exact, rows=rows)
-    classical = [Fraction(0)] * (n + 1)
-    quantum = [0.0] * (n + 1)
-    approx = [Fraction(0)] * (n + 1)
-    approx_norm = Fraction(0)
-    for rep, members, p_c, p_q, w in _spread(rows):
-        k = sum(1 for x in rep if x > 0)
-        classical[k] += members * p_c
-        quantum[k] += members * p_q
-        approx[k] += members * w
-        approx_norm += members * w
-    table_rows = tuple(
-        (str(k), float(classical[k]), quantum[k], float(approx[k] / approx_norm))
-        for k in range(1, n + 1)
-    )
-    return DistributionTable(kind="occupied-ports", n=n, rows=table_rows)
+
+    def weights(rep):
+        return [((n - rep.count(0),), 1)]
+
+    return _reduce("occupied-ports", n, rows, exact, weights, [(k,) for k in range(1, n + 1)])
 
 
 def port_occupancy_distribution(
@@ -264,62 +246,29 @@ def port_occupancy_distribution(
     """
     if variant not in OCCUPANCY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {OCCUPANCY_VARIANTS}")
-    rows = class_probability_table(n, exact=exact, rows=rows)
-    classical = [Fraction(0)] * (n + 1)
-    quantum = [0.0] * (n + 1)
-    approx = [Fraction(0)] * (n + 1)
-    approx_norm = Fraction(0)
-    for rep, members, p_c, p_q, w in _spread(rows):
-        approx_norm += members * w
-        counts = [0] * (n + 1)
-        for x in rep:
-            counts[x] += 1
-        for k in range(n + 1):
-            if variant == "marginal":
-                weight = Fraction(counts[k], n)
-            else:
-                weight = Fraction(1 if counts[k] else 0)
-            if weight:
-                classical[k] += members * p_c * weight
-                quantum[k] += members * p_q * float(weight)
-                approx[k] += members * w * weight
-    table_rows = tuple(
-        (str(k), float(classical[k]), quantum[k], float(approx[k] / approx_norm))
-        for k in range(n + 1)
-    )
-    return DistributionTable(kind="port-occupancy", n=n, rows=table_rows)
+    marginal = variant == "marginal"
+
+    def weights(rep):
+        return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
+
+    categories = [(k,) for k in range(n + 1)]
+    return _reduce("port-occupancy", n, rows, exact, weights, categories, n if marginal else 1)
 
 
 def classical_class_distribution(
     n: int, rows: list[ClassProbabilityRow] | None = None, exact: bool = False
 ) -> DistributionTable:
     """Event probability grouped by classical class, ascending in the classical column."""
-    rows = class_probability_table(n, exact=exact, rows=rows)
-    classical: dict[Arrangement, Fraction] = {}
-    quantum: dict[Arrangement, float] = {}
-    approx: dict[Arrangement, Fraction] = {}
-    approx_norm = Fraction(0)
-    for rep, members, p_c, p_q, w in _spread(rows):
-        part = canonical_classical(rep).partition
-        classical[part] = classical.get(part, Fraction(0)) + members * p_c
-        quantum[part] = quantum.get(part, 0.0) + members * p_q
-        approx[part] = approx.get(part, Fraction(0)) + members * w
-        approx_norm += members * w
-    if len(classical) != partition_count(n):
+
+    def weights(rep):
+        return [(tuple(sorted(rep, reverse=True)), 1)]
+
+    table = _reduce("classical-classes", n, rows, exact, weights)
+    if len(table.rows) != partition_count(n):
         raise AssertionError(
-            f"expected {partition_count(n)} classical classes, found {len(classical)}"
+            f"expected {partition_count(n)} classical classes, found {len(table.rows)}"
         )
-    order = sorted(classical, key=lambda p: (classical[p], p))
-    table_rows = tuple(
-        (
-            ",".join(str(x) for x in part),
-            float(classical[part]),
-            quantum[part],
-            float(approx[part] / approx_norm),
-        )
-        for part in order
-    )
-    return DistributionTable(kind="classical-classes", n=n, rows=table_rows)
+    return table
 
 
 def distribution(

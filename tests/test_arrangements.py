@@ -161,4 +161,4 @@ class TestQuantumClasses:
 
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_quantum_classes(8, max_total=100)
+            enumerate_quantum_classes(15)

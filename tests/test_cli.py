@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
-from multiport.cli import SCHEMA_VERSION, main
+from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
+from multiport.errors import CacheCorruptionError
 
 
 def run(capsys, *argv):
@@ -258,6 +260,25 @@ class TestCache:
             capsys, "classes", "--n", "3", "--cache-dir", str(blocker / "sub")
         )
         assert code == 4
+
+    def test_failed_replace_keeps_previous_entry(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache_store(cache, "k", {"rows": [1]})
+        entry = next(cache.glob("*.json"))
+        before = entry.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(CacheCorruptionError):
+            cache_store(cache, "k", {"rows": [2]})
+        assert entry.read_bytes() == before
+        assert cache_load(cache, "k") == {"rows": [1]}
+        code, _, err = run(capsys, "classes", "--n", "3", "--cache-dir", str(cache))
+        assert code == 4
+        assert "simulated failure" in err
+        assert [p.name for p in cache.iterdir()] == [entry.name]
 
     def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

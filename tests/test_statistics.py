@@ -4,25 +4,83 @@ from fractions import Fraction
 import pytest
 
 from multiport.arrangements import enumerate_arrangements
-from multiport.errors import ResourceLimitError
 from multiport.scattering import batch_quantum_probability, classical_probability
 from multiport import statistics as st
 
 
-class TestBosonicApproximation:
-    def test_two_ports_uniform(self):
-        approx = st.bosonic_approximation(2)
-        assert approx == {(2, 0): 1 / 3, (1, 1): 1 / 3, (0, 2): 1 / 3}
+def _stirling2(n, k):
+    """Stirling number of the second kind by the triangle recurrence."""
+    row = [1] + [0] * k
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_normalized(self, n):
-        approx = st.bosonic_approximation(n)
-        assert abs(sum(approx.values()) - 1.0) < 1e-12
-        assert len(approx) == math.comb(2 * n - 1, n)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            st.bosonic_approximation(17)
+def _categories(kind, variant, s):
+    """(category label, weight) pairs of one arrangement, as the tables define them."""
+    n = len(s)
+    if kind == "occupied-ports":
+        return [(str(sum(1 for x in s if x > 0)), Fraction(1))]
+    if kind == "classical-classes":
+        return [(",".join(str(x) for x in sorted(s, reverse=True)), Fraction(1))]
+    counts = [s.count(k) for k in range(n + 1)]
+    if variant == "marginal":
+        return [(str(k), Fraction(c, n)) for k, c in enumerate(counts) if c]
+    return [(str(k), Fraction(1)) for k, c in enumerate(counts) if c]
+
+
+KINDS = [
+    ("occupied-ports", "marginal"),
+    ("port-occupancy", "marginal"),
+    ("port-occupancy", "at-least-one"),
+    ("classical-classes", "marginal"),
+]
+
+
+class TestApproxColumn:
+    @pytest.mark.parametrize("kind,variant", KINDS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_factorial_weighted_definition(self, n, kind, variant):
+        # Weight every arrangement by prod(s_j!) times its classical
+        # probability, normalize over the full enumeration, and group.
+        weights = {
+            s: classical_probability(s) * math.prod(math.factorial(x) for x in s)
+            for s in enumerate_arrangements(n)
+        }
+        norm = sum(weights.values())
+        expected = {}
+        for s, w in weights.items():
+            for label, share in _categories(kind, variant, s):
+                expected[label] = expected.get(label, Fraction(0)) + w * share / norm
+        table = st.distribution(kind, n, variant=variant)
+        assert {row[0]: row[3] for row in table.rows} == {
+            label: float(p) for label, p in expected.items()
+        }
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_occupied_ports(self, n):
+        t = st.occupied_ports_distribution(n)
+        total = math.comb(2 * n - 1, n)
+        assert t.column("classical") == [
+            math.comb(n, k) * math.factorial(k) * _stirling2(n, k) / n**n
+            for k in range(1, n + 1)
+        ]
+        assert t.column("approx") == [
+            math.comb(n, k) * math.comb(n - 1, k - 1) / total for k in range(1, n + 1)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_port_occupancy_marginal(self, n):
+        t = st.port_occupancy_distribution(n)
+        total = math.comb(2 * n - 1, n)
+        assert t.column("classical") == [
+            math.comb(n, k) * (n - 1) ** (n - k) / n**n for k in range(n + 1)
+        ]
+        assert t.column("approx") == [
+            math.comb(2 * n - k - 2, n - 2) / total for k in range(n + 1)
+        ]
 
 
 class TestEnhancement:
