@@ -11,7 +11,7 @@ from multiport import statistics as st
 def _stirling2(n, k):
     """Stirling number of the second kind by the triangle recurrence."""
     row = [1] + [0] * k
-    for m in range(1, n + 1):
+    for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
     return row[k]
 
