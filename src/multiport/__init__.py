@@ -21,7 +21,6 @@ from .scattering import (
     Amplitude,
     classical_probability,
     ck_decomposition,
-    exact_amplitude,
     exact_integer_amplitude,
     exact_quantum_probability,
     fourier_unitary,

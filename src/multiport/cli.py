@@ -40,6 +40,7 @@ from .arrangements import (
 from .errors import CacheCorruptionError, InvalidArrangementError, ResourceLimitError
 from .scattering import (
     EXACT_AMPLITUDE_LIMIT,
+    EXACT_KERNEL_TAG,
     FLOAT_ZERO_SCALE,
     batch_quantum_probability,
     ck_decomposition,
@@ -105,6 +106,9 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def cache_key(kind: str, n: int, mode: str, extra: str = "") -> str:
+    """Entry name; exact entries also name the kernel that computed them."""
+    if mode == "exact":
+        mode = f"exact-{EXACT_KERNEL_TAG}"
     tail = f"_{extra}" if extra else ""
     return f"v{SCHEMA_VERSION}_{kind}_n{n}_{mode}{tail}"
 

@@ -6,10 +6,13 @@ per input port, the amplitude for the output arrangement s is the permanent
 of the matrix whose rows are the rows of U selected by the port assignment
 of s, divided by sqrt(prod s_j!).
 
-Because every entry of the unnormalized matrix is a power of w = exp(2*pi*i/n),
-the unnormalized permanent is an integer combination of w powers and can be
-carried exactly; exact_amplitude does so via inclusion-exclusion with cyclic
-convolutions, and is_suppressed_exact turns it into a tolerance-free zero test.
+Every entry of the unnormalized matrix is a power of w = exp(2*pi*i/n), and
+its permanent z is an integer by construction: Ryser's formula, grouped by
+how many copies of each repeated row a subset takes, writes z as a signed
+sum of resultants Res(x(t), t^n - 1).  exact_integer_amplitude evaluates
+that sum modulo primes q = 1 (mod n) and rebuilds z by the Chinese
+remainder theorem; a redundant prime guards the reconstruction.
+is_suppressed_exact turns z into a tolerance-free zero test.
 """
 
 from __future__ import annotations
@@ -112,11 +115,12 @@ def classical_probability(s: Sequence[int]) -> Fraction:
     floating view.
     """
     t = validate_arrangement(s)
-    n = len(t)
-    denom = n**n
-    for x in t:
-        denom *= math.factorial(x)
-    return Fraction(math.factorial(n), denom)
+    return Fraction(math.factorial(len(t)), _denominator(t))
+
+
+def _denominator(t: Sequence[int]) -> int:
+    """n^n * prod s_j!, the denominator of both probabilities of t."""
+    return len(t) ** len(t) * math.prod(map(math.factorial, t))
 
 
 def suppression_Q(s: Sequence[int]) -> int:
@@ -134,12 +138,13 @@ def suppression_Q(s: Sequence[int]) -> int:
 class Amplitude:
     """Transition amplitude, optionally with its exact unnormalized form.
 
-    When exact is present, value equals sum(c_k w^k) * normalization up to
-    float rounding, with normalization = 1 / (n^(n/2) * sqrt(prod s_j!)).
+    When exact is present, it is the integer z and value equals
+    z * normalization up to float rounding, with
+    normalization = 1 / (n^(n/2) * sqrt(prod s_j!)).
     """
 
     value: complex
-    exact: CyclotomicVector | None
+    exact: int | None
     normalization: float
 
 
@@ -154,7 +159,7 @@ def quantum_amplitude(s: Sequence[int], with_exact: bool = False) -> Amplitude:
     for x in t:
         repeat_factor *= math.factorial(x)
     value = permanent_ryser(m) / math.sqrt(repeat_factor)
-    exact = exact_amplitude(t) if with_exact else None
+    exact = exact_integer_amplitude(t) if with_exact else None
     normalization = 1.0 / (n ** (n / 2.0) * math.sqrt(repeat_factor))
     return Amplitude(value=value, exact=exact, normalization=normalization)
 
@@ -213,97 +218,130 @@ def verify_gamma_shift(s: Sequence[int]) -> bool:
     return all(c[(r + q) % n] == c[r] for r in range(n))
 
 
-@lru_cache(maxsize=4)
-def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared inclusion-exclusion tables for order n.
+# Names the exact kernel in cache keys, so results of another kernel are
+# never served from the cache.
+EXACT_KERNEL_TAG = "ryser-crt"
 
-    Returns (row_sums, signs, conv_index) where row_sums[r][S, c] counts the
-    columns k in subset S with r*k = c (mod n), signs[S] = (-1)^(n - |S|)
-    with the empty subset zeroed out, and conv_index[i, j] = (j - i) mod n
-    drives the batched cyclic convolution.
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7, exact for q < 3,215,031,751."""
+    if q < 11 or q % 2 == 0:
+        return q in (2, 3, 5, 7)
+    d, r = q - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Primes for the exact kernel of order n and their root-power tables.
+
+    The primes are the largest q = 1 (mod n) below 2^31, as many as the
+    bunched arrangement (n, 0, ..., 0), the largest bound, needs, plus one
+    spare.  powers[i, p, k] = w^(p*k) mod q_i, with w of exact order n in
+    F_{q_i}.  Residues below 2^31 keep a product of two inside int64.
     """
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1  # (2^n, n)
-    popcount = bits.sum(axis=1)
-    signs = np.where((n - popcount) % 2 == 0, 1, -1).astype(np.int64)
-    signs[0] = 0
-    row_sums = np.empty((n, size, n), dtype=np.int64)
-    for r in range(n):
-        residues = (r * np.arange(n)) % n
-        indicator = np.zeros((n, n), dtype=np.int64)
-        indicator[np.arange(n), residues] = 1
-        row_sums[r] = bits @ indicator
-    j = np.arange(n)
-    conv_index = (j[None, :] - j[:, None]) % n
-    return row_sums, signs, conv_index
+    need = 2 * math.isqrt(n**n * math.factorial(n)) + 2
+    primes: list[int] = []
+    powers = []
+    q = 2**31 - 1 - (2**31 - 2) % n
+    while math.prod(primes[:-1]) <= need:
+        if _is_prime(q):
+            for a in itertools.count(2):
+                table = [pow(a, (q - 1) // n * e, q) for e in range(n)]
+                if len(set(table)) == n:  # w = table[1] has exact order n
+                    break
+            primes.append(q)
+            powers.append(np.array(table, dtype=np.int64)[np.outer(np.arange(n), np.arange(n)) % n])
+        q -= n
+    tables = np.array(powers)
+    tables.setflags(write=False)
+    return tuple(primes), tables
 
 
-def _exact_coefficient_bound(n: int) -> int:
-    """Worst-case magnitude of any intermediate integer in the exact path."""
-    return sum(math.comb(n, k) * k**n for k in range(1, n + 1))
+def _ryser_residues(t: Sequence[int], primes: Sequence[int], powers: np.ndarray) -> list[int]:
+    """z mod q for each prime, from Ryser's formula over repeated rows.
+
+    Row p of the matrix repeats s_p times, so Ryser's row subsets group by
+    the number x_p of copies of each row they take:
+
+        z = sum_{0 <= x <= s} (-1)^(n - |x|) prod_p C(s_p, x_p) prod_k x(w^k)
+
+    with x(w^k) = sum_p x_p w^(p*k).  The grid of x spans the occupied
+    ports only, so a class costs prod(s_p + 1) * n operations per prime.
+    """
+    n = len(t)
+    q = np.array(primes, dtype=np.int64)[:, None]
+    # sums[i, k, g] = x(w^k) at grid point g, below n * 2^31 until reduced
+    sums = np.zeros((len(primes), n, 1), dtype=np.int64)
+    coeffs = np.ones(1, dtype=np.int64)  # (-1)^(n - |x|) prod C(s_p, x_p)
+    for p, sp in enumerate(t):
+        if sp:
+            step = powers[:, p, :, None] * np.arange(sp + 1)
+            sums = (sums[:, :, :, None] + step[:, :, None, :]).reshape(len(primes), n, -1)
+            signed = [(-1) ** (sp - j) * math.comb(sp, j) for j in range(sp + 1)]
+            coeffs = np.multiply.outer(coeffs, np.array(signed, dtype=np.int64)).ravel()
+    sums %= q[:, :, None]
+    prod = sums[:, 0]
+    for k in range(1, n):
+        prod = prod * sums[:, k] % q
+    # sum |coeffs| = 2^n, so the dot product stays below 2^(n + 31)
+    return [int(r) for r in (prod @ coeffs) % q[:, 0]]
 
 
-def exact_amplitude(s: Sequence[int]) -> CyclotomicVector:
-    """Unnormalized permanent of the root-of-unity matrix, exactly.
+def exact_integer_amplitude(s: Sequence[int]) -> int:
+    """The unnormalized permanent z of the root-of-unity matrix, exactly.
 
-    The matrix has entries w^((d_j - 1) * k) for k = 0..n-1; the permanent
-    is evaluated by inclusion-exclusion over column subsets, with the
-    products of row sums carried as integer coefficient vectors and
-    multiplied by cyclic convolution.  Relates to the float amplitude by
-    the normalization stored on Amplitude.
-
-    Intermediate magnitudes are pre-bounded and checked against the
-    working integer width, so an unrepresentable case raises instead of
-    wrapping around.
+    Each Ryser term prod_k x(w^k) is the resultant of x(t) and t^n - 1, so
+    z is an integer by construction, and any w of exact order n gives it.
+    It is evaluated mod primes q = 1 (mod n) whose product exceeds 2|z| + 1
+    and rebuilt by the Chinese remainder theorem as a symmetric residue.
+    One spare prime guards the reconstruction: if its residue disagrees
+    with z, ArithmeticError is raised rather than a wrong z returned.
     """
     t = validate_arrangement(s)
     n = len(t)
     if n > EXACT_AMPLITUDE_LIMIT:
         raise ResourceLimitError(f"exact amplitude limited to n <= {EXACT_AMPLITUDE_LIMIT}")
-    bound = _exact_coefficient_bound(n)
-    if bound > np.iinfo(np.int64).max:
-        raise ResourceLimitError(
-            f"exact-path coefficient bound {bound} exceeds the 64-bit accumulator"
-        )
-    row_sums, signs, conv_index = _subset_tables(n)
-    rows = np.array(port_assignment(t), dtype=np.int64) - 1
-    acc = row_sums[rows[0]].copy()
-    for r in rows[1:]:
-        other = row_sums[r]
-        acc = np.einsum("si,sij->sj", acc, other[:, conv_index])
-    coeffs = signs @ acc
-    return CyclotomicVector(tuple(int(c) for c in coeffs))
+    primes, powers = _kernel_tables(n)
+    # z^2 / _denominator(t) is a probability, so 2|z| + 1 < bound
+    bound = 2 * math.isqrt(_denominator(t)) + 2
+    used = 1
+    while math.prod(primes[:used]) <= bound:
+        used += 1
+    residues = _ryser_residues(t, primes[: used + 1], powers[: used + 1])
+    z, m = 0, 1
+    for r, q in zip(residues[:used], primes):
+        z += m * ((r - z) * pow(m, -1, q) % q)
+        m *= q
+    if 2 * z > m:
+        z -= m
+    if (z - residues[used]) % primes[used]:
+        raise ArithmeticError(f"amplitude of {t}: residues disagree with the spare prime")
+    return z
 
 
 def is_suppressed_exact(s: Sequence[int]) -> bool:
     """Tolerance-free suppression verdict: is the exact amplitude zero?"""
-    return exact_amplitude(s).is_zero()
-
-
-def exact_integer_amplitude(s: Sequence[int]) -> int:
-    """The unnormalized permanent as a plain integer.
-
-    For the Fourier matrix the permanent is fixed by every Galois
-    automorphism w -> w^a with gcd(a, n) = 1 (such a map only permutes the
-    matrix columns), so it is a rational integer.  A non-integer reduction
-    would mean a broken invariant and raises.
-    """
-    z = exact_amplitude(s).as_integer()
-    if z is None:
-        raise ArithmeticError(f"amplitude of {tuple(s)} did not reduce to an integer")
-    return z
+    return exact_integer_amplitude(s) == 0
 
 
 def exact_quantum_probability(s: Sequence[int]) -> Fraction:
     """Quantum probability as an exact rational, z^2 / (n^n * prod s_j!)."""
     t = validate_arrangement(s)
-    n = len(t)
     z = exact_integer_amplitude(t)
-    denom = n**n
-    for x in t:
-        denom *= math.factorial(x)
-    return Fraction(z * z, denom)
+    return Fraction(z * z, _denominator(t))
 
 
 @lru_cache(maxsize=4)

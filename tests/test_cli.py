@@ -253,6 +253,26 @@ class TestCache:
         assert second == first
         assert json.loads(entry.read_text())["schema_version"] == SCHEMA_VERSION
 
+    def test_entry_from_another_kernel_not_served(self, capsys, tmp_path):
+        args = ["classes", "--n", "4", "--mode", "exact"]
+        _, clean, _ = run(capsys, *args)
+        donor = tmp_path / "donor"
+        run(capsys, *args, "--cache-dir", str(donor))
+        payload = cache_load(donor, next(donor.glob("*.json")).stem)
+        payload[0]["p_quantum"] = 0.5
+        # a valid, checksummed entry under the name exact entries had
+        # before keys named their kernel
+        cache = tmp_path / "cache"
+        cache_store(cache, "v1_classes_n4_exact_tol1e-10", payload)
+        stale = cache / "v1_classes_n4_exact_tol1e-10.json"
+        before = stale.read_bytes()
+        code, out, err = run(capsys, *args, "--cache-dir", str(cache))
+        assert code == 0
+        assert out == clean
+        assert "warning" not in err
+        assert stale.read_bytes() == before
+        assert len(list(cache.glob("*.json"))) == 2
+
     def test_unusable_cache_dir_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("file in the way")

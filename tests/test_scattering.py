@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiport.arrangements import dihedral_orbit, enumerate_arrangements
+from multiport import scattering
+from multiport.arrangements import dihedral_orbit, enumerate_arrangements, port_assignment
 from multiport.errors import InvalidArrangementError, ResourceLimitError
 from multiport.scattering import (
     batch_quantum_probability,
     ck_decomposition,
     classical_probability,
-    exact_amplitude,
     exact_integer_amplitude,
     exact_quantum_probability,
     fourier_unitary,
@@ -121,8 +121,8 @@ class TestQuantumAmplitude:
     def test_exact_field_relation(self):
         for s in [(2, 0), (1, 1, 1), (0, 1, 2, 1, 0, 2), (0, 2, 0, 2, 0, 2)]:
             amp = quantum_amplitude(s, with_exact=True)
-            reconstructed = amp.exact.to_complex() * amp.normalization
-            assert abs(amp.value - reconstructed) < 1e-9
+            assert amp.exact == ck_decomposition(s).as_integer()
+            assert abs(amp.value - amp.exact * amp.normalization) < 1e-9
 
     @given(arrangements(max_n=5))
     @settings(max_examples=60, deadline=None)
@@ -204,32 +204,119 @@ class TestGammaShift:
         assert all(verify_gamma_shift(s) for s in enumerate_arrangements(n))
 
 
+def oracle_z(s):
+    """z from the brute-force phase histogram, independent of the kernel."""
+    z = ck_decomposition(s).as_integer()
+    assert z is not None, f"c_k histogram of {s} is not a rational integer"
+    return z
+
+
 class TestExactAmplitude:
     def test_hom_zero(self):
-        v = exact_amplitude((1, 1))
-        assert v.coefficients[0] - v.coefficients[1] == 0
-        assert v.is_zero()
+        assert exact_integer_amplitude((1, 1)) == oracle_z((1, 1)) == 0
 
     def test_three_port_coincident_integer(self):
-        assert exact_amplitude((1, 1, 1)).as_integer() == -3
-        assert exact_integer_amplitude((1, 1, 1)) == -3
+        assert exact_integer_amplitude((1, 1, 1)) == oracle_z((1, 1, 1)) == -3
 
     def test_anomalous_six_port_zero(self):
-        assert exact_amplitude((0, 1, 1, 2, 1, 1)).is_zero()
+        s = (0, 1, 1, 2, 1, 1)
+        assert suppression_Q(s) == 0
+        assert exact_integer_amplitude(s) == oracle_z(s) == 0
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_exactly(self, n):
         for s in enumerate_arrangements(n):
-            assert exact_amplitude(s).coefficients == ck_decomposition(s).coefficients
+            assert exact_integer_amplitude(s) == oracle_z(s), s
 
     def test_amplitude_is_rational_integer(self):
-        # Fixed by every Galois automorphism, so the reduction is a plain int.
-        for s in enumerate_arrangements(5):
-            assert exact_amplitude(s).as_integer() is not None
+        # The c_k histogram reduces to a plain integer for every event.
+        for n in range(1, 7):
+            for s in enumerate_arrangements(n):
+                assert ck_decomposition(s).as_integer() is not None
 
     def test_limit(self):
         with pytest.raises(ResourceLimitError):
-            exact_amplitude((1,) * 15)
+            exact_integer_amplitude((1,) * 15)
+
+
+# z at n = 14, as computed by the earlier cyclotomic einsum kernel.
+PINNED_N14 = {
+    (14,) + (0,) * 13: math.factorial(14),
+    (1,) * 14: 0,
+    (0, 0, 0, 1, 1, 0, 0, 0, 1, 5, 4, 0, 0, 2): -9031680,
+    (0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 2, 0, 7): -15240960,
+    (0, 0, 1, 0, 1, 4, 1, 0, 1, 1, 1, 3, 0, 1): 0,
+}
+
+
+def ryser_condition(s):
+    """Sum of |Ryser terms| over |permanent| for the float path's sum.
+
+    The float permanent is a sum of 2^n terms that can cancel; its
+    relative rounding error is bounded by a small multiple of n * u times
+    this ratio (u = 2^-53).
+    """
+    n = len(s)
+    u = fourier_unitary(n)
+    rows = [p - 1 for p in port_assignment(s)]
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    terms = np.prod(bits @ u[rows].T, axis=1)
+    signs = (-1.0) ** (n - bits.sum(axis=1))
+    return np.abs(terms).sum() / abs(signs @ terms)
+
+
+class TestKernelChecks:
+    @pytest.mark.parametrize("s", list(PINNED_N14))
+    def test_pinned_n14_values(self, s):
+        assert exact_integer_amplitude(s) == PINNED_N14[s]
+        assert is_suppressed_exact(s) == (PINNED_N14[s] == 0)
+
+    @pytest.mark.parametrize("s", [s for s, z in PINNED_N14.items() if z])
+    def test_float_path_agrees_at_n14(self, s):
+        z = PINNED_N14[s]
+        exact = Fraction(z * z, 14**14 * math.prod(math.factorial(x) for x in s))
+        assert exact == exact_quantum_probability(s)
+        # 1e-9, or the rounding limit of a badly cancelling sum: the
+        # bunched class has terms +-|S|^n and a condition number of 5.5e6.
+        tolerance = max(1e-9, 6 * 14 * 2.0**-53 * ryser_condition(s))
+        assert abs(batch_quantum_probability(s) - float(exact)) <= tolerance * float(exact)
+
+    def test_kernel_primes(self):
+        sieve = np.ones(100_000, dtype=bool)
+        sieve[:2] = False
+        for f in range(2, 317):
+            sieve[f * f :: f] = False
+        assert [scattering._is_prime(q) for q in range(100_000)] == sieve.tolist()
+        for n in range(1, 15):
+            primes, powers = scattering._kernel_tables(n)
+            for q, table in zip(primes, powers):
+                assert q < 2**31 and (q - 1) % n == 0
+                assert np.all(q % np.arange(2, math.isqrt(q) + 1))
+                row = table[1 % n].tolist()  # w^k for k < n
+                assert len(set(row)) == n and pow(row[1 % n], n, q) == 1
+
+    @pytest.mark.parametrize("s", [(14,) + (0,) * 13, (0, 0, 0, 1, 1, 0, 0, 0, 1, 5, 4, 0, 0, 2), (1,) * 14])
+    def test_wrong_residue_raises(self, s, monkeypatch):
+        real = scattering._ryser_residues
+        used = []
+
+        def spy(t, primes, powers):
+            used.append(len(primes))
+            return real(t, primes, powers)
+
+        monkeypatch.setattr(scattering, "_ryser_residues", spy)
+        assert exact_integer_amplitude(s) == PINNED_N14[s]
+        assert used[0] >= 2  # at least one working prime and the spare
+        for bad in range(used[0]):
+
+            def corrupted(t, primes, powers, bad=bad):
+                residues = real(t, primes, powers)
+                residues[bad] = (residues[bad] + 1) % primes[bad]
+                return residues
+
+            monkeypatch.setattr(scattering, "_ryser_residues", corrupted)
+            with pytest.raises(ArithmeticError):
+                exact_integer_amplitude(s)
 
 
 class TestSuppressedExact:
@@ -274,7 +361,8 @@ class TestInputValidation:
             classical_probability,
             suppression_Q,
             ck_decomposition,
-            exact_amplitude,
+            exact_integer_amplitude,
+            is_suppressed_exact,
         ):
             with pytest.raises(InvalidArrangementError):
                 fn((1, 2))
