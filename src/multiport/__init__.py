@@ -7,6 +7,7 @@ from .arrangements import (
     canonical_classical,
     canonical_quantum,
     count_arrangements,
+    dihedral_class_count,
     dihedral_orbit,
     enumerate_arrangements,
     enumerate_classical_classes,

@@ -8,6 +8,13 @@ equivalence are used throughout:
   (canonical form: occupancies sorted in non-increasing order, a partition),
 * quantum: arrangements related by a cyclic or anticyclic relabeling of the
   ports (canonical form: lexicographic minimum over the dihedral orbit).
+
+enumerate_quantum_classes works in numpy on base-(n+1) integer codes of the
+arrangements, in ascending blocks: a code is canonical iff it is the least of
+its 2n dihedral images, and the images equal to it give the orbit size
+(orbit-stabilizer).  Its class count is checked against Burnside's lemma
+(dihedral_class_count).  dihedral_orbit and canonical_quantum are the
+per-arrangement reference.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidArrangementError, ResourceLimitError
 
@@ -174,31 +183,136 @@ def quantum_class_of(s: Sequence[int]) -> QuantumClass:
     return QuantumClass(representative=min(orbit), orbit_size=len(orbit))
 
 
+def dihedral_class_count(n: int) -> int:
+    """Number of quantum classes of n particles, by Burnside's lemma.
+
+    The count is the mean number of arrangements fixed by the 2n dihedral
+    relabelings.  A rotation by k ports fixes the arrangements that are
+    constant on its d = gcd(k, n) cycles of length n/d, i.e. compositions
+    of d into d parts: C(2d - 1, d) of them.  A reflection fixes f ports
+    (f = 1 for odd n; f = 2 or 0 for the n/2 vertex and n/2 edge axes of
+    even n) and swaps the other ports in p = (n - f)/2 pairs.  It fixes the
+    arrangements in which both ports of each pair hold the same count: t
+    particles on one port of every pair and n - 2t on the fixed ports,
+    summed over t.
+    """
+    if n < 1:
+        raise InvalidArrangementError("n must be >= 1")
+
+    def compositions(total: int, parts: int) -> int:
+        if parts == 0:
+            return int(total == 0)
+        return math.comb(total + parts - 1, parts - 1)
+
+    def reflection(f: int) -> int:
+        p = (n - f) // 2
+        return sum(compositions(n - 2 * t, f) * compositions(t, p) for t in range(n // 2 + 1))
+
+    rotations = sum(math.comb(2 * d - 1, d) for d in (math.gcd(k, n) for k in range(n)))
+    if n % 2:
+        reflections = n * reflection(1)
+    else:
+        reflections = n // 2 * (reflection(2) + reflection(0))
+    return (rotations + reflections) // (2 * n)
+
+
+# Arrangements are canonicalized in blocks of at most this many codes; larger
+# blocks raise the peak memory of a census for little gain in speed.
+_BLOCK = 4096
+
+
+def _code_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (codes, reversed codes) of all arrangements, in ascending code order.
+
+    The code of s is its base-(n+1) value with port 1 as the most
+    significant digit, so code order is lexicographic order; the reversed
+    code is the code of s[::-1].  A prefix with more than _BLOCK suffixes
+    is split by its next digit, and runs of sibling prefixes with at most
+    _BLOCK suffixes in total are completed together, digit by digit, with
+    np.repeat.
+    """
+    b = n + 1
+
+    def suffixes(rem, digits):
+        return [math.comb(r + digits - 1, digits - 1) for r in rem.tolist()]
+
+    def extend(codes, rcodes, rem, j):
+        fan = rem + 1
+        digit = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        return (
+            np.repeat(codes, fan) * b + digit,
+            np.repeat(rcodes, fan) + digit * b**j,
+            np.repeat(rem, fan) - digit,
+        )
+
+    # (prefix codes, their reversed-code parts, particles left, digits set)
+    start = np.zeros(1, dtype=np.int64)
+    stack = [(start, start, start + n, 0)]
+    while stack:
+        codes, rcodes, rem, j = stack.pop()
+        if sum(suffixes(rem, n - j)) <= _BLOCK:
+            for k in range(j, n - 1):
+                codes, rcodes, rem = extend(codes, rcodes, rem, k)
+            yield codes * b + rem, rcodes + rem * b ** (n - 1)
+            continue
+        # one prefix with too many suffixes: split it by its next digit
+        codes, rcodes, rem = extend(codes, rcodes, rem, j)
+        runs, first, size = [], 0, 0
+        for i, count in enumerate(suffixes(rem, n - j - 1)):
+            if size + count > _BLOCK and i > first:
+                runs.append((first, i))
+                first, size = i, 0
+            size += count
+        runs.append((first, len(rem)))
+        for lo, hi in reversed(runs):
+            stack.append((codes[lo:hi], rcodes[lo:hi], rem[lo:hi], j + 1))
+
+
 def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     """One QuantumClass per dihedral orbit, ordered by representative.
 
-    Uses a canonical-form filter over the full enumeration: an arrangement
-    is kept iff it equals its own canonical form.  Orbit sizes are obtained
-    from the materialized orbit, and their total is cross-checked against
-    the arrangement count.
+    Works on base-(n+1) int64 codes (see _code_blocks), block by block.  A
+    rotation by one port maps a code c to (c mod b^(n-1)) * b + c div
+    b^(n-1), with b = n + 1; n - 1 rotations of the code and of the
+    reversed code give the 2n dihedral images.  An arrangement is kept iff
+    its code is the minimum of its images, and its orbit size is 2n over
+    the number of images equal to its code (orbit-stabilizer).  The orbit
+    sizes must cover every arrangement and the class count must equal the
+    Burnside count dihedral_class_count(n); otherwise AssertionError.
     """
     total = count_arrangements(n)
     if total > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(
             f"n={n} has {total} arrangements, above the cap of {DEFAULT_ENUMERATION_CAP}"
         )
+    b = n + 1
+    high = b ** (n - 1)
+    places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     classes = []
     covered = 0
-    for s in enumerate_arrangements(n):
-        orbit = dihedral_orbit(s)
-        if s == min(orbit):
-            classes.append(QuantumClass(representative=s, orbit_size=len(orbit)))
-            covered += len(orbit)
+    for codes, rcodes in _code_blocks(n):
+        least = np.minimum(codes, rcodes)
+        stabilizer = 1 + (rcodes == codes)
+        c, r = codes, rcodes
+        for _ in range(n - 1):
+            c = c % high * b + c // high
+            r = r % high * b + r // high
+            least = np.minimum(least, np.minimum(c, r))
+            stabilizer += (c == codes) + (r == codes)
+        keep = least == codes
+        sizes = (2 * n // stabilizer[keep]).tolist()
+        reps = (codes[keep, None] // places % b).tolist()
+        classes.extend(QuantumClass(tuple(rep), size) for rep, size in zip(reps, sizes))
+        covered += sum(sizes)
     if covered != total:
         raise AssertionError(
             f"orbit bookkeeping mismatch for n={n}: {covered} != {total}"
         )
-    classes.sort(key=lambda c: c.representative)
+    expected = dihedral_class_count(n)
+    if len(classes) != expected:
+        raise AssertionError(
+            f"class count mismatch for n={n}: {len(classes)} != Burnside {expected}"
+        )
     return classes
 
 

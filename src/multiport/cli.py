@@ -638,7 +638,7 @@ def main(argv=None) -> int:
     except InvalidArrangementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except CacheCorruptionError as exc:

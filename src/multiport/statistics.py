@@ -81,7 +81,9 @@ def compute_class_row(
     q = suppression_Q(rep)
     p_class = classical_probability(rep)
     if exact:
-        p_exact = exact_quantum_probability(rep)
+        # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
+        # PRL 104, 220405); `verify` checks the law against the kernel.
+        p_exact = exact_quantum_probability(rep) if q == 0 else Fraction(0)
         return ClassProbabilityRow(
             representative=rep,
             orbit_size=orbit_size,

@@ -3,6 +3,7 @@ import pytest
 # Published census used as ground truth across the suite:
 # n -> (N_total, N_class, N_quantum, N_law, N_supp)
 CENSUS = {
+    1: (1, 1, 1, 0, 0),  # trivial: one particle in one port
     2: (3, 2, 2, 1, 0),
     3: (10, 3, 3, 1, 0),
     4: (35, 5, 8, 5, 0),

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test (or parametrized group) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v` for the per-criterion
-pass/fail listing.  Long-running optional checks (n = 11..12 census, n = 14
+pass/fail listing.  Long-running optional checks (n = 11..14 census, n = 14
 spot checks) are enabled by setting MULTIPORT_ACCEPT_LARGE=1.
 
 Criterion 2 checks the published enhancement table with one erratum.  The
@@ -57,6 +57,8 @@ CENSUS = {
     10: (92378, 42, 4752, 4226, 96),
     11: (352716, 56, 16159, 14575, 0),
     12: (1352078, 77, 56822, 51890, 1133),
+    13: (5200300, 101, 200474, 184626, 0),
+    14: (20058300, 135, 718146, 666114, 2403),
 }
 
 # Published nonsuppressed classes with their enhancement values per n.
@@ -158,7 +160,7 @@ class TestCriterion1Table1:
         report(f"1 table1 n={n}")
 
     @pytest.mark.skipif(not RUN_LARGE, reason="set MULTIPORT_ACCEPT_LARGE=1")
-    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
     def test_census_rows_large(self, n):
         row = st.table1(n, exact=True)[-1]
         got = (

@@ -7,6 +7,7 @@ from multiport.arrangements import (
     canonical_classical,
     canonical_quantum,
     count_arrangements,
+    dihedral_class_count,
     dihedral_orbit,
     arrangement_from_ports,
     enumerate_arrangements,
@@ -149,11 +150,25 @@ class TestQuantumClasses:
             ((1, 1), 1),
         ]
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_counts_and_coverage(self, n, census):
         classes = enumerate_quantum_classes(n)
         assert len(classes) == census[n][2]
         assert sum(c.orbit_size for c in classes) == count_arrangements(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_orbit_oracle(self, n):
+        oracle = {quantum_class_of(s) for s in enumerate_arrangements(n)}
+        assert enumerate_quantum_classes(n) == sorted(oracle, key=lambda c: c.representative)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    def test_representatives_strictly_ascending(self, n):
+        reps = [c.representative for c in enumerate_quantum_classes(n)]
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_burnside_count_matches_census(self, n, census):
+        assert dihedral_class_count(n) == census[n][2]
 
     def test_orbit_size_matches_set(self):
         qc = quantum_class_of((2, 1, 2, 1, 0, 0))

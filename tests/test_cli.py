@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from multiport import scattering
 from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
 from multiport.errors import CacheCorruptionError
 
@@ -58,6 +59,21 @@ class TestClasses:
     def test_float_cap_exits_3(self, capsys):
         code, _, _ = run(capsys, "classes", "--n", "15")
         assert code == 3
+
+    def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
+        real = scattering._ryser_residues
+
+        def corrupted(t, primes, powers):
+            residues = real(t, primes, powers)
+            residues[0] = (residues[0] + 1) % primes[0]
+            return residues
+
+        monkeypatch.setattr(scattering, "_ryser_residues", corrupted)
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, _, err = run(capsys, "classes", "--n", "4", "--mode", "exact")
+        assert code == 3
+        assert err.startswith("error: ") and "spare prime" in err
+        assert "Traceback" not in err
 
 
 class TestTable1:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multiport.arrangements import enumerate_arrangements
-from multiport.scattering import batch_quantum_probability, classical_probability
+from multiport.scattering import batch_quantum_probability, classical_probability, suppression_Q
 from multiport import statistics as st
 
 
@@ -130,6 +130,35 @@ class TestClassProbabilityTable:
             (0, 1, 1, 2, 1, 1),
             (0, 1, 2, 1, 0, 2),
         ]
+
+    def test_kernel_runs_only_on_q0_classes(self, monkeypatch):
+        real = st.exact_quantum_probability
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(st, "exact_quantum_probability", counting)
+        rows = st.class_probability_table(8, exact=True)
+        assert len(calls) == 69
+        assert all(suppression_Q(s) == 0 for s in calls)
+        everything_through_kernel = []
+        for r in rows:
+            p = real(r.representative)
+            everything_through_kernel.append(
+                st.ClassProbabilityRow(
+                    representative=r.representative,
+                    orbit_size=r.orbit_size,
+                    Q=r.Q,
+                    suppressed_exact=(p == 0),
+                    p_classical=r.p_classical,
+                    p_quantum=float(p),
+                    enhancement=p / r.p_classical,
+                )
+            )
+        assert rows == everything_through_kernel
+        assert all(type(r.enhancement) is Fraction for r in rows)
 
     def test_n3_enhancements(self):
         rows = st.class_probability_table(3, exact=True)
