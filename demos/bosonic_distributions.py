@@ -23,7 +23,7 @@ from multiport.statistics import occupied_ports_mean
 N = 8
 HERE = Path(__file__).resolve().parent
 
-rows = class_probability_table(N)  # shared float sweep for all three tables
+rows = class_probability_table(N)  # one exact class sweep shared by all three tables
 
 tables = {
     "occupied_ports": occupied_ports_distribution(N, rows=rows),

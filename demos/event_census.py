@@ -19,7 +19,7 @@ for row in table1(8, exact=True):
 
 print("\nMost events vanish; the survivors and their quantum/classical")
 print("probability ratios for n = 6:")
-for r in class_probability_table(6, exact=True):
+for r in class_probability_table(6):
     if not r.suppressed_exact:
         print(f"  {r.representative}  x{r.orbit_size:<2}  enhancement {r.enhancement}")
 print("\nBunching tops out at n! = 720; the coincident event is dead (n even).")

@@ -32,7 +32,6 @@ from .scattering import (
     quantum_probability,
     suppression_Q,
     verify_gamma_shift,
-    zero_threshold,
 )
 from .statistics import (
     ClassProbabilityRow,

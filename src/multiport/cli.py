@@ -9,6 +9,11 @@ Subcommands
 * verify:  oracle and invariant sweep, exit 1 on any failure
 * ck:      phase-class histogram of one arrangement
 
+classes, table2, dist and verify read one set of exact class rows per n,
+cached under one key.  Floats are those exact values rounded once, so
+--mode changes only table1 (float mode skips the kernel and leaves n_supp
+unknown) and the mode label of JSON output.
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
 """
@@ -41,22 +46,18 @@ from .errors import CacheCorruptionError, InvalidArrangementError, ResourceLimit
 from .scattering import (
     EXACT_AMPLITUDE_LIMIT,
     EXACT_KERNEL_TAG,
-    FLOAT_ZERO_SCALE,
-    batch_quantum_probability,
     ck_decomposition,
+    exact_integer_amplitude,
     is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
     random_unitary,
-    suppression_Q,
     verify_gamma_shift,
 )
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "MULTIPORT_CACHE_DIR"
 
-DEFAULT_FLOAT_CAP = 14
-DEFAULT_EXACT_CAP = 12
 DEFAULT_VERIFY_CAP = 8
 
 EXIT_OK = 0
@@ -73,7 +74,6 @@ class RunConfig:
     format: str
     output: Path | None
     jobs: int
-    tolerance: float
     cache_dir: Path | None
     kind: str | None = None
     variant: str = "marginal"
@@ -85,12 +85,6 @@ def _fmt_float(x: float) -> str:
 
 def _fmt_arrangement(s) -> str:
     return ",".join(str(x) for x in s)
-
-
-def _fmt_enhancement(e) -> str:
-    if isinstance(e, Fraction):
-        return str(e)
-    return _fmt_float(e)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +99,9 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def cache_key(kind: str, n: int, mode: str, extra: str = "") -> str:
-    """Entry name; exact entries also name the kernel that computed them."""
-    if mode == "exact":
-        mode = f"exact-{EXACT_KERNEL_TAG}"
-    tail = f"_{extra}" if extra else ""
-    return f"v{SCHEMA_VERSION}_{kind}_n{n}_{mode}{tail}"
+def cache_key(kind: str, n: int) -> str:
+    """Entry name; it names the exact kernel that computed the entry."""
+    return f"v{SCHEMA_VERSION}_{kind}_n{n}_exact-{EXACT_KERNEL_TAG}"
 
 
 def cache_load(cache_dir: Path, key: str) -> dict | None:
@@ -173,76 +164,64 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 
 
 def _pool_class_row(args):
-    rep, orbit_size, exact, tolerance = args
-    return stats.compute_class_row(rep, orbit_size, exact, tolerance)
+    return stats.compute_class_row(*args)
 
 
-def compute_class_rows(n: int, exact: bool, jobs: int, tolerance: float):
+def compute_class_rows(n: int, jobs: int):
     classes = enumerate_quantum_classes(n)
-    tasks = [(c.representative, c.orbit_size, exact, tolerance) for c in classes]
+    tasks = [(c.representative, c.orbit_size) for c in classes]
     if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_pool_class_row, tasks, chunksize=chunk))
     else:
         rows = [_pool_class_row(t) for t in tasks]
-    return stats.class_probability_table(n, exact=exact, rows=rows)
+    return stats.class_probability_table(n, rows=rows)
 
 
 def _rows_to_payload(rows) -> list[dict]:
-    out = []
-    for r in rows:
-        enh: dict
-        if isinstance(r.enhancement, Fraction):
-            enh = {"num": r.enhancement.numerator, "den": r.enhancement.denominator}
-        else:
-            enh = {"value": r.enhancement}
-        out.append(
-            {
-                "representative": list(r.representative),
-                "orbit_size": r.orbit_size,
-                "Q": r.Q,
-                "suppressed_exact": r.suppressed_exact,
-                "p_classical_num": r.p_classical.numerator,
-                "p_classical_den": r.p_classical.denominator,
-                "p_quantum": r.p_quantum,
-                "enhancement": enh,
-            }
-        )
-    return out
+    return [
+        {
+            "representative": list(r.representative),
+            "orbit_size": r.orbit_size,
+            "Q": r.Q,
+            "suppressed_exact": r.suppressed_exact,
+            "p_classical_num": r.p_classical.numerator,
+            "p_classical_den": r.p_classical.denominator,
+            "p_quantum": r.p_quantum,
+            "enhancement": {"num": r.enhancement.numerator, "den": r.enhancement.denominator},
+        }
+        for r in rows
+    ]
 
 
 def _payload_to_rows(payload: list[dict]):
-    rows = []
-    for item in payload:
-        enh = item["enhancement"]
-        if "num" in enh:
-            enhancement = Fraction(enh["num"], enh["den"])
-        else:
-            enhancement = enh["value"]
-        rows.append(
-            stats.ClassProbabilityRow(
-                representative=tuple(item["representative"]),
-                orbit_size=item["orbit_size"],
-                Q=item["Q"],
-                suppressed_exact=item["suppressed_exact"],
-                p_classical=Fraction(item["p_classical_num"], item["p_classical_den"]),
-                p_quantum=item["p_quantum"],
-                enhancement=enhancement,
-            )
+    return [
+        stats.ClassProbabilityRow(
+            representative=tuple(item["representative"]),
+            orbit_size=item["orbit_size"],
+            Q=item["Q"],
+            suppressed_exact=item["suppressed_exact"],
+            p_classical=Fraction(item["p_classical_num"], item["p_classical_den"]),
+            p_quantum=item["p_quantum"],
+            enhancement=Fraction(item["enhancement"]["num"], item["enhancement"]["den"]),
         )
-    return rows
+        for item in payload
+    ]
 
 
-def class_rows_cached(config: RunConfig, exact: bool):
-    """Class rows for config.n, going through the cache when one is set."""
-    mode = "exact" if exact else "float"
-    key = cache_key("classes", config.n, mode, extra=f"tol{config.tolerance:g}")
+def class_rows_cached(config: RunConfig):
+    """Class rows for config.n, going through the cache when one is set.
+
+    Every mode and command reads the same exact rows, so one entry per n
+    serves them all.
+    """
+    key = cache_key("classes", config.n)
     if config.cache_dir is not None:
         payload = cache_load(config.cache_dir, key)
         if payload is not None:
-            return stats.class_probability_table(config.n, exact=exact, rows=_payload_to_rows(payload))
-    rows = compute_class_rows(config.n, exact, config.jobs, config.tolerance)
+            return stats.class_probability_table(config.n, rows=_payload_to_rows(payload))
+    rows = compute_class_rows(config.n, config.jobs)
     if config.cache_dir is not None:
         cache_store(config.cache_dir, key, _rows_to_payload(rows))
     return rows
@@ -277,26 +256,7 @@ def _json_text(n: int, mode: str, kind: str, rows: list[dict], **extra) -> str:
 
 
 def cmd_classes(config: RunConfig) -> int:
-    exact = config.mode in ("exact", "both")
-    rows = class_rows_cached(config, exact=exact)
-    if config.mode == "both":
-        # exact verdicts plus the float-path probability column
-        float_rows = class_rows_cached(config, exact=False)
-        float_q = {r.representative: r.p_quantum for r in float_rows}
-        merged = []
-        for r in rows:
-            merged.append(
-                stats.ClassProbabilityRow(
-                    representative=r.representative,
-                    orbit_size=r.orbit_size,
-                    Q=r.Q,
-                    suppressed_exact=r.suppressed_exact,
-                    p_classical=r.p_classical,
-                    p_quantum=float_q[r.representative],
-                    enhancement=r.enhancement,
-                )
-            )
-        rows = merged
+    rows = class_rows_cached(config)
     if config.format == "csv":
         header = [
             "representative",
@@ -313,11 +273,11 @@ def cmd_classes(config: RunConfig) -> int:
                 _fmt_arrangement(r.representative),
                 str(r.orbit_size),
                 str(r.Q),
-                "" if r.suppressed_exact is None else str(r.suppressed_exact).lower(),
+                str(r.suppressed_exact).lower(),
                 str(r.p_classical.numerator),
                 str(r.p_classical.denominator),
                 _fmt_float(r.p_quantum),
-                _fmt_enhancement(r.enhancement),
+                str(r.enhancement),
             ]
             for r in rows
         ]
@@ -328,8 +288,7 @@ def cmd_classes(config: RunConfig) -> int:
 
 
 def cmd_table1(config: RunConfig) -> int:
-    exact = config.mode in ("exact", "both")
-    rows = stats.table1(config.n, exact=exact)
+    rows = stats.table1(config.n, exact=config.mode == "exact")
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
     if config.format == "csv":
         body = [
@@ -361,36 +320,26 @@ def cmd_table1(config: RunConfig) -> int:
 
 
 def cmd_table2(config: RunConfig) -> int:
-    rows = class_rows_cached(config, exact=True)
+    rows = class_rows_cached(config)
     alive = [r for r in rows if not r.suppressed_exact]
     alive.sort(key=lambda r: (-r.enhancement, r.representative))
     if config.format == "csv":
         header = ["representative", "orbit_size", "enhancement"]
         body = [
-            [_fmt_arrangement(r.representative), str(r.orbit_size), _fmt_enhancement(r.enhancement)]
+            [_fmt_arrangement(r.representative), str(r.orbit_size), str(r.enhancement)]
             for r in alive
         ]
         _emit(config, _csv_text(header, body))
     else:
-        payload = [
-            {
-                "representative": list(r.representative),
-                "orbit_size": r.orbit_size,
-                "enhancement": {
-                    "num": r.enhancement.numerator,
-                    "den": r.enhancement.denominator,
-                },
-            }
-            for r in alive
-        ]
+        keys = ("representative", "orbit_size", "enhancement")
+        payload = [{k: item[k] for k in keys} for item in _rows_to_payload(alive)]
         _emit(config, _json_text(config.n, "exact", "table2", payload))
     return EXIT_OK
 
 
 def cmd_dist(config: RunConfig) -> int:
-    exact = config.mode in ("exact", "both")
-    rows = class_rows_cached(config, exact=exact)
-    table = stats.distribution(config.kind, config.n, rows=rows, exact=exact, variant=config.variant)
+    rows = class_rows_cached(config)
+    table = stats.distribution(config.kind, config.n, rows=rows, variant=config.variant)
     if config.format == "csv":
         header = ["category", "classical", "quantum", "approx"]
         body = [
@@ -456,18 +405,18 @@ def cmd_verify(config: RunConfig) -> int:
             worst = max(worst, abs(a - b) / max(abs(a), 1e-30))
     record("permanent-oracle-agreement", worst < 1e-10, f"max relative deviation {worst:.3g}")
 
-    classes = enumerate_quantum_classes(n)
-    total = 0.0
-    for c in classes:
-        total += c.orbit_size * batch_quantum_probability(c.representative)
-    total = float(total)
-    record("normalization", abs(total - 1.0) < 1e-9, f"sum = {total!r}")
+    # The rows skip the kernel on Q != 0 classes, as every table does.
+    # Probabilities are non-negative, so an exact sum of 1 also proves
+    # each skipped class an exact zero.
+    rows = class_rows_cached(config)
+    total = sum(r.orbit_size * r.enhancement * r.p_classical for r in rows)
+    record("normalization", total == 1, f"sum = {total}")
 
     bad = None
-    for c in classes:
-        p0 = batch_quantum_probability(c.representative)
-        for member in dihedral_orbit(c.representative):
-            if abs(batch_quantum_probability(member) - p0) > 1e-10:
+    for r in rows:
+        z0 = abs(exact_integer_amplitude(r.representative))
+        for member in dihedral_orbit(r.representative):
+            if abs(exact_integer_amplitude(member)) != z0:
                 bad = member
                 break
         if bad:
@@ -475,9 +424,9 @@ def cmd_verify(config: RunConfig) -> int:
     record("dihedral-invariance", bad is None, f"violated by {bad}" if bad else "all orbits agree")
 
     bad = None
-    for c in classes:
-        if suppression_Q(c.representative) != 0 and not is_suppressed_exact(c.representative):
-            bad = c.representative
+    for r in rows:
+        if r.Q != 0 and not is_suppressed_exact(r.representative):
+            bad = r.representative
             break
     record("law-soundness", bad is None, f"violated by {bad}" if bad else "Q != 0 implies exact zero")
 
@@ -488,11 +437,7 @@ def cmd_verify(config: RunConfig) -> int:
             break
     record("gamma-shift", bad is None, f"violated by {bad}" if bad else "c_k periodic under Q shift")
 
-    anomalous = [
-        c.representative
-        for c in classes
-        if suppression_Q(c.representative) == 0 and is_suppressed_exact(c.representative)
-    ]
+    anomalous = sorted(r.representative for r in rows if r.Q == 0 and r.suppressed_exact)
     if anomalous:
         lines.append(
             "INFO anomalous-suppressions: " + "; ".join(_fmt_arrangement(a) for a in anomalous)
@@ -518,21 +463,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_n=True):
         if with_n:
             p.add_argument("--n", type=int, required=True, help="number of ports / particles")
-        p.add_argument("--mode", choices=("float", "exact", "both"), default="float")
+        p.add_argument(
+            "--mode",
+            choices=("float", "exact"),
+            default="float",
+            help="exact also counts anomalous zeros in table1; class rows are exact in both",
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=FLOAT_ZERO_SCALE,
-            help="scale of the float-path zero threshold, relative to n!/n^n",
-        )
         p.add_argument("--cache-dir", type=str, default=None)
         p.add_argument(
             "--allow-large",
             action="store_true",
-            help="lift the default size caps (runtime grows steeply)",
+            help=f"lift the verify cap from n <= {DEFAULT_VERIFY_CAP} to 9 (runtime grows steeply)",
         )
 
     add_common(sub.add_parser("classes", help="per-quantum-class probability table"))
@@ -570,20 +514,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_caps(parser, n: int, mode: str, allow_large: bool, command: str) -> None:
+def _check_caps(parser, n: int, allow_large: bool, command: str) -> None:
     if n < 1:
         parser.error(f"--n must be >= 1, got {n}")
     if command == "verify":
         cap = 9 if allow_large else DEFAULT_VERIFY_CAP
         if n > cap:
             raise ResourceLimitError(f"verify supports n <= {cap} (brute-force oracles)")
-        return
-    exact_cap = EXACT_AMPLITUDE_LIMIT if allow_large else DEFAULT_EXACT_CAP
-    if mode in ("exact", "both") and n > exact_cap:
-        hint = "; pass --allow-large to go further" if n <= EXACT_AMPLITUDE_LIMIT else ""
-        raise ResourceLimitError(f"exact mode capped at n <= {exact_cap}{hint}")
-    if n > DEFAULT_FLOAT_CAP:
-        raise ResourceLimitError(f"float path capped at n <= {DEFAULT_FLOAT_CAP}")
+    elif n > EXACT_AMPLITUDE_LIMIT:
+        raise ResourceLimitError(f"exact amplitudes limited to n <= {EXACT_AMPLITUDE_LIMIT}")
 
 
 def main(argv=None) -> int:
@@ -603,10 +542,8 @@ def main(argv=None) -> int:
             n = args.n
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
-        if args.tolerance <= 0:
-            parser.error("--tolerance must be > 0")
         if args.command != "ck":
-            _check_caps(parser, n, args.mode, args.allow_large, args.command)
+            _check_caps(parser, n, args.allow_large, args.command)
 
         config = RunConfig(
             n=n,
@@ -614,7 +551,6 @@ def main(argv=None) -> int:
             format=args.format,
             output=args.output,
             jobs=args.jobs,
-            tolerance=args.tolerance,
             cache_dir=_resolve_cache_dir(args.cache_dir),
             kind=getattr(args, "kind", None),
             variant=getattr(args, "variant", "marginal"),

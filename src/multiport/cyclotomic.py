@@ -1,11 +1,12 @@
 """Exact arithmetic with integer combinations of n-th roots of unity.
 
 Values are represented by an integer coefficient vector (c_0, ..., c_{n-1})
-standing for sum(c_k * w**k) with w = exp(2*pi*i/n).  Addition is entrywise
-and multiplication is cyclic convolution (w**n = 1).  The representation is
+standing for sum(c_k * w**k) with w = exp(2*pi*i/n).  The representation is
 redundant: the element is zero exactly when the coefficient polynomial is
 divisible by the n-th cyclotomic polynomial, which is what is_zero tests.
-All coefficients are Python integers, so no magnitude limit applies.
+All coefficients are Python integers, so no magnitude limit applies.  The
+brute-force phase histogram (scattering.ck_decomposition) is the only
+producer of these vectors; it needs their reduction, not ring arithmetic.
 """
 
 from __future__ import annotations
@@ -78,54 +79,6 @@ class CyclotomicVector:
     @property
     def order(self) -> int:
         return len(self.coefficients)
-
-    @classmethod
-    def zero(cls, n: int) -> "CyclotomicVector":
-        return cls((0,) * n)
-
-    @classmethod
-    def root_power(cls, n: int, k: int, scale: int = 1) -> "CyclotomicVector":
-        """scale * w**k as a vector."""
-        c = [0] * n
-        c[k % n] += scale
-        return cls(c)
-
-    def _check(self, other: "CyclotomicVector") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed orders {self.order} and {other.order}")
-
-    def __add__(self, other: "CyclotomicVector") -> "CyclotomicVector":
-        self._check(other)
-        return CyclotomicVector(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __sub__(self, other: "CyclotomicVector") -> "CyclotomicVector":
-        self._check(other)
-        return CyclotomicVector(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __neg__(self) -> "CyclotomicVector":
-        return CyclotomicVector(tuple(-a for a in self.coefficients))
-
-    def __mul__(self, other: "CyclotomicVector") -> "CyclotomicVector":
-        """Product in the ring: cyclic convolution of the coefficient vectors."""
-        self._check(other)
-        n = self.order
-        out = [0] * n
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return CyclotomicVector(out)
-
-    def conjugate(self) -> "CyclotomicVector":
-        """Complex conjugate: w**k maps to w**(n-k)."""
-        n = self.order
-        c = self.coefficients
-        return CyclotomicVector(tuple(c[(-k) % n] for k in range(n)))
 
     def reduce(self) -> tuple[int, ...]:
         """Canonical form: remainder modulo the n-th cyclotomic polynomial.

@@ -11,8 +11,11 @@ its permanent z is an integer by construction: Ryser's formula, grouped by
 how many copies of each repeated row a subset takes, writes z as a signed
 sum of resultants Res(x(t), t^n - 1).  exact_integer_amplitude evaluates
 that sum modulo primes q = 1 (mod n) and rebuilds z by the Chinese
-remainder theorem; a redundant prime guards the reconstruction.
-is_suppressed_exact turns z into a tolerance-free zero test.
+remainder theorem; a redundant prime guards the reconstruction.  Every
+probability the package reports is z^2 / (n^n * prod s_j!), exactly or
+rounded once to float, so suppression verdicts (z == 0) carry no
+tolerance.  The float permanents (permanent_naive, permanent_ryser and
+quantum_probability built on them) stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -32,12 +35,8 @@ from .errors import ResourceLimitError
 
 NAIVE_PERMANENT_LIMIT = 9
 RYSER_PERMANENT_LIMIT = 24
-BATCH_FLOAT_LIMIT = 16
 CK_BRUTE_FORCE_LIMIT = 9
 EXACT_AMPLITUDE_LIMIT = 14
-
-# |amplitude|^2 below zero_threshold(n) counts as zero on the float path.
-FLOAT_ZERO_SCALE = 1e-10
 
 
 @lru_cache(maxsize=32)
@@ -167,15 +166,6 @@ def quantum_amplitude(s: Sequence[int], with_exact: bool = False) -> Amplitude:
 def quantum_probability(s: Sequence[int]) -> float:
     """|amplitude|^2, in [0, 1]."""
     return abs(quantum_amplitude(s).value) ** 2
-
-
-def zero_threshold(n: int, scale: float = FLOAT_ZERO_SCALE) -> float:
-    """Probability below which the float path treats an event as suppressed.
-
-    Scaled to the bunching probability n!/n^n, the natural size of the
-    largest single-event probability.
-    """
-    return scale * math.factorial(n) / n**n
 
 
 @lru_cache(maxsize=4)
@@ -344,46 +334,14 @@ def exact_quantum_probability(s: Sequence[int]) -> Fraction:
     return Fraction(z * z, _denominator(t))
 
 
-@lru_cache(maxsize=4)
-def _float_subset_sums(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row subset sums of the Fourier matrix and the Ryser signs.
-
-    row_sums[r, S] = sum over columns k in S of U[r, k]; the permanent of
-    a row-repeated Fourier matrix is then signs @ prod-over-rows, which is
-    what batch_quantum_probability exploits.
-    """
-    u = fourier_unitary(n)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    popcount = bits.sum(axis=1)
-    signs = np.where((n - popcount) % 2 == 0, 1.0, -1.0)
-    signs[0] = 0.0
-    row_sums = np.ascontiguousarray((bits @ u.T).T)  # (n, 2^n)
-    return row_sums, signs
-
-
 def batch_quantum_probability(s: Sequence[int]) -> float:
-    """Float quantum probability via shared subset tables.
+    """Quantum probability as a float, exact_quantum_probability rounded once.
 
-    Matches permanent_ryser to machine precision but amortizes the
-    inclusion-exclusion across arrangements, which is what the full-table
-    sweeps need.  The shared tables take n * 2^n complex entries, hence the
-    tighter cap; quantum_probability has no table and reaches n = 24.
+    The name dates from a float kernel that batched Ryser's subset sums;
+    the benchmark in perfbench/ still calls the function by it.  Exact
+    zeros come out as 0.0.
     """
-    t = validate_arrangement(s)
-    n = len(t)
-    if n > BATCH_FLOAT_LIMIT:
-        raise ResourceLimitError(
-            f"batched float path limited to n <= {BATCH_FLOAT_LIMIT} (table memory)"
-        )
-    row_sums, signs = _float_subset_sums(n)
-    rows = [p - 1 for p in port_assignment(t)]
-    perm = signs @ np.prod(row_sums[rows], axis=0)
-    repeat_factor = 1.0
-    for x in t:
-        repeat_factor *= math.factorial(x)
-    return float(abs(perm) ** 2 / repeat_factor)
+    return float(exact_quantum_probability(s))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

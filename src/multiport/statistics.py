@@ -1,10 +1,11 @@
 """Aggregate observables over all output arrangements.
 
 Everything here is a deterministic reduction over the quantum equivalence
-classes: per-class probabilities weighted by orbit size.  Classical
-probabilities and enhancement ratios are carried as exact fractions; the
-quantum column is float on the default path and exact (z^2 over an integer
-denominator) when exact mode is requested.
+classes: per-class probabilities weighted by orbit size.  Each class row
+carries its exact classical probability and enhancement ratio as fractions.
+Classes with Q != 0 are exact zeros by the zero-transmission law; the exact
+kernel runs on the Q = 0 classes only.  Every float a table reports is one
+exact rational rounded once.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from .arrangements import (
 from .errors import ResourceLimitError
 from .scattering import (
     EXACT_AMPLITUDE_LIMIT,
-    batch_quantum_probability,
     classical_probability,
     exact_quantum_probability,
     is_suppressed_exact,
     suppression_Q,
-    zero_threshold,
 )
-
-FLOAT_TABLE_LIMIT = 14
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
 OCCUPANCY_VARIANTS = ("marginal", "at-least-one")
@@ -48,13 +45,10 @@ def suppressed_fraction_estimate(n: int) -> float:
     return 1.0 - 1.0 / n
 
 
-def enhancement(s: Sequence[int], exact: bool = True) -> Fraction | float:
-    """Ratio of quantum to classical probability for one arrangement."""
+def enhancement(s: Sequence[int]) -> Fraction:
+    """Ratio of quantum to classical probability for one arrangement, z^2/n!."""
     t = validate_arrangement(s)
-    p_class = classical_probability(t)
-    if exact:
-        return exact_quantum_probability(t) / p_class
-    return batch_quantum_probability(t) / float(p_class)
+    return exact_quantum_probability(t) / classical_probability(t)
 
 
 @dataclass(frozen=True)
@@ -64,54 +58,36 @@ class ClassProbabilityRow:
     representative: Arrangement
     orbit_size: int
     Q: int
-    suppressed_exact: bool | None
+    suppressed_exact: bool
     p_classical: Fraction
     p_quantum: float
-    enhancement: Fraction | float
+    enhancement: Fraction
 
 
-def compute_class_row(
-    rep: Arrangement,
-    orbit_size: int,
-    exact: bool,
-    tolerance_scale: float | None = None,
-) -> ClassProbabilityRow:
-    """Evaluate one quantum class; pure, safe to run in a worker process."""
-    n = len(rep)
+def compute_class_row(rep: Arrangement, orbit_size: int) -> ClassProbabilityRow:
+    """Evaluate one quantum class; pure, safe to run in a worker process.
+
+    p_quantum is the exact probability rounded once, so it is 0.0 exactly
+    on suppressed classes.
+    """
     q = suppression_Q(rep)
     p_class = classical_probability(rep)
-    if exact:
-        # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
-        # PRL 104, 220405); `verify` checks the law against the kernel.
-        p_exact = exact_quantum_probability(rep) if q == 0 else Fraction(0)
-        return ClassProbabilityRow(
-            representative=rep,
-            orbit_size=orbit_size,
-            Q=q,
-            suppressed_exact=(p_exact == 0),
-            p_classical=p_class,
-            p_quantum=float(p_exact),
-            enhancement=p_exact / p_class,
-        )
-    p_quantum = batch_quantum_probability(rep)
-    threshold = zero_threshold(n) if tolerance_scale is None else zero_threshold(n, tolerance_scale)
-    enh = 0.0 if p_quantum < threshold else p_quantum / float(p_class)
+    # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
+    # PRL 104, 220405); `verify` checks the law against the kernel.
+    p_exact = exact_quantum_probability(rep) if q == 0 else Fraction(0)
     return ClassProbabilityRow(
         representative=rep,
         orbit_size=orbit_size,
         Q=q,
-        suppressed_exact=None,
+        suppressed_exact=(p_exact == 0),
         p_classical=p_class,
-        p_quantum=p_quantum,
-        enhancement=enh,
+        p_quantum=float(p_exact),
+        enhancement=p_exact / p_class,
     )
 
 
 def class_probability_table(
-    n: int,
-    exact: bool = False,
-    tolerance_scale: float | None = None,
-    rows: Iterable[ClassProbabilityRow] | None = None,
+    n: int, rows: Iterable[ClassProbabilityRow] | None = None
 ) -> list[ClassProbabilityRow]:
     """One row per quantum class, sorted by classical probability.
 
@@ -120,15 +96,10 @@ def class_probability_table(
     a worker pool) to reuse them; they are then only sorted, not checked.
     """
     if rows is None:
-        if exact and n > EXACT_AMPLITUDE_LIMIT:
-            raise ResourceLimitError(f"exact table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
-        if not exact and n > FLOAT_TABLE_LIMIT:
-            raise ResourceLimitError(f"float table limited to n <= {FLOAT_TABLE_LIMIT}")
+        if n > EXACT_AMPLITUDE_LIMIT:
+            raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
         classes = enumerate_quantum_classes(n)
-        rows = [
-            compute_class_row(c.representative, c.orbit_size, exact, tolerance_scale)
-            for c in classes
-        ]
+        rows = [compute_class_row(c.representative, c.orbit_size) for c in classes]
     return sorted(rows, key=lambda r: (r.p_classical, r.representative))
 
 
@@ -154,23 +125,15 @@ def table1(n_max: int, exact: bool = True) -> list[Table1Row]:
     rows = []
     for n in range(2, n_max + 1):
         classes = enumerate_quantum_classes(n)
-        n_law = sum(1 for c in classes if suppression_Q(c.representative) != 0)
-        n_supp = None
-        if exact:
-            n_supp = sum(
-                1
-                for c in classes
-                if suppression_Q(c.representative) == 0
-                and is_suppressed_exact(c.representative)
-            )
+        q0 = [c.representative for c in classes if suppression_Q(c.representative) == 0]
         rows.append(
             Table1Row(
                 n=n,
                 total=count_arrangements(n),
                 classical_classes=partition_count(n),
                 quantum_classes=len(classes),
-                law_suppressed=n_law,
-                anomalous_suppressed=n_supp,
+                law_suppressed=len(classes) - len(q0),
+                anomalous_suppressed=sum(map(is_suppressed_exact, q0)) if exact else None,
             )
         )
     return rows
@@ -189,53 +152,57 @@ class DistributionTable:
         return [row[index] for row in self.rows]
 
 
-def _reduce(
-    kind: str, n: int, rows, exact: bool, weights, categories=None, scale: int = 1
-) -> DistributionTable:
+def _reduce(kind: str, n: int, rows, weights, categories=None, scale: int = 1) -> DistributionTable:
     """Sum the three columns over the quantum classes, per category.
 
     weights(rep) yields (category, w) pairs: every arrangement of the class
-    counts w / scale times towards that category.  The classical column sums
-    orbit * n!/prod(s_j!) * w as an integer over n^n * scale, and the approx
+    counts w / scale times towards that category.  With m = n!/prod(s_j!),
+    the classical column sums orbit * m * w as an integer over n^n * scale,
+    the quantum column sums orbit * m * (enhancement * n!) * w over
+    n^n * n! * scale (enhancement * n! = z^2 is an integer), and the approx
     column, uniform over arrangements, sums orbit * w over C(2n-1, n) * scale;
     each cell is one correctly rounded int / int division.  Without a fixed
     category list the rows ascend in the exact classical value.
     """
-    rows = class_probability_table(n, exact=exact, rows=rows)
+    rows = class_probability_table(n, rows=rows)
+    n_fact = math.factorial(n)
     classical: dict[Arrangement, int] = defaultdict(int)
-    quantum: dict[Arrangement, float] = defaultdict(float)
+    quantum: dict[Arrangement, int] = defaultdict(int)
     approx: dict[Arrangement, int] = defaultdict(int)
     for r in rows:
-        multinomial = math.factorial(n) // math.prod(math.factorial(x) for x in r.representative)
+        multinomial = n_fact // math.prod(math.factorial(x) for x in r.representative)
+        z_squared, rest = divmod(r.enhancement.numerator * n_fact, r.enhancement.denominator)
+        if rest:
+            raise ArithmeticError(f"enhancement of {r.representative} times {n}! is not an integer")
         for cat, w in weights(r.representative):
             classical[cat] += r.orbit_size * multinomial * w
-            quantum[cat] += r.orbit_size * r.p_quantum * (w / scale)
+            quantum[cat] += r.orbit_size * multinomial * z_squared * w
             approx[cat] += r.orbit_size * w
     if categories is None:
         categories = sorted(classical, key=lambda c: (classical[c], c))
     c_den, a_den = n**n * scale, count_arrangements(n) * scale
+    q_den = c_den * n_fact
     table_rows = tuple(
-        (",".join(map(str, cat)), classical[cat] / c_den, quantum[cat], approx[cat] / a_den)
+        (",".join(map(str, cat)), classical[cat] / c_den, quantum[cat] / q_den, approx[cat] / a_den)
         for cat in categories
     )
     return DistributionTable(kind=kind, n=n, rows=table_rows)
 
 
 def occupied_ports_distribution(
-    n: int, rows: list[ClassProbabilityRow] | None = None, exact: bool = False
+    n: int, rows: list[ClassProbabilityRow] | None = None
 ) -> DistributionTable:
     """Probability that exactly k of the n output ports are occupied, k = 1..n."""
 
     def weights(rep):
         return [((n - rep.count(0),), 1)]
 
-    return _reduce("occupied-ports", n, rows, exact, weights, [(k,) for k in range(1, n + 1)])
+    return _reduce("occupied-ports", n, rows, weights, [(k,) for k in range(1, n + 1)])
 
 
 def port_occupancy_distribution(
     n: int,
     rows: list[ClassProbabilityRow] | None = None,
-    exact: bool = False,
     variant: str = "marginal",
 ) -> DistributionTable:
     """Occupancy law of a uniformly chosen port, k = 0..n.
@@ -254,18 +221,18 @@ def port_occupancy_distribution(
         return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
 
     categories = [(k,) for k in range(n + 1)]
-    return _reduce("port-occupancy", n, rows, exact, weights, categories, n if marginal else 1)
+    return _reduce("port-occupancy", n, rows, weights, categories, n if marginal else 1)
 
 
 def classical_class_distribution(
-    n: int, rows: list[ClassProbabilityRow] | None = None, exact: bool = False
+    n: int, rows: list[ClassProbabilityRow] | None = None
 ) -> DistributionTable:
     """Event probability grouped by classical class, ascending in the classical column."""
 
     def weights(rep):
         return [(tuple(sorted(rep, reverse=True)), 1)]
 
-    table = _reduce("classical-classes", n, rows, exact, weights)
+    table = _reduce("classical-classes", n, rows, weights)
     if len(table.rows) != partition_count(n):
         raise AssertionError(
             f"expected {partition_count(n)} classical classes, found {len(table.rows)}"
@@ -277,16 +244,15 @@ def distribution(
     kind: str,
     n: int,
     rows: list[ClassProbabilityRow] | None = None,
-    exact: bool = False,
     variant: str = "marginal",
 ) -> DistributionTable:
     """Dispatch by kind; see the individual distribution functions."""
     if kind == "occupied-ports":
-        return occupied_ports_distribution(n, rows=rows, exact=exact)
+        return occupied_ports_distribution(n, rows=rows)
     if kind == "port-occupancy":
-        return port_occupancy_distribution(n, rows=rows, exact=exact, variant=variant)
+        return port_occupancy_distribution(n, rows=rows, variant=variant)
     if kind == "classical-classes":
-        return classical_class_distribution(n, rows=rows, exact=exact)
+        return classical_class_distribution(n, rows=rows)
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

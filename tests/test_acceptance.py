@@ -177,7 +177,7 @@ class TestCriterion1Table1:
 class TestCriterion2Table2:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_nonsuppressed_classes_and_values(self, n):
-        rows = st.class_probability_table(n, exact=True)
+        rows = st.class_probability_table(n)
         alive = {r.representative: r.enhancement for r in rows if not r.suppressed_exact}
         assert set(alive) == TABLE2_CLASSES[n], (
             f"nonsuppressed class set differs from the published list at n={n}"
@@ -306,7 +306,7 @@ class TestCriterion8StructuralProperties:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bunching_enhancement(self, n):
-        assert st.enhancement((n,) + (0,) * (n - 1), exact=True) == math.factorial(n)
+        assert st.enhancement((n,) + (0,) * (n - 1)) == math.factorial(n)
         report(f"8 bunching n={n}")
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -357,7 +357,7 @@ class TestCriterion10Determinism:
                     "--n",
                     "6",
                     "--mode",
-                    "both",
+                    "exact",
                     "--jobs",
                     jobs,
                     "--format",

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
-from multiport import scattering
+from multiport import cli, scattering
 from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
 from multiport.errors import CacheCorruptionError
 
@@ -52,13 +53,31 @@ class TestClasses:
         assert exc.value.code == 2
 
     def test_exact_cap_exits_3(self, capsys):
-        code, _, err = run(capsys, "classes", "--n", "13", "--mode", "exact")
+        code, _, err = run(capsys, "classes", "--n", "15", "--mode", "exact")
         assert code == 3
-        assert "allow-large" in err
+        assert "n <= 14" in err
 
     def test_float_cap_exits_3(self, capsys):
         code, _, _ = run(capsys, "classes", "--n", "15")
         assert code == 3
+
+    def test_float_rows_are_rounded_exact_values(self, capsys, monkeypatch):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "classes", "--n", "10")
+        assert code == 0
+        header, rows = parse_csv(out)
+        col = {name: header.index(name) for name in header}
+        zeros = 0
+        for row in rows:
+            s = tuple(int(x) for x in row[col["representative"]].split(","))
+            z = scattering.exact_integer_amplitude(s)
+            exact = Fraction(z * z, 10**10 * math.prod(map(math.factorial, s)))
+            assert float(row[col["p_quantum"]]) == float(exact), s
+            assert row[col["suppressed_exact"]] == str(z == 0).lower()
+            assert Fraction(row[col["enhancement"]]) == Fraction(z * z, math.factorial(10))
+            zeros += row[col["p_quantum"]] == "0"
+        assert len(rows) == 4752
+        assert zeros == 4226 + 96  # law-certified plus anomalous
 
     def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
         real = scattering._ryser_residues
@@ -185,6 +204,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "12")
         assert code == 3
 
+    def test_wrong_amplitude_fails_normalization(self, capsys, monkeypatch):
+        real = scattering.exact_integer_amplitude
+
+        def off_by_one(s):
+            z = real(s)
+            return z + 1 if tuple(s) == (0, 0, 0, 0, 0, 6) else z
+
+        monkeypatch.setattr(scattering, "exact_integer_amplitude", off_by_one)
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "verify", "--n", "6")
+        assert code == 1
+        assert "FAIL normalization" in out
+
 
 class TestFormats:
     def test_json_and_csv_agree(self, capsys):
@@ -238,6 +270,19 @@ class TestCache:
         _, second, err = run(capsys, *args)
         assert second == first
         assert "warning" not in err
+
+    def test_float_and_exact_share_one_entry(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        code, _, _ = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
+        assert code == 0
+
+        def recompute(*args):
+            raise AssertionError("second run missed the cache")
+
+        monkeypatch.setattr(cli, "compute_class_rows", recompute)
+        code, _, err = run(capsys, "classes", "--n", "6", "--mode", "exact", "--cache-dir", str(cache))
+        assert code == 0, err
+        assert [p.name for p in cache.glob("*.json")] == ["v1_classes_n6_exact-ryser-crt.json"]
 
     def test_corruption_detected_and_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache"

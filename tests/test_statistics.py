@@ -101,28 +101,28 @@ class TestEnhancement:
         ],
     )
     def test_exact_values(self, s, expected):
-        assert st.enhancement(s, exact=True) == expected
+        assert st.enhancement(s) == expected
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_forced_by_normalization(self, n):
         total = sum(
-            st.enhancement(s, exact=True) * classical_probability(s)
+            st.enhancement(s) * classical_probability(s)
             for s in enumerate_arrangements(n)
         )
         assert total == 1
 
     def test_float_path_close(self):
-        assert abs(st.enhancement((0, 2, 0, 2), exact=False) - 8 / 3) < 1e-9
+        assert abs(st.enhancement((0, 2, 0, 2)) - 8 / 3) < 1e-9
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_bunching_is_n_factorial(self, n):
         s = (n,) + (0,) * (n - 1)
-        assert st.enhancement(s, exact=True) == math.factorial(n)
+        assert st.enhancement(s) == math.factorial(n)
 
 
 class TestClassProbabilityTable:
     def test_n6_exact_structure(self, census):
-        rows = st.class_probability_table(6, exact=True)
+        rows = st.class_probability_table(6)
         assert len(rows) == census[6][2]
         assert sum(1 for r in rows if r.Q != 0) == census[6][3]
         anomalous = [r for r in rows if r.Q == 0 and r.suppressed_exact]
@@ -140,7 +140,7 @@ class TestClassProbabilityTable:
             return real(s)
 
         monkeypatch.setattr(st, "exact_quantum_probability", counting)
-        rows = st.class_probability_table(8, exact=True)
+        rows = st.class_probability_table(8)
         assert len(calls) == 69
         assert all(suppression_Q(s) == 0 for s in calls)
         everything_through_kernel = []
@@ -161,7 +161,7 @@ class TestClassProbabilityTable:
         assert all(type(r.enhancement) is Fraction for r in rows)
 
     def test_n3_enhancements(self):
-        rows = st.class_probability_table(3, exact=True)
+        rows = st.class_probability_table(3)
         table = {r.representative: r.enhancement for r in rows}
         assert table == {
             (0, 0, 3): Fraction(6),
@@ -170,7 +170,7 @@ class TestClassProbabilityTable:
         }
 
     def test_n2_rows(self):
-        rows = st.class_probability_table(2, exact=True)
+        rows = st.class_probability_table(2)
         assert len(rows) == 2
         by_rep = {r.representative: r for r in rows}
         assert by_rep[(0, 2)].p_quantum == 0.5
@@ -178,19 +178,12 @@ class TestClassProbabilityTable:
         assert by_rep[(1, 1)].suppressed_exact
 
     def test_sorted_by_classical_probability(self):
-        rows = st.class_probability_table(6, exact=False)
+        rows = st.class_probability_table(6)
         keys = [(r.p_classical, r.representative) for r in rows]
         assert keys == sorted(keys)
 
-    def test_float_rows_zero_suppressed_enhancement(self):
-        rows = st.class_probability_table(6, exact=False)
-        for r in rows:
-            if r.p_quantum < 1e-20:
-                assert r.enhancement == 0.0
-            assert r.suppressed_exact is None
-
     def test_exact_probabilities_sum_to_one(self):
-        rows = st.class_probability_table(7, exact=True)
+        rows = st.class_probability_table(7)
         total = sum(
             r.orbit_size * Fraction(r.enhancement) * r.p_classical for r in rows
         )
@@ -199,7 +192,7 @@ class TestClassProbabilityTable:
     def test_full_n6_enhancement_census(self):
         # Nonsuppressed classes and their exact ratios; one class at 720,
         # three at 144/5, six at 36/5.
-        rows = st.class_probability_table(6, exact=True)
+        rows = st.class_probability_table(6)
         alive = sorted(
             (r.representative, r.enhancement) for r in rows if not r.suppressed_exact
         )
