@@ -4,15 +4,18 @@ Subcommands
 
 * classes: per-quantum-class probability table
 * table1:  event/class census with suppression counts for n = 2..n_max
-* table2:  nonsuppressed classes and exact enhancements (n <= 6)
+* table2:  nonsuppressed classes and exact enhancements
 * dist:    occupied-ports, port-occupancy, or classical-classes distribution
 * verify:  oracle and invariant sweep, exit 1 on any failure
 * ck:      phase-class histogram of one arrangement
 
 classes, table2, dist and verify read one set of exact class rows per n,
-cached under one key.  Floats are those exact values rounded once, so
---mode changes only table1 (float mode skips the kernel and leaves n_supp
-unknown) and the mode label of JSON output.
+built by statistics.class_probability_table and cached under one key as
+(representative, orbit size, z) triples; every column is derived from z.
+With --jobs > 1 a worker pool runs only the exact kernel, on the Q = 0
+classes.  Floats are exact values rounded once, so --mode changes only
+table1 (float mode skips the kernel and leaves n_supp unknown) and the
+mode label of JSON output.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -39,7 +42,6 @@ from . import statistics as stats
 from .arrangements import (
     dihedral_orbit,
     enumerate_arrangements,
-    enumerate_quantum_classes,
     validate_arrangement,
 )
 from .errors import CacheCorruptionError, InvalidArrangementError, ResourceLimitError
@@ -163,64 +165,39 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 # class-table computation (the one place a worker pool is used)
 
 
-def _pool_class_row(args):
-    return stats.compute_class_row(*args)
+def _pool_amplitude(rep):
+    """The pool's task: a module-level function, so workers find it by name."""
+    return exact_integer_amplitude(rep)
 
 
 def compute_class_rows(n: int, jobs: int):
-    classes = enumerate_quantum_classes(n)
-    tasks = [(c.representative, c.orbit_size) for c in classes]
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
+    def pool_map(reps):
+        chunk = max(1, len(reps) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_pool_class_row, tasks, chunksize=chunk))
-    else:
-        rows = [_pool_class_row(t) for t in tasks]
-    return stats.class_probability_table(n, rows=rows)
+            return list(pool.map(_pool_amplitude, reps, chunksize=chunk))
+
+    return stats.class_probability_table(n, pool_map if jobs > 1 else None)
 
 
-def _rows_to_payload(rows) -> list[dict]:
-    return [
-        {
-            "representative": list(r.representative),
-            "orbit_size": r.orbit_size,
-            "Q": r.Q,
-            "suppressed_exact": r.suppressed_exact,
-            "p_classical_num": r.p_classical.numerator,
-            "p_classical_den": r.p_classical.denominator,
-            "p_quantum": r.p_quantum,
-            "enhancement": {"num": r.enhancement.numerator, "den": r.enhancement.denominator},
-        }
-        for r in rows
-    ]
+def _rows_to_payload(rows) -> list[list]:
+    return [[list(r.representative), r.orbit_size, r.z] for r in rows]
 
 
-def _payload_to_rows(payload: list[dict]):
-    return [
-        stats.ClassProbabilityRow(
-            representative=tuple(item["representative"]),
-            orbit_size=item["orbit_size"],
-            Q=item["Q"],
-            suppressed_exact=item["suppressed_exact"],
-            p_classical=Fraction(item["p_classical_num"], item["p_classical_den"]),
-            p_quantum=item["p_quantum"],
-            enhancement=Fraction(item["enhancement"]["num"], item["enhancement"]["den"]),
-        )
-        for item in payload
-    ]
+def _payload_to_rows(payload: list[list]):
+    return [stats.ClassProbabilityRow(tuple(rep), orbit, z) for rep, orbit, z in payload]
 
 
 def class_rows_cached(config: RunConfig):
     """Class rows for config.n, going through the cache when one is set.
 
     Every mode and command reads the same exact rows, so one entry per n
-    serves them all.
+    serves them all; it keeps the rows in the order they were built.
     """
-    key = cache_key("classes", config.n)
+    key = cache_key("rows", config.n)
     if config.cache_dir is not None:
         payload = cache_load(config.cache_dir, key)
         if payload is not None:
-            return stats.class_probability_table(config.n, rows=_payload_to_rows(payload))
+            return _payload_to_rows(payload)
     rows = compute_class_rows(config.n, config.jobs)
     if config.cache_dir is not None:
         cache_store(config.cache_dir, key, _rows_to_payload(rows))
@@ -251,111 +228,100 @@ def _json_text(n: int, mode: str, kind: str, rows: list[dict], **extra) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def _csv_cell(v) -> str:
+    """CSV conventions: arrangements comma-joined, booleans lower case,
+    floats to 17 digits, fractions reduced like 36/5; None marks a count
+    that float mode does not compute."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return _fmt_float(v)
+    if isinstance(v, tuple):
+        return _fmt_arrangement(v)
+    return "requires exact mode" if v is None else str(v)
+
+
+def _json_cell(v):
+    if isinstance(v, tuple):
+        return list(v)
+    if isinstance(v, Fraction):
+        return {"num": v.numerator, "den": v.denominator}
+    return v
+
+
+def _emit_table(config: RunConfig, header, values, kind: str, n: int, mode: str, **extra) -> None:
+    """Emit one tuple of cells per row, in config.format; CSV and JSON share the cells."""
+    if config.format == "csv":
+        _emit(config, _csv_text(list(header), [[_csv_cell(v) for v in row] for row in values]))
+    else:
+        rows = [{k: _json_cell(v) for k, v in zip(header, row)} for row in values]
+        _emit(config, _json_text(n, mode, kind, rows, **extra))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+CLASS_COLUMNS = (
+    "representative",
+    "orbit_size",
+    "Q",
+    "suppressed_exact",
+    "p_classical_num",
+    "p_classical_den",
+    "p_quantum",
+    "enhancement",
+)
+
+
+def _class_values(r) -> tuple:
+    """The CLASS_COLUMNS of one row, each derived from z once."""
+    p_classical = r.p_classical
+    return (
+        r.representative,
+        r.orbit_size,
+        r.Q,
+        r.suppressed_exact,
+        p_classical.numerator,
+        p_classical.denominator,
+        r.p_quantum,
+        r.enhancement,
+    )
+
+
 def cmd_classes(config: RunConfig) -> int:
-    rows = class_rows_cached(config)
-    if config.format == "csv":
-        header = [
-            "representative",
-            "orbit_size",
-            "Q",
-            "suppressed_exact",
-            "p_classical_num",
-            "p_classical_den",
-            "p_quantum",
-            "enhancement",
-        ]
-        body = [
-            [
-                _fmt_arrangement(r.representative),
-                str(r.orbit_size),
-                str(r.Q),
-                str(r.suppressed_exact).lower(),
-                str(r.p_classical.numerator),
-                str(r.p_classical.denominator),
-                _fmt_float(r.p_quantum),
-                str(r.enhancement),
-            ]
-            for r in rows
-        ]
-        _emit(config, _csv_text(header, body))
-    else:
-        _emit(config, _json_text(config.n, config.mode, "classes", _rows_to_payload(rows)))
+    values = [_class_values(r) for r in class_rows_cached(config)]
+    _emit_table(config, CLASS_COLUMNS, values, "classes", config.n, config.mode)
     return EXIT_OK
 
 
 def cmd_table1(config: RunConfig) -> int:
-    rows = stats.table1(config.n, exact=config.mode == "exact")
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
-    if config.format == "csv":
-        body = [
-            [
-                str(r.n),
-                str(r.total),
-                str(r.classical_classes),
-                str(r.quantum_classes),
-                str(r.law_suppressed),
-                "requires exact mode" if r.anomalous_suppressed is None else str(r.anomalous_suppressed),
-            ]
-            for r in rows
-        ]
-        _emit(config, _csv_text(header, body))
-    else:
-        payload = [
-            {
-                "n": r.n,
-                "n_total": r.total,
-                "n_class": r.classical_classes,
-                "n_quantum": r.quantum_classes,
-                "n_law": r.law_suppressed,
-                "n_supp": r.anomalous_suppressed,
-            }
-            for r in rows
-        ]
-        _emit(config, _json_text(config.n, config.mode, "table1", payload))
+    values = [
+        (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
+        for r in stats.table1(config.n, exact=config.mode == "exact")
+    ]
+    _emit_table(config, header, values, "table1", config.n, config.mode)
     return EXIT_OK
 
 
 def cmd_table2(config: RunConfig) -> int:
-    rows = class_rows_cached(config)
-    alive = [r for r in rows if not r.suppressed_exact]
-    alive.sort(key=lambda r: (-r.enhancement, r.representative))
-    if config.format == "csv":
-        header = ["representative", "orbit_size", "enhancement"]
-        body = [
-            [_fmt_arrangement(r.representative), str(r.orbit_size), str(r.enhancement)]
-            for r in alive
-        ]
-        _emit(config, _csv_text(header, body))
-    else:
-        keys = ("representative", "orbit_size", "enhancement")
-        payload = [{k: item[k] for k in keys} for item in _rows_to_payload(alive)]
-        _emit(config, _json_text(config.n, "exact", "table2", payload))
+    # enhancement = z^2/n!, so descending z^2 is descending enhancement
+    alive = sorted(
+        (r for r in class_rows_cached(config) if r.z),
+        key=lambda r: (-r.z * r.z, r.representative),
+    )
+    values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
+    header = ["representative", "orbit_size", "enhancement"]
+    _emit_table(config, header, values, "table2", config.n, "exact")
     return EXIT_OK
 
 
 def cmd_dist(config: RunConfig) -> int:
     rows = class_rows_cached(config)
     table = stats.distribution(config.kind, config.n, rows=rows, variant=config.variant)
-    if config.format == "csv":
-        header = ["category", "classical", "quantum", "approx"]
-        body = [
-            [label, _fmt_float(c), _fmt_float(q), _fmt_float(a)]
-            for label, c, q, a in table.rows
-        ]
-        _emit(config, _csv_text(header, body))
-    else:
-        payload = [
-            {"category": label, "classical": c, "quantum": q, "approx": a}
-            for label, c, q, a in table.rows
-        ]
-        _emit(
-            config,
-            _json_text(config.n, config.mode, table.kind, payload, variant=config.variant),
-        )
+    header = ["category", "classical", "quantum", "approx"]
+    _emit_table(config, header, table.rows, table.kind, config.n, config.mode, variant=config.variant)
     return EXIT_OK
 
 
@@ -363,23 +329,9 @@ def cmd_ck(config: RunConfig, arrangement) -> int:
     s = validate_arrangement(arrangement)
     vec = ck_decomposition(s)
     barycenter = vec.to_complex()
-    if config.format == "csv":
-        header = ["k", "c_k"]
-        body = [[str(k), str(c)] for k, c in enumerate(vec.coefficients)]
-        _emit(config, _csv_text(header, body))
-    else:
-        payload = [{"k": k, "c_k": c} for k, c in enumerate(vec.coefficients)]
-        _emit(
-            config,
-            _json_text(
-                len(s),
-                "exact",
-                "ck",
-                payload,
-                arrangement=list(s),
-                barycenter=[barycenter.real, barycenter.imag],
-            ),
-        )
+    values = list(enumerate(vec.coefficients))
+    extra = {"arrangement": list(s), "barycenter": [barycenter.real, barycenter.imag]}
+    _emit_table(config, ["k", "c_k"], values, "ck", len(s), "exact", **extra)
     return EXIT_OK
 
 
@@ -405,18 +357,16 @@ def cmd_verify(config: RunConfig) -> int:
             worst = max(worst, abs(a - b) / max(abs(a), 1e-30))
     record("permanent-oracle-agreement", worst < 1e-10, f"max relative deviation {worst:.3g}")
 
-    # The rows skip the kernel on Q != 0 classes, as every table does.
-    # Probabilities are non-negative, so an exact sum of 1 also proves
-    # each skipped class an exact zero.
+    # The rows skip the kernel on Q != 0 classes, as every table does;
+    # an exact total of 1 also proves each skipped class an exact zero.
     rows = class_rows_cached(config)
-    total = sum(r.orbit_size * r.enhancement * r.p_classical for r in rows)
+    total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
     bad = None
     for r in rows:
-        z0 = abs(exact_integer_amplitude(r.representative))
         for member in dihedral_orbit(r.representative):
-            if abs(exact_integer_amplitude(member)) != z0:
+            if abs(exact_integer_amplitude(member)) != abs(r.z):
                 bad = member
                 break
         if bad:
@@ -561,8 +511,6 @@ def main(argv=None) -> int:
         if args.command == "table1":
             return cmd_table1(config)
         if args.command == "table2":
-            if n > 6:
-                parser.error("table2 is defined for n <= 6")
             return cmd_table2(config)
         if args.command == "dist":
             return cmd_dist(config)

@@ -1,11 +1,11 @@
 """Aggregate observables over all output arrangements.
 
 Everything here is a deterministic reduction over the quantum equivalence
-classes: per-class probabilities weighted by orbit size.  Each class row
-carries its exact classical probability and enhancement ratio as fractions.
-Classes with Q != 0 are exact zeros by the zero-transmission law; the exact
-kernel runs on the Q = 0 classes only.  Every float a table reports is one
-exact rational rounded once.
+classes: per-class probabilities weighted by orbit size.  A class row is
+its representative, orbit size and exact integer amplitude z; every other
+column is derived from z.  Classes with Q != 0 are exact zeros by the
+zero-transmission law; the exact kernel runs on the Q = 0 classes only.
+Every float a table reports is one exact rational rounded once.
 """
 
 from __future__ import annotations
@@ -14,21 +14,19 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arrangements import (
     Arrangement,
     count_arrangements,
     enumerate_quantum_classes,
     partition_count,
-    validate_arrangement,
 )
 from .errors import ResourceLimitError
 from .scattering import (
     EXACT_AMPLITUDE_LIMIT,
-    classical_probability,
-    exact_quantum_probability,
-    is_suppressed_exact,
+    _denominator,
+    exact_integer_amplitude,
     suppression_Q,
 )
 
@@ -47,60 +45,87 @@ def suppressed_fraction_estimate(n: int) -> float:
 
 def enhancement(s: Sequence[int]) -> Fraction:
     """Ratio of quantum to classical probability for one arrangement, z^2/n!."""
-    t = validate_arrangement(s)
-    return exact_quantum_probability(t) / classical_probability(t)
+    z = exact_integer_amplitude(s)
+    return Fraction(z * z, math.factorial(len(s)))
+
+
+def _multinomial(t: Arrangement) -> int:
+    """n!/prod s_j!, the particle-to-port maps giving t; p_classical is this over n^n."""
+    return math.factorial(len(t)) // math.prod(map(math.factorial, t))
 
 
 @dataclass(frozen=True)
 class ClassProbabilityRow:
-    """Per-quantum-class summary used by the tables and distributions."""
+    """One quantum class: its representative, orbit size and exact amplitude z.
+
+    The other columns are properties derived from z, recomputed on each
+    access.  The representative is a validated tuple, so they do not check
+    it again.
+    """
 
     representative: Arrangement
     orbit_size: int
-    Q: int
-    suppressed_exact: bool
-    p_classical: Fraction
-    p_quantum: float
-    enhancement: Fraction
+    z: int
 
+    @property
+    def Q(self) -> int:
+        """Port-assignment sum mod n; nonzero certifies z = 0 (the law)."""
+        t = self.representative
+        return sum(j * x for j, x in enumerate(t, start=1)) % len(t)
 
-def compute_class_row(rep: Arrangement, orbit_size: int) -> ClassProbabilityRow:
-    """Evaluate one quantum class; pure, safe to run in a worker process.
+    @property
+    def suppressed_exact(self) -> bool:
+        return self.z == 0
 
-    p_quantum is the exact probability rounded once, so it is 0.0 exactly
-    on suppressed classes.
-    """
-    q = suppression_Q(rep)
-    p_class = classical_probability(rep)
-    # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
-    # PRL 104, 220405); `verify` checks the law against the kernel.
-    p_exact = exact_quantum_probability(rep) if q == 0 else Fraction(0)
-    return ClassProbabilityRow(
-        representative=rep,
-        orbit_size=orbit_size,
-        Q=q,
-        suppressed_exact=(p_exact == 0),
-        p_classical=p_class,
-        p_quantum=float(p_exact),
-        enhancement=p_exact / p_class,
-    )
+    @property
+    def p_classical(self) -> Fraction:
+        t = self.representative
+        return Fraction(_multinomial(t), len(t) ** len(t))
+
+    @property
+    def p_quantum(self) -> float:
+        """z^2/(n^n * prod s_j!) rounded once, so 0.0 exactly when suppressed."""
+        return self.z * self.z / _denominator(self.representative)
+
+    @property
+    def enhancement(self) -> Fraction:
+        return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
 
 def class_probability_table(
-    n: int, rows: Iterable[ClassProbabilityRow] | None = None
+    n: int, amplitudes: Callable[[list[Arrangement]], Iterable[int]] | None = None
 ) -> list[ClassProbabilityRow]:
     """One row per quantum class, sorted by classical probability.
 
     Ties are broken by the lexicographic representative so the order never
-    depends on enumeration or scheduling.  Pass precomputed rows (e.g. from
-    a worker pool) to reuse them; they are then only sorted, not checked.
+    depends on enumeration or scheduling.  The exact kernel runs on the
+    Q = 0 representatives only; amplitudes(reps), e.g. a worker pool's map,
+    replaces the serial loop and must yield z for each rep in order.
     """
-    if rows is None:
-        if n > EXACT_AMPLITUDE_LIMIT:
-            raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
-        classes = enumerate_quantum_classes(n)
-        rows = [compute_class_row(c.representative, c.orbit_size) for c in classes]
-    return sorted(rows, key=lambda r: (r.p_classical, r.representative))
+    if n > EXACT_AMPLITUDE_LIMIT:
+        raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
+    classes = enumerate_quantum_classes(n)
+    q0 = [c.representative for c in classes if suppression_Q(c.representative) == 0]
+    # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
+    # PRL 104, 220405); `verify` and the table1 certificate check it.
+    z = dict(zip(q0, amplitudes(q0) if amplitudes else map(exact_integer_amplitude, q0)))
+    rows = [
+        ClassProbabilityRow(c.representative, c.orbit_size, z.get(c.representative, 0))
+        for c in classes
+    ]
+    rows.sort(key=lambda r: (_multinomial(r.representative), r.representative))
+    return rows
+
+
+def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
+    """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows, one integer sum.
+
+    Over the Q = 0 classes it must be 1.  Probabilities are non-negative, so
+    that proves every class left out an exact zero (the law the kernel skip
+    rests on), and it catches a wrong z, a wrong orbit size or a lost class.
+    """
+    weight = sum(r.orbit_size * _multinomial(r.representative) * r.z * r.z for r in rows)
+    return Fraction(weight, n**n * math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -120,12 +145,25 @@ def table1(n_max: int, exact: bool = True) -> list[Table1Row]:
 
     law_suppressed counts quantum classes whose representative has Q != 0;
     anomalous_suppressed counts those with Q = 0 whose exact amplitude is
-    nevertheless zero, and requires exact mode.
+    nevertheless zero, and requires exact mode.  Exact mode raises
+    ArithmeticError unless the Q = 0 classes carry total probability 1.
     """
     rows = []
     for n in range(2, n_max + 1):
         classes = enumerate_quantum_classes(n)
-        q0 = [c.representative for c in classes if suppression_Q(c.representative) == 0]
+        q0 = [c for c in classes if suppression_Q(c.representative) == 0]
+        anomalous = None
+        if exact:
+            evaluated = [
+                ClassProbabilityRow(
+                    c.representative, c.orbit_size, exact_integer_amplitude(c.representative)
+                )
+                for c in q0
+            ]
+            total = total_probability(n, evaluated)
+            if total != 1:
+                raise ArithmeticError(f"Q = 0 classes at n={n} carry probability {total}, not 1")
+            anomalous = sum(r.suppressed_exact for r in evaluated)
         rows.append(
             Table1Row(
                 n=n,
@@ -133,7 +171,7 @@ def table1(n_max: int, exact: bool = True) -> list[Table1Row]:
                 classical_classes=partition_count(n),
                 quantum_classes=len(classes),
                 law_suppressed=len(classes) - len(q0),
-                anomalous_suppressed=sum(map(is_suppressed_exact, q0)) if exact else None,
+                anomalous_suppressed=anomalous,
             )
         )
     return rows
@@ -158,30 +196,28 @@ def _reduce(kind: str, n: int, rows, weights, categories=None, scale: int = 1) -
     weights(rep) yields (category, w) pairs: every arrangement of the class
     counts w / scale times towards that category.  With m = n!/prod(s_j!),
     the classical column sums orbit * m * w as an integer over n^n * scale,
-    the quantum column sums orbit * m * (enhancement * n!) * w over
-    n^n * n! * scale (enhancement * n! = z^2 is an integer), and the approx
-    column, uniform over arrangements, sums orbit * w over C(2n-1, n) * scale;
-    each cell is one correctly rounded int / int division.  Without a fixed
-    category list the rows ascend in the exact classical value.
+    the quantum column sums orbit * m * z^2 * w over n^n * n! * scale, and
+    the approx column, uniform over arrangements, sums orbit * w over
+    C(2n-1, n) * scale; each cell is one correctly rounded int / int
+    division.  Without a fixed category list the rows ascend in the exact
+    classical value.
     """
-    rows = class_probability_table(n, rows=rows)
-    n_fact = math.factorial(n)
+    if rows is None:
+        rows = class_probability_table(n)
     classical: dict[Arrangement, int] = defaultdict(int)
     quantum: dict[Arrangement, int] = defaultdict(int)
     approx: dict[Arrangement, int] = defaultdict(int)
     for r in rows:
-        multinomial = n_fact // math.prod(math.factorial(x) for x in r.representative)
-        z_squared, rest = divmod(r.enhancement.numerator * n_fact, r.enhancement.denominator)
-        if rest:
-            raise ArithmeticError(f"enhancement of {r.representative} times {n}! is not an integer")
+        weight = r.orbit_size * _multinomial(r.representative)
+        z_squared = r.z * r.z
         for cat, w in weights(r.representative):
-            classical[cat] += r.orbit_size * multinomial * w
-            quantum[cat] += r.orbit_size * multinomial * z_squared * w
+            classical[cat] += weight * w
+            quantum[cat] += weight * z_squared * w
             approx[cat] += r.orbit_size * w
     if categories is None:
         categories = sorted(classical, key=lambda c: (classical[c], c))
     c_den, a_den = n**n * scale, count_arrangements(n) * scale
-    q_den = c_den * n_fact
+    q_den = c_den * math.factorial(n)
     table_rows = tuple(
         (",".join(map(str, cat)), classical[cat] / c_den, quantum[cat] / q_den, approx[cat] / a_den)
         for cat in categories

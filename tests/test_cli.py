@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from multiport import cli, scattering
+from multiport import statistics as st
 from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
 from multiport.errors import CacheCorruptionError
 
@@ -79,6 +80,31 @@ class TestClasses:
         assert len(rows) == 4752
         assert zeros == 4226 + 96  # law-certified plus anomalous
 
+    def test_pool_maps_only_q0_amplitudes(self, capsys, monkeypatch):
+        mapped = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                mapped.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "classes", "--n", "8", "--jobs", "2")
+        assert code == 0
+        assert len(mapped) == 69
+        assert all(scattering.suppression_Q(s) == 0 for s in mapped)
+        assert out == run(capsys, "classes", "--n", "8", "--jobs", "1")[1]
+
     def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
         real = scattering._ryser_residues
 
@@ -107,6 +133,19 @@ class TestTable1:
         _, rows = parse_csv(out)
         assert rows[-1] == ["6", "462", "11", "50", "38", "2"]
 
+    def test_normalization_certificate_failure_exits_3(self, capsys, monkeypatch):
+        real = st.exact_integer_amplitude
+
+        def off_by_one(s):
+            z = real(s)
+            return z + 1 if tuple(s) == (0, 0, 0, 1, 4, 1) else z
+
+        monkeypatch.setattr(st, "exact_integer_amplitude", off_by_one)
+        code, out, err = run(capsys, "table1", "--n-max", "6", "--mode", "exact")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "n=6" in err
+
     def test_float_mode_marks_supp(self, capsys):
         code, out, _ = run(capsys, "table1", "--n-max", "5", "--mode", "float")
         _, rows = parse_csv(out)
@@ -125,9 +164,18 @@ class TestTable2:
         ]
 
     def test_rejects_large_n(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table2", "--n", "7"])
-        assert exc.value.code == 2
+        code, _, err = run(capsys, "table2", "--n", "15")
+        assert code == 3
+        assert "n <= 14" in err
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_survivor_count_matches_census(self, capsys, monkeypatch, census, n):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "table2", "--n", str(n))
+        assert code == 0
+        _, rows = parse_csv(out)
+        _, _, n_quantum, n_law, n_supp = census[n]
+        assert len(rows) == n_quantum - n_law - n_supp
 
 
 class TestDist:
@@ -211,7 +259,7 @@ class TestVerify:
             z = real(s)
             return z + 1 if tuple(s) == (0, 0, 0, 0, 0, 6) else z
 
-        monkeypatch.setattr(scattering, "exact_integer_amplitude", off_by_one)
+        monkeypatch.setattr(st, "exact_integer_amplitude", off_by_one)
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         code, out, _ = run(capsys, "verify", "--n", "6")
         assert code == 1
@@ -282,7 +330,16 @@ class TestCache:
         monkeypatch.setattr(cli, "compute_class_rows", recompute)
         code, _, err = run(capsys, "classes", "--n", "6", "--mode", "exact", "--cache-dir", str(cache))
         assert code == 0, err
-        assert [p.name for p in cache.glob("*.json")] == ["v1_classes_n6_exact-ryser-crt.json"]
+        assert [p.name for p in cache.glob("*.json")] == ["v1_rows_n6_exact-ryser-crt.json"]
+
+    def test_entry_holds_only_triples(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code, _, _ = run(capsys, "classes", "--n", "5", "--cache-dir", str(cache))
+        assert code == 0
+        payload = cache_load(cache, "v1_rows_n5_exact-ryser-crt")
+        assert all(len(item) == 3 for item in payload)
+        expected = st.class_probability_table(5)
+        assert payload == [[list(r.representative), r.orbit_size, r.z] for r in expected]
 
     def test_corruption_detected_and_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -290,7 +347,7 @@ class TestCache:
         _, first, _ = run(capsys, *args)
         entry = next(cache.glob("*.json"))
         doc = json.loads(entry.read_text())
-        doc["payload"][0]["orbit_size"] = 999
+        doc["payload"][0][1] = 999
         entry.write_text(json.dumps(doc))
         code, second, err = run(capsys, *args)
         assert code == 0
@@ -320,19 +377,20 @@ class TestCache:
         donor = tmp_path / "donor"
         run(capsys, *args, "--cache-dir", str(donor))
         payload = cache_load(donor, next(donor.glob("*.json")).stem)
-        payload[0]["p_quantum"] = 0.5
-        # a valid, checksummed entry under the name exact entries had
-        # before keys named their kernel
+        payload[0][2] += 1
+        # valid, checksummed entries under the names exact entries had
+        # before keys named their kernel, and before they held triples
         cache = tmp_path / "cache"
         cache_store(cache, "v1_classes_n4_exact_tol1e-10", payload)
-        stale = cache / "v1_classes_n4_exact_tol1e-10.json"
-        before = stale.read_bytes()
+        cache_store(cache, "v1_classes_n4_exact-ryser-crt", [{"representative": [0, 0, 0, 4]}])
+        stale = sorted(cache.glob("*.json"))
+        before = [p.read_bytes() for p in stale]
         code, out, err = run(capsys, *args, "--cache-dir", str(cache))
         assert code == 0
         assert out == clean
         assert "warning" not in err
-        assert stale.read_bytes() == before
-        assert len(list(cache.glob("*.json"))) == 2
+        assert [p.read_bytes() for p in stale] == before
+        assert len(list(cache.glob("*.json"))) == 3
 
     def test_unusable_cache_dir_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "not-a-dir"

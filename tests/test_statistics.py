@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multiport.arrangements import enumerate_arrangements
-from multiport.scattering import batch_quantum_probability, classical_probability, suppression_Q
+from multiport.scattering import classical_probability, exact_quantum_probability, suppression_Q
 from multiport import statistics as st
 
 
@@ -132,33 +132,29 @@ class TestClassProbabilityTable:
         ]
 
     def test_kernel_runs_only_on_q0_classes(self, monkeypatch):
-        real = st.exact_quantum_probability
+        real = st.exact_integer_amplitude
         calls = []
 
         def counting(s):
             calls.append(s)
             return real(s)
 
-        monkeypatch.setattr(st, "exact_quantum_probability", counting)
+        monkeypatch.setattr(st, "exact_integer_amplitude", counting)
         rows = st.class_probability_table(8)
         assert len(calls) == 69
         assert all(suppression_Q(s) == 0 for s in calls)
-        everything_through_kernel = []
-        for r in rows:
-            p = real(r.representative)
-            everything_through_kernel.append(
-                st.ClassProbabilityRow(
-                    representative=r.representative,
-                    orbit_size=r.orbit_size,
-                    Q=r.Q,
-                    suppressed_exact=(p == 0),
-                    p_classical=r.p_classical,
-                    p_quantum=float(p),
-                    enhancement=p / r.p_classical,
-                )
-            )
+        everything_through_kernel = [
+            st.ClassProbabilityRow(r.representative, r.orbit_size, real(r.representative))
+            for r in rows
+        ]
         assert rows == everything_through_kernel
-        assert all(type(r.enhancement) is Fraction for r in rows)
+        for r in rows:
+            p = exact_quantum_probability(r.representative)
+            assert (r.Q, r.suppressed_exact) == (suppression_Q(r.representative), p == 0)
+            assert r.p_classical == classical_probability(r.representative)
+            assert r.p_quantum == float(p)
+            assert r.enhancement == p / r.p_classical
+            assert type(r.enhancement) is Fraction
 
     def test_n3_enhancements(self):
         rows = st.class_probability_table(3)
@@ -228,6 +224,21 @@ class TestTable1:
         assert [r.n for r in rows] == [2, 3, 4]
 
 
+class TestTotalProbability:
+    @pytest.mark.parametrize("mutation", ["drop", "orbit", "z"])
+    def test_certificate_catches_mutations(self, mutation):
+        rows = [r for r in st.class_probability_table(8) if r.Q == 0]
+        assert st.total_probability(8, rows) == 1
+        r = rows[-1]
+        if mutation == "drop":
+            del rows[-1]
+        elif mutation == "orbit":
+            rows[-1] = st.ClassProbabilityRow(r.representative, r.orbit_size + 1, r.z)
+        else:
+            rows[-1] = st.ClassProbabilityRow(r.representative, r.orbit_size, r.z + 1)
+        assert st.total_probability(8, rows) != 1
+
+
 class TestSuppressedFractionEstimate:
     def test_values(self):
         assert st.suppressed_fraction_estimate(2) == 0.5
@@ -279,13 +290,13 @@ class TestPortOccupancy:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_first_port_marginal(self, n):
-        # Cyclic invariance: the uniform-port law equals port 1's law.
+        # Cyclic invariance: the uniform-port law equals port 1's law, and
+        # both are one exact rational rounded once.
         t = st.port_occupancy_distribution(n)
-        direct = [0.0] * (n + 1)
+        direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
-            direct[s[0]] += batch_quantum_probability(s)
-        for k in range(n + 1):
-            assert abs(t.column("quantum")[k] - direct[k]) < 1e-10
+            direct[s[0]] += exact_quantum_probability(s)
+        assert t.column("quantum") == [float(p) for p in direct]
 
     def test_at_least_one_variant(self):
         t = st.port_occupancy_distribution(2, variant="at-least-one")
@@ -324,12 +335,11 @@ class TestOrbitExpansionConsistency:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_class_sweep_equals_direct_enumeration(self, n):
         t = st.occupied_ports_distribution(n)
-        direct = [0.0] * (n + 1)
+        direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
             k = sum(1 for x in s if x > 0)
-            direct[k] += batch_quantum_probability(s)
-        for k in range(1, n + 1):
-            assert abs(t.column("quantum")[k - 1] - direct[k]) < 1e-9
+            direct[k] += exact_quantum_probability(s)
+        assert t.column("quantum") == [float(p) for p in direct[1:]]
 
 
 class TestDistributionDispatch:
