@@ -15,6 +15,14 @@ its 2n dihedral images, and the images equal to it give the orbit size
 (orbit-stabilizer).  Its class count is checked against Burnside's lemma
 (dihedral_class_count).  dihedral_orbit and canonical_quantum are the
 per-arrangement reference.
+
+The dihedral group is the part u = +-1 of the affine relabelings
+p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
+p -> u*p permutes the columns k -> u*k of the Fourier matrix, whose
+entries are w^(p*k), so it leaves the exact amplitude z unchanged.  A
+shift p -> p + a multiplies column k by w^(a*k), hence z by
+w^(a*n*(n-1)/2) = (-1)^(a*(n-1)).  affine_keys groups the dihedral classes
+into affine orbits, so that one kernel call serves a whole orbit.
 """
 
 from __future__ import annotations
@@ -314,6 +322,57 @@ def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
             f"class count mismatch for n={n}: {len(classes)} != Burnside {expected}"
         )
     return classes
+
+
+def multiplier_units(n: int) -> list[int]:
+    """Units u of Z/n with 1 <= u <= n/2; with the reflection u = -1 they give all phi(n)."""
+    return [u for u in range(1, max(n // 2, 1) + 1) if math.gcd(u, n) == 1]
+
+
+def multiplier_image(s: Sequence[int], u: int) -> Arrangement:
+    """Relabel the 0-based ports p -> u*p mod n: port u*p of the image holds s[p]."""
+    t = validate_arrangement(s)
+    n = len(t)
+    if math.gcd(u, n) != 1:
+        raise ValueError(f"multiplier {u} is not a unit mod {n}")
+    image = [0] * n
+    for p, x in enumerate(t):
+        image[u * p % n] = x
+    return tuple(image)
+
+
+def affine_keys(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine-canonical code of each arrangement, and the shift that reaches it.
+
+    digits is an (m, n) array of occupancies.  The images of s under
+    p -> u*p + a, u a unit mod n, are the 2n dihedral images of
+    multiplier_image(s, u) for u in multiplier_units(n).  In the base-(n+1)
+    codes of enumerate_quantum_classes, the multiplier image of s has code
+    sum_p s_p * (n+1)^(n-1 - u*p mod n) and its reversal maps p to
+    n-1 - u*p; each code rotation then adds -1 to the shift a.  keys[i] is
+    the least image code of row i, and shifts[i] is a mod n for one affine
+    map that attains it.  Rows with equal keys form one affine orbit, and
+    the key is the code of its least member, itself a dihedral
+    representative.
+    """
+    n = digits.shape[1]
+    b = n + 1
+    high = b ** (n - 1)
+    places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = np.full(len(digits), np.iinfo(np.int64).max)
+    shifts = np.zeros(len(digits), dtype=np.int64)
+    for u in multiplier_units(n):
+        image = u * np.arange(n) % n
+        code = digits @ places[image]
+        rcode = digits @ places[n - 1 - image]
+        for r in range(n):
+            for c, shift in ((code, -r % n), (rcode, (n - 1 - r) % n)):
+                better = c < keys
+                keys = np.where(better, c, keys)
+                shifts = np.where(better, shift, shifts)
+            code = code % high * b + code // high
+            rcode = rcode % high * b + rcode // high
+    return keys, shifts
 
 
 def enumerate_classical_classes(n: int) -> list[ClassicalClass]:

@@ -12,10 +12,10 @@ Subcommands
 classes, table2, dist and verify read one set of exact class rows per n,
 built by statistics.class_probability_table and cached under one key as
 (representative, orbit size, z) triples; every column is derived from z.
-With --jobs > 1 a worker pool runs only the exact kernel, on the Q = 0
-classes.  Floats are exact values rounded once, so --mode changes only
-table1 (float mode skips the kernel and leaves n_supp unknown) and the
-mode label of JSON output.
+With --jobs > 1 a worker pool runs only the exact kernel, on one Q = 0
+class per affine orbit (statistics.q0_rows).  Floats are exact values
+rounded once, so --mode changes only table1 (float mode skips the kernel
+and leaves n_supp unknown) and the mode label of JSON output.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -29,6 +29,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +43,7 @@ from . import statistics as stats
 from .arrangements import (
     dihedral_orbit,
     enumerate_arrangements,
+    multiplier_image,
     validate_arrangement,
 )
 from .errors import CacheCorruptionError, InvalidArrangementError, ResourceLimitError
@@ -373,6 +375,21 @@ def cmd_verify(config: RunConfig) -> int:
             break
     record("dihedral-invariance", bad is None, f"violated by {bad}" if bad else "all orbits agree")
 
+    # The rows share one kernel call per affine orbit of Q = 0 classes;
+    # recompute z on the image p -> u*p of each of them, for every unit u.
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
+    bad = None
+    for r in rows:
+        for u in units if r.Q == 0 else ():
+            image = multiplier_image(r.representative, u)
+            if exact_integer_amplitude(image) != r.z:
+                bad = image
+                break
+        if bad:
+            break
+    detail = f"violated by {bad}" if bad else "z(u*s) = z(s) for every unit u"
+    record("multiplier-invariance", bad is None, detail)
+
     bad = None
     for r in rows:
         if r.Q != 0 and not is_suppressed_exact(r.representative):
@@ -482,6 +499,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "table1":
             n = args.n_max
+            if n < 2:
+                parser.error(f"--n-max must be >= 2, got {n}")
         elif args.command == "ck":
             try:
                 arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]

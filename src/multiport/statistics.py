@@ -4,20 +4,33 @@ Everything here is a deterministic reduction over the quantum equivalence
 classes: per-class probabilities weighted by orbit size.  A class row is
 its representative, orbit size and exact integer amplitude z; every other
 column is derived from z.  Classes with Q != 0 are exact zeros by the
-zero-transmission law; the exact kernel runs on the Q = 0 classes only.
-Every float a table reports is one exact rational rounded once.
+zero-transmission law; the exact kernel runs on the Q = 0 classes only,
+and once per affine orbit of them (q0_rows).  Every float a table reports
+is one exact rational rounded once.
+
+A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
+the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
+Q = 0 classes to Q = 0 classes.  A shift p -> p + a multiplies z by
+(-1)^(a*(n-1)).  arrangements.affine_keys gives each Q = 0 class the least
+code over its images under p -> u*p + a and one shift a that reaches it;
+the classes sharing a key share z up to that sign.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .arrangements import (
     Arrangement,
+    QuantumClass,
+    affine_keys,
     count_arrangements,
     enumerate_quantum_classes,
     partition_count,
@@ -27,7 +40,6 @@ from .scattering import (
     EXACT_AMPLITUDE_LIMIT,
     _denominator,
     exact_integer_amplitude,
-    suppression_Q,
 )
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
@@ -92,23 +104,72 @@ class ClassProbabilityRow:
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
 
-def class_probability_table(
-    n: int, amplitudes: Callable[[list[Arrangement]], Iterable[int]] | None = None
+Amplitudes = Callable[[list[Arrangement]], Iterable[int]]
+
+
+# Q is computed over this many classes at a time, so that the n = 14 census
+# holds no int array over all 718,146 classes beside the classes themselves.
+_Q_CHUNK = 1 << 16
+
+
+def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[list[QuantumClass], np.ndarray]:
+    """The classes with Q = sum_p p * s_p = 0 (mod n), and their occupancies as an array.
+
+    Q is computed in numpy from the representatives, which enumeration
+    has already validated.
+    """
+    n = len(classes[0].representative)
+    weights = np.arange(n, dtype=np.int16)
+    q0, digits = [], []
+    for i in range(0, len(classes), _Q_CHUNK):
+        part = classes[i : i + _Q_CHUNK]
+        flat = itertools.chain.from_iterable(c.representative for c in part)
+        # int16 holds every occupancy and every sum_p p * s_p up to n = 181
+        d = np.fromiter(flat, dtype=np.int16, count=len(part) * n).reshape(-1, n)
+        zero = d @ weights % n == 0
+        q0.extend(itertools.compress(part, zero.tolist()))
+        digits.append(d[zero])
+    return q0, np.concatenate(digits)
+
+
+def q0_rows(
+    classes: Sequence[QuantumClass], amplitudes: Amplitudes | None = None
 ) -> list[ClassProbabilityRow]:
+    """Rows of the Q = 0 classes, with one exact-kernel call per affine orbit.
+
+    affine_keys maps each class s to its orbit's key by some p -> u*p + a,
+    so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
+    member of their orbit up to the ratio of their signs.  The kernel runs
+    on those first members; amplitudes(reps), e.g. a worker pool's map,
+    replaces the serial loop and must yield z for each rep in order.
+    """
+    q0, digits = _q0_classes(classes)
+    n = digits.shape[1]
+    keys, shifts = affine_keys(digits)
+    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
+    reps = [q0[i].representative for i in first.tolist()]
+    z = list(amplitudes(reps) if amplitudes else map(exact_integer_amplitude, reps))
+    sign = 1 - 2 * (shifts * (n - 1) % 2)
+    relative = (sign * sign[first][orbit]).tolist()
+    return [
+        ClassProbabilityRow(c.representative, c.orbit_size, s * z[k])
+        for c, s, k in zip(q0, relative, orbit.tolist())
+    ]
+
+
+def class_probability_table(n: int, amplitudes: Amplitudes | None = None) -> list[ClassProbabilityRow]:
     """One row per quantum class, sorted by classical probability.
 
     Ties are broken by the lexicographic representative so the order never
-    depends on enumeration or scheduling.  The exact kernel runs on the
-    Q = 0 representatives only; amplitudes(reps), e.g. a worker pool's map,
-    replaces the serial loop and must yield z for each rep in order.
+    depends on enumeration or scheduling.  The exact kernel runs through
+    q0_rows; amplitudes is passed on to it.
     """
     if n > EXACT_AMPLITUDE_LIMIT:
         raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
     classes = enumerate_quantum_classes(n)
-    q0 = [c.representative for c in classes if suppression_Q(c.representative) == 0]
     # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
     # PRL 104, 220405); `verify` and the table1 certificate check it.
-    z = dict(zip(q0, amplitudes(q0) if amplitudes else map(exact_integer_amplitude, q0)))
+    z = {r.representative: r.z for r in q0_rows(classes, amplitudes)}
     rows = [
         ClassProbabilityRow(c.representative, c.orbit_size, z.get(c.representative, 0))
         for c in classes
@@ -151,26 +212,23 @@ def table1(n_max: int, exact: bool = True) -> list[Table1Row]:
     rows = []
     for n in range(2, n_max + 1):
         classes = enumerate_quantum_classes(n)
-        q0 = [c for c in classes if suppression_Q(c.representative) == 0]
         anomalous = None
         if exact:
-            evaluated = [
-                ClassProbabilityRow(
-                    c.representative, c.orbit_size, exact_integer_amplitude(c.representative)
-                )
-                for c in q0
-            ]
+            evaluated = q0_rows(classes)
             total = total_probability(n, evaluated)
             if total != 1:
                 raise ArithmeticError(f"Q = 0 classes at n={n} carry probability {total}, not 1")
             anomalous = sum(r.suppressed_exact for r in evaluated)
+            n_q0 = len(evaluated)
+        else:
+            n_q0 = len(_q0_classes(classes)[0])
         rows.append(
             Table1Row(
                 n=n,
                 total=count_arrangements(n),
                 classical_classes=partition_count(n),
                 quantum_classes=len(classes),
-                law_suppressed=len(classes) - len(q0),
+                law_suppressed=len(classes) - n_q0,
                 anomalous_suppressed=anomalous,
             )
         )

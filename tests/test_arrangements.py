@@ -3,7 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from multiport.arrangements import (
+    affine_keys,
     canonical_classical,
     canonical_quantum,
     count_arrangements,
@@ -13,6 +16,8 @@ from multiport.arrangements import (
     enumerate_arrangements,
     enumerate_classical_classes,
     enumerate_quantum_classes,
+    multiplier_image,
+    multiplier_units,
     partition_count,
     port_assignment,
     quantum_class_of,
@@ -177,3 +182,40 @@ class TestQuantumClasses:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_quantum_classes(15)
+
+
+def _code(s):
+    return sum(x * (len(s) + 1) ** (len(s) - 1 - p) for p, x in enumerate(s))
+
+
+def _shift(s, a):
+    """The image of s under p -> p + a (mod n)."""
+    n = len(s)
+    return tuple(s[(p - a) % n] for p in range(n))
+
+
+class TestAffineKeys:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_units_are_half_the_units(self, n):
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        got = multiplier_units(n)
+        assert sorted(set(got) | {(n - u) % n or n for u in got}) == units
+        assert len(got) == max(len(units) // 2, 1)
+
+    def test_multiplier_image(self):
+        assert multiplier_image((2, 1, 0, 0, 2), 2) == (2, 0, 1, 2, 0)
+        assert multiplier_image((2, 1, 0, 0, 2), 1) == (2, 1, 0, 0, 2)
+        with pytest.raises(ValueError):
+            multiplier_image((2, 1, 0, 1), 2)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_keys_are_least_affine_images(self, n):
+        """Brute force over p -> u*p + a for every unit u and shift a."""
+        reps = [c.representative for c in enumerate_quantum_classes(n)]
+        keys, shifts = affine_keys(np.array(reps, dtype=np.int64).reshape(-1, n))
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        for s, key, a in zip(reps, keys.tolist(), shifts.tolist()):
+            least = min(_shift(multiplier_image(s, u), b) for u in units for b in range(n))
+            assert key == _code(least), s
+            assert least in {_shift(multiplier_image(s, u), a) for u in units}, s
+            assert least == canonical_quantum(least)

@@ -101,7 +101,7 @@ class TestClasses:
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         code, out, _ = run(capsys, "classes", "--n", "8", "--jobs", "2")
         assert code == 0
-        assert len(mapped) == 69
+        assert len(mapped) == 49  # one per affine orbit of the 69 Q = 0 classes
         assert all(scattering.suppression_Q(s) == 0 for s in mapped)
         assert out == run(capsys, "classes", "--n", "8", "--jobs", "1")[1]
 
@@ -145,6 +145,13 @@ class TestTable1:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "n=6" in err
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    def test_n_max_below_2_exits_2(self, capsys, n_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n-max", n_max])
+        assert exc.value.code == 2
+        assert "--n-max must be >= 2" in capsys.readouterr().err
 
     def test_float_mode_marks_supp(self, capsys):
         code, out, _ = run(capsys, "table1", "--n-max", "5", "--mode", "float")
@@ -236,7 +243,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
 
     def test_n6_lists_anomalous(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6")
@@ -264,6 +271,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "6")
         assert code == 1
         assert "FAIL normalization" in out
+
+
+    def test_wrong_sign_fails_multiplier_invariance(self, capsys, monkeypatch):
+        # -z keeps every |z| and z^2, so only the multiplier check sees it
+        real = scattering.exact_integer_amplitude
+
+        def negated(s):
+            z = real(s)
+            return -z if tuple(s) == (0, 0, 0, 0, 1, 5, 1) else z
+
+        monkeypatch.setattr(st, "exact_integer_amplitude", negated)
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "verify", "--n", "7")
+        assert code == 1
+        assert "PASS normalization" in out and "PASS dihedral-invariance" in out
+        assert "FAIL multiplier-invariance: violated by" in out
 
 
 class TestFormats:

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from multiport.arrangements import enumerate_arrangements
-from multiport.scattering import classical_probability, exact_quantum_probability, suppression_Q
+from multiport.arrangements import enumerate_arrangements, enumerate_quantum_classes, multiplier_image
+from multiport.scattering import (
+    classical_probability,
+    exact_integer_amplitude,
+    exact_quantum_probability,
+    suppression_Q,
+)
 from multiport import statistics as st
 
 
@@ -141,7 +146,7 @@ class TestClassProbabilityTable:
 
         monkeypatch.setattr(st, "exact_integer_amplitude", counting)
         rows = st.class_probability_table(8)
-        assert len(calls) == 69
+        assert len(calls) == 49  # one per affine orbit of the 69 Q = 0 classes
         assert all(suppression_Q(s) == 0 for s in calls)
         everything_through_kernel = [
             st.ClassProbabilityRow(r.representative, r.orbit_size, real(r.representative))
@@ -204,6 +209,45 @@ class TestClassProbabilityTable:
             ((0, 1, 2, 0, 2, 1), Fraction(36, 5)),
             ((0, 2, 0, 2, 0, 2), Fraction(36, 5)),
         ]
+
+
+# n -> (Q = 0 classes, affine orbits among them = exact-kernel calls)
+Q0_ORBITS = {8: (69, 49), 9: (186, 70), 10: (526, 268), 11: (1584, 320), 12: (4932, 2806)}
+
+
+class TestQ0Rows:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_multiplier_invariance_brute_force(self, n):
+        """z(u*s) is the row's z for every Q = 0 class s and every unit u."""
+        rows = st.class_probability_table(n)
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        for r in rows:
+            if r.Q == 0:
+                for u in units:
+                    assert exact_integer_amplitude(multiplier_image(r.representative, u)) == r.z
+
+    @pytest.mark.parametrize("n", sorted(Q0_ORBITS))
+    def test_orbit_counts(self, n):
+        classes = enumerate_quantum_classes(n)
+        calls = []
+
+        def record(reps):
+            calls.extend(reps)
+            return [0] * len(reps)
+
+        rows = st.q0_rows(classes, record)
+        assert (len(rows), len(calls)) == Q0_ORBITS[n]
+        assert [r.representative for r in rows] == [
+            c.representative for c in classes if suppression_Q(c.representative) == 0
+        ]
+        assert set(calls) <= {r.representative for r in rows}
+
+
+    def test_q_in_chunks(self, monkeypatch):
+        classes = enumerate_quantum_classes(8)
+        whole = st.q0_rows(classes)
+        monkeypatch.setattr(st, "_Q_CHUNK", 7)
+        assert st.q0_rows(classes) == whole
 
 
 class TestTable1:
