@@ -178,7 +178,7 @@ def canonical_quantum(s: Sequence[int]) -> Arrangement:
     return min(dihedral_transforms(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumClass:
     """A quantum equivalence class: canonical representative and orbit size."""
 

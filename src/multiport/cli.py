@@ -9,13 +9,15 @@ Subcommands
 * verify:  oracle and invariant sweep, exit 1 on any failure
 * ck:      phase-class histogram of one arrangement
 
-classes, table2, dist and verify read one set of exact class rows per n,
-built by statistics.class_probability_table and cached under one key as
-(representative, orbit size, z) triples; every column is derived from z.
-With --jobs > 1 a worker pool runs only the exact kernel, on one Q = 0
-class per affine orbit (statistics.q0_rows).  Floats are exact values
-rounded once, so --mode changes only table1 (float mode skips the kernel
-and leaves n_supp unknown) and the mode label of JSON output.
+Every command but ck reads one set of exact class rows per n, built
+serially by statistics.class_probability_table and cached under one key
+as (representative, orbit size, z) triples; every column is derived from
+z, and table1 reduces the rows of each n = 2..n_max.  classes, table2,
+dist and table1 first check that the rows carry total probability exactly
+1 (statistics.check_normalization); verify reports that check as one of
+its properties.  Floats are exact values rounded once, so --mode only sets
+the mode label of JSON output, and --jobs, still checked to be >= 1,
+changes nothing.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -27,15 +29,14 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -77,7 +78,6 @@ class RunConfig:
     mode: str
     format: str
     output: Path | None
-    jobs: int
     cache_dir: Path | None
     kind: str | None = None
     variant: str = "marginal"
@@ -164,21 +164,7 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 
 
 # ---------------------------------------------------------------------------
-# class-table computation (the one place a worker pool is used)
-
-
-def _pool_amplitude(rep):
-    """The pool's task: a module-level function, so workers find it by name."""
-    return exact_integer_amplitude(rep)
-
-
-def compute_class_rows(n: int, jobs: int):
-    def pool_map(reps):
-        chunk = max(1, len(reps) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_pool_amplitude, reps, chunksize=chunk))
-
-    return stats.class_probability_table(n, pool_map if jobs > 1 else None)
+# class rows
 
 
 def _rows_to_payload(rows) -> list[list]:
@@ -200,9 +186,16 @@ def class_rows_cached(config: RunConfig):
         payload = cache_load(config.cache_dir, key)
         if payload is not None:
             return _payload_to_rows(payload)
-    rows = compute_class_rows(config.n, config.jobs)
+    rows = stats.class_probability_table(config.n)
     if config.cache_dir is not None:
         cache_store(config.cache_dir, key, _rows_to_payload(rows))
+    return rows
+
+
+def certified_rows(config: RunConfig):
+    """class_rows_cached, after statistics.check_normalization (exit 3 on failure)."""
+    rows = class_rows_cached(config)
+    stats.check_normalization(config.n, rows)
     return rows
 
 
@@ -210,37 +203,25 @@ def class_rows_cached(config: RunConfig):
 # emission
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, write: Callable[[TextIO], object]) -> None:
+    """Call write on stdout, or on config.output opened for writing."""
     if config.output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
-        config.output.write_text(text, encoding="utf-8")
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(n: int, mode: str, kind: str, rows: list[dict], **extra) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra, "rows": rows}
-    return json.dumps(doc, indent=1) + "\n"
+        with config.output.open("w", encoding="utf-8") as f:
+            write(f)
 
 
 def _csv_cell(v) -> str:
     """CSV conventions: arrangements comma-joined, booleans lower case,
-    floats to 17 digits, fractions reduced like 36/5; None marks a count
-    that float mode does not compute."""
+    floats to 17 digits, fractions reduced like 36/5."""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
         return _fmt_float(v)
     if isinstance(v, tuple):
         return _fmt_arrangement(v)
-    return "requires exact mode" if v is None else str(v)
+    return str(v)
 
 
 def _json_cell(v):
@@ -252,12 +233,23 @@ def _json_cell(v):
 
 
 def _emit_table(config: RunConfig, header, values, kind: str, n: int, mode: str, **extra) -> None:
-    """Emit one tuple of cells per row, in config.format; CSV and JSON share the cells."""
+    """Emit one tuple of cells per row, in config.format; CSV and JSON share the cells.
+
+    CSV rows are written as values yields them, so a table is never held
+    as text; JSON is written as one document.
+    """
     if config.format == "csv":
-        _emit(config, _csv_text(list(header), [[_csv_cell(v) for v in row] for row in values]))
+
+        def write(f):
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(map(_csv_cell, row) for row in values)
+
+        _emit(config, write)
     else:
         rows = [{k: _json_cell(v) for k, v in zip(header, row)} for row in values]
-        _emit(config, _json_text(n, mode, kind, rows, **extra))
+        doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra, "rows": rows}
+        _emit(config, lambda f: f.write(json.dumps(doc, indent=1) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +284,19 @@ def _class_values(r) -> tuple:
 
 
 def cmd_classes(config: RunConfig) -> int:
-    values = [_class_values(r) for r in class_rows_cached(config)]
-    _emit_table(config, CLASS_COLUMNS, values, "classes", config.n, config.mode)
+    """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative."""
+    rows = certified_rows(config)
+    rows.sort(key=lambda r: (stats._multinomial(r.representative), r.representative))
+    _emit_table(config, CLASS_COLUMNS, map(_class_values, rows), "classes", config.n, config.mode)
     return EXIT_OK
 
 
 def cmd_table1(config: RunConfig) -> int:
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
+    census = [stats.census_row(n, class_rows_cached(replace(config, n=n))) for n in range(2, config.n + 1)]
     values = [
         (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
-        for r in stats.table1(config.n, exact=config.mode == "exact")
+        for r in census
     ]
     _emit_table(config, header, values, "table1", config.n, config.mode)
     return EXIT_OK
@@ -310,7 +305,7 @@ def cmd_table1(config: RunConfig) -> int:
 def cmd_table2(config: RunConfig) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
     alive = sorted(
-        (r for r in class_rows_cached(config) if r.z),
+        (r for r in certified_rows(config) if r.z),
         key=lambda r: (-r.z * r.z, r.representative),
     )
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
@@ -320,7 +315,7 @@ def cmd_table2(config: RunConfig) -> int:
 
 
 def cmd_dist(config: RunConfig) -> int:
-    rows = class_rows_cached(config)
+    rows = certified_rows(config)
     table = stats.distribution(config.kind, config.n, rows=rows, variant=config.variant)
     header = ["category", "classical", "quantum", "approx"]
     _emit_table(config, header, table.rows, table.kind, config.n, config.mode, variant=config.variant)
@@ -359,8 +354,9 @@ def cmd_verify(config: RunConfig) -> int:
             worst = max(worst, abs(a - b) / max(abs(a), 1e-30))
     record("permanent-oracle-agreement", worst < 1e-10, f"max relative deviation {worst:.3g}")
 
-    # The rows skip the kernel on Q != 0 classes, as every table does;
-    # an exact total of 1 also proves each skipped class an exact zero.
+    # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
+    # proves each skipped class an exact zero (statistics.check_normalization,
+    # reported here as a FAIL line rather than an exit code 3).
     rows = class_rows_cached(config)
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
@@ -412,7 +408,8 @@ def cmd_verify(config: RunConfig) -> int:
     else:
         lines.append("INFO anomalous-suppressions: none")
 
-    _emit(config, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _emit(config, lambda f: f.write(text))
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -434,11 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("float", "exact"),
             default="float",
-            help="exact also counts anomalous zeros in table1; class rows are exact in both",
+            help="label of JSON output only; every result is computed exactly",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs are serial")
         p.add_argument("--cache-dir", type=str, default=None)
         p.add_argument(
             "--allow-large",
@@ -519,7 +516,6 @@ def main(argv=None) -> int:
             mode=args.mode,
             format=args.format,
             output=args.output,
-            jobs=args.jobs,
             cache_dir=_resolve_cache_dir(args.cache_dir),
             kind=getattr(args, "kind", None),
             variant=getattr(args, "variant", "marginal"),

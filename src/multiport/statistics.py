@@ -3,10 +3,13 @@
 Everything here is a deterministic reduction over the quantum equivalence
 classes: per-class probabilities weighted by orbit size.  A class row is
 its representative, orbit size and exact integer amplitude z; every other
-column is derived from z.  Classes with Q != 0 are exact zeros by the
-zero-transmission law; the exact kernel runs on the Q = 0 classes only,
-and once per affine orbit of them (q0_rows).  Every float a table reports
-is one exact rational rounded once.
+column is derived from z.  class_probability_table is the one place rows
+are built, serially and in enumeration order.  Classes with Q != 0 are
+exact zeros by the zero-transmission law; the exact kernel runs on the
+Q = 0 classes only, and once per affine orbit of them (q0_rows).  The
+census (census_row) and the distributions are reductions over the rows,
+and check_normalization certifies them.  Every float a table reports is
+one exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -23,7 +26,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,7 +69,7 @@ def _multinomial(t: Arrangement) -> int:
     return math.factorial(len(t)) // math.prod(map(math.factorial, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassProbabilityRow:
     """One quantum class: its representative, orbit size and exact amplitude z.
 
@@ -104,9 +107,6 @@ class ClassProbabilityRow:
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
 
-Amplitudes = Callable[[list[Arrangement]], Iterable[int]]
-
-
 # Q is computed over this many classes at a time, so that the n = 14 census
 # holds no int array over all 718,146 classes beside the classes themselves.
 _Q_CHUNK = 1 << 16
@@ -116,7 +116,8 @@ def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[list[QuantumClass], np
     """The classes with Q = sum_p p * s_p = 0 (mod n), and their occupancies as an array.
 
     Q is computed in numpy from the representatives, which enumeration
-    has already validated.
+    has already validated; rows, which carry representatives too, are
+    filtered the same way.
     """
     n = len(classes[0].representative)
     weights = np.arange(n, dtype=np.int16)
@@ -132,23 +133,19 @@ def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[list[QuantumClass], np
     return q0, np.concatenate(digits)
 
 
-def q0_rows(
-    classes: Sequence[QuantumClass], amplitudes: Amplitudes | None = None
-) -> list[ClassProbabilityRow]:
+def q0_rows(classes: Sequence[QuantumClass]) -> list[ClassProbabilityRow]:
     """Rows of the Q = 0 classes, with one exact-kernel call per affine orbit.
 
     affine_keys maps each class s to its orbit's key by some p -> u*p + a,
     so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
     member of their orbit up to the ratio of their signs.  The kernel runs
-    on those first members; amplitudes(reps), e.g. a worker pool's map,
-    replaces the serial loop and must yield z for each rep in order.
+    on those first members.
     """
     q0, digits = _q0_classes(classes)
     n = digits.shape[1]
     keys, shifts = affine_keys(digits)
     _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
-    reps = [q0[i].representative for i in first.tolist()]
-    z = list(amplitudes(reps) if amplitudes else map(exact_integer_amplitude, reps))
+    z = [exact_integer_amplitude(q0[i].representative) for i in first.tolist()]
     sign = 1 - 2 * (shifts * (n - 1) % 2)
     relative = (sign * sign[first][orbit]).tolist()
     return [
@@ -157,82 +154,80 @@ def q0_rows(
     ]
 
 
-def class_probability_table(n: int, amplitudes: Amplitudes | None = None) -> list[ClassProbabilityRow]:
-    """One row per quantum class, sorted by classical probability.
+def class_probability_table(n: int) -> list[ClassProbabilityRow]:
+    """One row per quantum class, in enumeration order.
 
-    Ties are broken by the lexicographic representative so the order never
-    depends on enumeration or scheduling.  The exact kernel runs through
-    q0_rows; amplitudes is passed on to it.
+    The exact kernel runs through q0_rows.  Q != 0 is an exact zero by the
+    zero-transmission law (Tichy et al., PRL 104, 220405);
+    check_normalization certifies it, and `verify` checks it class by class.
     """
     if n > EXACT_AMPLITUDE_LIMIT:
         raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
     classes = enumerate_quantum_classes(n)
-    # Q != 0 is an exact zero by the zero-transmission law (Tichy et al.,
-    # PRL 104, 220405); `verify` and the table1 certificate check it.
-    z = {r.representative: r.z for r in q0_rows(classes, amplitudes)}
-    rows = [
+    z = {r.representative: r.z for r in q0_rows(classes)}
+    return [
         ClassProbabilityRow(c.representative, c.orbit_size, z.get(c.representative, 0))
         for c in classes
     ]
-    rows.sort(key=lambda r: (_multinomial(r.representative), r.representative))
-    return rows
 
 
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
     """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows, one integer sum.
 
-    Over the Q = 0 classes it must be 1.  Probabilities are non-negative, so
-    that proves every class left out an exact zero (the law the kernel skip
-    rests on), and it catches a wrong z, a wrong orbit size or a lost class.
+    Rows with z = 0 add nothing and are skipped, so the sum costs one term
+    per nonzero class.
     """
-    weight = sum(r.orbit_size * _multinomial(r.representative) * r.z * r.z for r in rows)
+    weight = sum(r.orbit_size * _multinomial(r.representative) * r.z * r.z for r in rows if r.z)
     return Fraction(weight, n**n * math.factorial(n))
+
+
+def check_normalization(n: int, rows: Iterable[ClassProbabilityRow]) -> None:
+    """Raise ArithmeticError unless the rows carry total probability exactly 1.
+
+    Probabilities are non-negative, so a total of 1 over the rows the
+    kernel evaluated proves every class it skipped an exact zero (the law
+    the skip rests on), and it catches a wrong z, a wrong orbit size or a
+    lost class, computed or read from a cache.
+    """
+    total = total_probability(n, rows)
+    if total != 1:
+        raise ArithmeticError(f"classes at n={n} carry probability {total}, not 1")
 
 
 @dataclass(frozen=True)
 class Table1Row:
-    """Event and class census for one n; supp is None without exact mode."""
+    """Event and class census for one n."""
 
     n: int
     total: int
     classical_classes: int
     quantum_classes: int
     law_suppressed: int
-    anomalous_suppressed: int | None
+    anomalous_suppressed: int
 
 
-def table1(n_max: int, exact: bool = True) -> list[Table1Row]:
-    """Census rows for n = 2..n_max.
+def census_row(n: int, rows: Sequence[ClassProbabilityRow]) -> Table1Row:
+    """The census of n from its class rows, once they pass check_normalization.
 
-    law_suppressed counts quantum classes whose representative has Q != 0;
-    anomalous_suppressed counts those with Q = 0 whose exact amplitude is
-    nevertheless zero, and requires exact mode.  Exact mode raises
-    ArithmeticError unless the Q = 0 classes carry total probability 1.
+    law_suppressed counts the classes whose representative has Q != 0;
+    anomalous_suppressed those with Q = 0 whose exact amplitude is
+    nevertheless zero.
     """
-    rows = []
-    for n in range(2, n_max + 1):
-        classes = enumerate_quantum_classes(n)
-        anomalous = None
-        if exact:
-            evaluated = q0_rows(classes)
-            total = total_probability(n, evaluated)
-            if total != 1:
-                raise ArithmeticError(f"Q = 0 classes at n={n} carry probability {total}, not 1")
-            anomalous = sum(r.suppressed_exact for r in evaluated)
-            n_q0 = len(evaluated)
-        else:
-            n_q0 = len(_q0_classes(classes)[0])
-        rows.append(
-            Table1Row(
-                n=n,
-                total=count_arrangements(n),
-                classical_classes=partition_count(n),
-                quantum_classes=len(classes),
-                law_suppressed=len(classes) - n_q0,
-                anomalous_suppressed=anomalous,
-            )
-        )
-    return rows
+    check_normalization(n, rows)
+    q0, _ = _q0_classes(rows)
+    return Table1Row(
+        n=n,
+        total=count_arrangements(n),
+        classical_classes=partition_count(n),
+        quantum_classes=len(rows),
+        law_suppressed=len(rows) - len(q0),
+        anomalous_suppressed=sum(not r.z for r in q0),
+    )
+
+
+def table1(n_max: int) -> list[Table1Row]:
+    """Census rows for n = 2..n_max; see census_row."""
+    return [census_row(n, class_probability_table(n)) for n in range(2, n_max + 1)]
 
 
 @dataclass(frozen=True)

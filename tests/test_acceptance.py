@@ -147,7 +147,7 @@ def report(criterion: str, ok: bool = True):
 class TestCriterion1Table1:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_census_rows_exact(self, n):
-        row = st.table1(n, exact=True)[-1]
+        row = st.table1(n)[-1]
         got = (
             row.total,
             row.classical_classes,
@@ -161,7 +161,7 @@ class TestCriterion1Table1:
     @pytest.mark.skipif(not RUN_LARGE, reason="set MULTIPORT_ACCEPT_LARGE=1")
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
     def test_census_rows_large(self, n):
-        row = st.table1(n, exact=True)[-1]
+        row = st.table1(n)[-1]
         got = (
             row.total,
             row.classical_classes,

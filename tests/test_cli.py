@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from multiport import cli, scattering
+from multiport import scattering
 from multiport import statistics as st
 from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
 from multiport.errors import CacheCorruptionError
@@ -80,30 +80,14 @@ class TestClasses:
         assert len(rows) == 4752
         assert zeros == 4226 + 96  # law-certified plus anomalous
 
-    def test_pool_maps_only_q0_amplitudes(self, capsys, monkeypatch):
-        mapped = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                mapped.extend(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
-        code, out, _ = run(capsys, "classes", "--n", "8", "--jobs", "2")
+    def test_sorted_by_classical_probability(self, capsys):
+        code, out, _ = run(capsys, "classes", "--n", "6")
         assert code == 0
-        assert len(mapped) == 49  # one per affine orbit of the 69 Q = 0 classes
-        assert all(scattering.suppression_Q(s) == 0 for s in mapped)
-        assert out == run(capsys, "classes", "--n", "8", "--jobs", "1")[1]
+        header, rows = parse_csv(out)
+        num, den = header.index("p_classical_num"), header.index("p_classical_den")
+        keys = [(Fraction(int(r[num]), int(r[den])), tuple(map(int, r[0].split(",")))) for r in rows]
+        assert keys == sorted(keys)
+        assert len(keys) == 50
 
     def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
         real = scattering._ryser_residues
@@ -153,10 +137,28 @@ class TestTable1:
         assert exc.value.code == 2
         assert "--n-max must be >= 2" in capsys.readouterr().err
 
-    def test_float_mode_marks_supp(self, capsys):
-        code, out, _ = run(capsys, "table1", "--n-max", "5", "--mode", "float")
-        _, rows = parse_csv(out)
-        assert all(r[-1] == "requires exact mode" for r in rows)
+    def test_float_mode_prints_exact_census(self, capsys, monkeypatch):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "table1", "--n-max", "6", "--mode", "float")
+        assert code == 0
+        assert out == run(capsys, "table1", "--n-max", "6", "--mode", "exact")[1]
+        assert parse_csv(out)[1][-1] == ["6", "462", "11", "50", "38", "2"]
+
+    def test_reads_and_fills_the_row_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        code, census, _ = run(capsys, "table1", "--n-max", "6", "--cache-dir", str(cache))
+        assert code == 0
+        names = sorted(p.name for p in cache.glob("*.json"))
+        assert names == sorted(f"v1_rows_n{n}_exact-ryser-crt.json" for n in range(2, 7))
+
+        def no_kernel(s):
+            raise AssertionError("kernel ran on a cache hit")
+
+        monkeypatch.setattr(st, "exact_integer_amplitude", no_kernel)
+        code, out, err = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
+        assert code == 0, err
+        assert len(parse_csv(out)[1]) == 50
+        assert run(capsys, "table1", "--n-max", "6", "--cache-dir", str(cache))[1] == census
 
 
 class TestTable2:
@@ -350,7 +352,7 @@ class TestCache:
         def recompute(*args):
             raise AssertionError("second run missed the cache")
 
-        monkeypatch.setattr(cli, "compute_class_rows", recompute)
+        monkeypatch.setattr(st, "class_probability_table", recompute)
         code, _, err = run(capsys, "classes", "--n", "6", "--mode", "exact", "--cache-dir", str(cache))
         assert code == 0, err
         assert [p.name for p in cache.glob("*.json")] == ["v1_rows_n6_exact-ryser-crt.json"]
@@ -414,6 +416,23 @@ class TestCache:
         assert "warning" not in err
         assert [p.read_bytes() for p in stale] == before
         assert len(list(cache.glob("*.json"))) == 3
+
+    def test_tampered_rows_fail_the_certificate(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code, _, _ = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
+        assert code == 0
+        key = "v1_rows_n6_exact-ryser-crt"
+        payload = cache_load(cache, key)
+        item = next(item for item in payload if item[2])
+        item[2] += 1
+        cache_store(cache, key, payload)  # a valid checksum over the changed z
+        for argv in (["classes"], ["table2"], ["dist", "--kind", "occupied-ports"]):
+            code, out, err = run(capsys, *argv, "--n", "6", "--cache-dir", str(cache))
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: ") and "n=6" in err
+        code, out, _ = run(capsys, "verify", "--n", "6", "--cache-dir", str(cache))
+        assert code == 1
+        assert "FAIL normalization" in out
 
     def test_unusable_cache_dir_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "not-a-dir"

@@ -178,11 +178,6 @@ class TestClassProbabilityTable:
         assert by_rep[(1, 1)].p_quantum == 0.0
         assert by_rep[(1, 1)].suppressed_exact
 
-    def test_sorted_by_classical_probability(self):
-        rows = st.class_probability_table(6)
-        keys = [(r.p_classical, r.representative) for r in rows]
-        assert keys == sorted(keys)
-
     def test_exact_probabilities_sum_to_one(self):
         rows = st.class_probability_table(7)
         total = sum(
@@ -227,15 +222,16 @@ class TestQ0Rows:
                     assert exact_integer_amplitude(multiplier_image(r.representative, u)) == r.z
 
     @pytest.mark.parametrize("n", sorted(Q0_ORBITS))
-    def test_orbit_counts(self, n):
+    def test_orbit_counts(self, n, monkeypatch):
         classes = enumerate_quantum_classes(n)
         calls = []
 
-        def record(reps):
-            calls.extend(reps)
-            return [0] * len(reps)
+        def record(s):
+            calls.append(s)
+            return 0
 
-        rows = st.q0_rows(classes, record)
+        monkeypatch.setattr(st, "exact_integer_amplitude", record)
+        rows = st.q0_rows(classes)
         assert (len(rows), len(calls)) == Q0_ORBITS[n]
         assert [r.representative for r in rows] == [
             c.representative for c in classes if suppression_Q(c.representative) == 0
@@ -252,7 +248,7 @@ class TestQ0Rows:
 
 class TestTable1:
     def test_matches_census_through_n8(self, census):
-        rows = st.table1(8, exact=True)
+        rows = st.table1(8)
         for row in rows:
             assert (
                 row.total,
@@ -262,10 +258,13 @@ class TestTable1:
                 row.anomalous_suppressed,
             ) == census[row.n]
 
-    def test_float_mode_leaves_supp_unknown(self):
-        rows = st.table1(4, exact=False)
-        assert all(r.anomalous_suppressed is None for r in rows)
-        assert [r.n for r in rows] == [2, 3, 4]
+    def test_census_row_requires_the_certificate(self):
+        rows = st.class_probability_table(6)
+        assert st.census_row(6, rows) == st.table1(6)[-1]
+        i = next(i for i, r in enumerate(rows) if r.z)
+        rows[i] = st.ClassProbabilityRow(rows[i].representative, rows[i].orbit_size, 0)
+        with pytest.raises(ArithmeticError, match="n=6"):
+            st.census_row(6, rows)
 
 
 class TestTotalProbability:
