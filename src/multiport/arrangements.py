@@ -32,8 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidArrangementError, ResourceLimitError
 
 # Refuse full enumerations beyond this many arrangements (n = 14 is ~20M).

@@ -38,9 +38,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, TextIO
 
-import numpy as np
-
 from . import statistics as stats
+from ._numpy import np
 from .arrangements import (
     dihedral_orbit,
     enumerate_arrangements,
@@ -111,14 +110,17 @@ def cache_key(kind: str, n: int) -> str:
 def cache_load(cache_dir: Path, key: str) -> dict | None:
     """Return the cached payload, or None when absent/stale/corrupted.
 
-    A bad checksum or schema mismatch is reported on stderr and treated as
-    a miss; the caller recomputes and overwrites.
+    An unreadable entry (not JSON, not an object, a field missing) or a bad
+    checksum is reported on stderr; like a schema mismatch, it is treated
+    as a miss, and the caller recomputes and overwrites.
     """
     path = _cache_path(cache_dir, key)
     if not path.is_file():
         return None
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(entry, dict):
+            raise ValueError(f"expected a JSON object, found {type(entry).__name__}")
         payload = entry["payload"]
         stored = entry["checksum"]
     except (OSError, ValueError, KeyError) as exc:
@@ -137,7 +139,9 @@ def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
     """Write an entry to a temp file beside it, then os.replace it into place.
 
     A crash or a concurrent reader thus sees the previous entry or the new
-    one, never a partial file; on failure the temp file is removed.
+    one, never a partial file; on failure the temp file is removed.  The
+    entry is compact, key-sorted JSON; the checksum covers the parsed
+    payload, so cache_load reads entries in any JSON layout.
     """
     tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
@@ -148,7 +152,7 @@ def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
             "checksum": digest,
             "payload": payload,
         }
-        tmp.write_text(json.dumps(entry, indent=1, sort_keys=True), encoding="utf-8")
+        tmp.write_text(_canonical_json(entry), encoding="utf-8")
         os.replace(tmp, _cache_path(cache_dir, key))
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -249,7 +253,7 @@ def _emit_table(config: RunConfig, header, values, kind: str, n: int, mode: str,
     else:
         rows = [{k: _json_cell(v) for k, v in zip(header, row)} for row in values]
         doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra, "rows": rows}
-        _emit(config, lambda f: f.write(json.dumps(doc, indent=1) + "\n"))
+        _emit(config, lambda f: f.write(json.dumps(doc) + "\n"))
 
 
 # ---------------------------------------------------------------------------

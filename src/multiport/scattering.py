@@ -27,8 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .arrangements import port_assignment, validate_arrangement
 from .cyclotomic import CyclotomicVector
 from .errors import ResourceLimitError

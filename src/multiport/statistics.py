@@ -6,7 +6,7 @@ its representative, orbit size and exact integer amplitude z; every other
 column is derived from z.  class_probability_table is the one place rows
 are built, serially and in enumeration order.  Classes with Q != 0 are
 exact zeros by the zero-transmission law; the exact kernel runs on the
-Q = 0 classes only, and once per affine orbit of them (q0_rows).  The
+Q = 0 classes only, and once per affine orbit of them (q0_amplitudes).  The
 census (census_row) and the distributions are reductions over the rows,
 and check_normalization certifies them.  Every float a table reports is
 one exact rational rounded once.
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .arrangements import (
     Arrangement,
     QuantumClass,
@@ -112,8 +111,8 @@ class ClassProbabilityRow:
 _Q_CHUNK = 1 << 16
 
 
-def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[list[QuantumClass], np.ndarray]:
-    """The classes with Q = sum_p p * s_p = 0 (mod n), and their occupancies as an array.
+def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the classes with Q = sum_p p * s_p = 0 (mod n), and their occupancies.
 
     Q is computed in numpy from the representatives, which enumeration
     has already validated; rows, which carry representatives too, are
@@ -121,54 +120,50 @@ def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[list[QuantumClass], np
     """
     n = len(classes[0].representative)
     weights = np.arange(n, dtype=np.int16)
-    q0, digits = [], []
+    index, digits = [], []
     for i in range(0, len(classes), _Q_CHUNK):
         part = classes[i : i + _Q_CHUNK]
         flat = itertools.chain.from_iterable(c.representative for c in part)
         # int16 holds every occupancy and every sum_p p * s_p up to n = 181
         d = np.fromiter(flat, dtype=np.int16, count=len(part) * n).reshape(-1, n)
         zero = d @ weights % n == 0
-        q0.extend(itertools.compress(part, zero.tolist()))
+        index.append(np.flatnonzero(zero) + i)
         digits.append(d[zero])
-    return q0, np.concatenate(digits)
+    return np.concatenate(index), np.concatenate(digits)
 
 
-def q0_rows(classes: Sequence[QuantumClass]) -> list[ClassProbabilityRow]:
-    """Rows of the Q = 0 classes, with one exact-kernel call per affine orbit.
+def q0_amplitudes(classes: Sequence[QuantumClass]) -> tuple[list[int], list[int]]:
+    """Positions of the Q = 0 classes and their z, one exact-kernel call per affine orbit.
 
     affine_keys maps each class s to its orbit's key by some p -> u*p + a,
     so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
     member of their orbit up to the ratio of their signs.  The kernel runs
     on those first members.
     """
-    q0, digits = _q0_classes(classes)
+    index, digits = _q0_classes(classes)
     n = digits.shape[1]
     keys, shifts = affine_keys(digits)
     _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
-    z = [exact_integer_amplitude(q0[i].representative) for i in first.tolist()]
+    z = [exact_integer_amplitude(classes[i].representative) for i in index[first].tolist()]
     sign = 1 - 2 * (shifts * (n - 1) % 2)
     relative = (sign * sign[first][orbit]).tolist()
-    return [
-        ClassProbabilityRow(c.representative, c.orbit_size, s * z[k])
-        for c, s, k in zip(q0, relative, orbit.tolist())
-    ]
+    return index.tolist(), [s * z[k] for s, k in zip(relative, orbit.tolist())]
 
 
 def class_probability_table(n: int) -> list[ClassProbabilityRow]:
     """One row per quantum class, in enumeration order.
 
-    The exact kernel runs through q0_rows.  Q != 0 is an exact zero by the
-    zero-transmission law (Tichy et al., PRL 104, 220405);
+    The exact kernel runs through q0_amplitudes.  Q != 0 is an exact zero
+    by the zero-transmission law (Tichy et al., PRL 104, 220405);
     check_normalization certifies it, and `verify` checks it class by class.
     """
     if n > EXACT_AMPLITUDE_LIMIT:
         raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
     classes = enumerate_quantum_classes(n)
-    z = {r.representative: r.z for r in q0_rows(classes)}
-    return [
-        ClassProbabilityRow(c.representative, c.orbit_size, z.get(c.representative, 0))
-        for c in classes
-    ]
+    z = [0] * len(classes)
+    for i, zi in zip(*q0_amplitudes(classes)):
+        z[i] = zi
+    return [ClassProbabilityRow(c.representative, c.orbit_size, zi) for c, zi in zip(classes, z)]
 
 
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
@@ -214,14 +209,14 @@ def census_row(n: int, rows: Sequence[ClassProbabilityRow]) -> Table1Row:
     nevertheless zero.
     """
     check_normalization(n, rows)
-    q0, _ = _q0_classes(rows)
+    q0_index, _ = _q0_classes(rows)
     return Table1Row(
         n=n,
         total=count_arrangements(n),
         classical_classes=partition_count(n),
         quantum_classes=len(rows),
-        law_suppressed=len(rows) - len(q0),
-        anomalous_suppressed=sum(not r.z for r in q0),
+        law_suppressed=len(rows) - len(q0_index),
+        anomalous_suppressed=sum(not rows[i].z for i in q0_index.tolist()),
     )
 
 

@@ -2,13 +2,17 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import multiport
 from multiport import scattering
 from multiport import statistics as st
-from multiport.cli import SCHEMA_VERSION, cache_load, cache_store, main
+from multiport.cli import SCHEMA_VERSION, _canonical_json, cache_load, cache_store, main
 from multiport.errors import CacheCorruptionError
 
 
@@ -21,6 +25,26 @@ def run(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
+
+
+# Runs the CLI in a fresh interpreter, then reports its exit code and the
+# numpy submodules it loaded as a JSON line on stderr.
+_PROBE = """
+import json, sys
+from multiport.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+print(json.dumps({"exit": code, "numpy": loaded}), file=sys.stderr)
+"""
+
+
+def run_fresh(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(multiport.__file__).parents[1]))
+    env.pop("MULTIPORT_CACHE_DIR", None)
+    p = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    return json.loads(p.stderr.splitlines()[-1]), p.stdout
 
 
 class TestClasses:
@@ -382,6 +406,54 @@ class TestCache:
         code, third, err = run(capsys, *args)
         assert third == first
         assert "checksum mismatch" not in err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"x"'])
+    def test_entry_not_an_object_recomputed(self, capsys, tmp_path, content):
+        cache = tmp_path / "cache"
+        run(capsys, "classes", "--n", "4", "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        good = entry.read_bytes()
+        for argv in (["classes"], ["table2"], ["dist", "--kind", "occupied-ports"]):
+            _, clean, _ = run(capsys, *argv, "--n", "4")
+            entry.write_text(content)
+            code, out, err = run(capsys, *argv, "--n", "4", "--cache-dir", str(cache))
+            assert (code, out) == (0, clean), argv
+            assert "warning: unreadable cache entry" in err
+            assert entry.read_bytes() == good
+
+    def test_entry_is_canonical_json(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        run(capsys, "classes", "--n", "5", "--cache-dir", str(cache))
+        text = next(cache.glob("*.json")).read_text()
+        assert text == _canonical_json(json.loads(text))
+
+    def test_indented_entry_still_served(self, capsys, tmp_path, monkeypatch):
+        # the layout of entries written before they were compact
+        cache = tmp_path / "cache"
+        args = ["classes", "--n", "5", "--cache-dir", str(cache)]
+        _, clean, _ = run(capsys, *args)
+        entry = next(cache.glob("*.json"))
+        entry.write_text(json.dumps(json.loads(entry.read_text()), indent=1, sort_keys=True))
+        before = entry.read_bytes()
+
+        def recompute(*args):
+            raise AssertionError("an indented entry missed the cache")
+
+        monkeypatch.setattr(st, "class_probability_table", recompute)
+        assert run(capsys, *args) == (0, clean, "")
+        assert entry.read_bytes() == before
+
+    def test_hits_load_no_numpy(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        dist = ["dist", "--n", "6", "--kind", "classical-classes"]
+        status, out = run_fresh(*dist, *cache)
+        assert status["exit"] == 0 and status["numpy"]  # the miss ran the kernel
+        assert out == run(capsys, *dist)[1]
+        for argv in (dist, ["classes", "--n", "6", "--format", "json"]):
+            status, out = run_fresh(*argv, *cache)
+            assert status == {"exit": 0, "numpy": []}, argv
+            assert out == run(capsys, *argv)[1]
 
     def test_schema_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "cache"

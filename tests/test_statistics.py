@@ -231,19 +231,17 @@ class TestQ0Rows:
             return 0
 
         monkeypatch.setattr(st, "exact_integer_amplitude", record)
-        rows = st.q0_rows(classes)
-        assert (len(rows), len(calls)) == Q0_ORBITS[n]
-        assert [r.representative for r in rows] == [
-            c.representative for c in classes if suppression_Q(c.representative) == 0
-        ]
-        assert set(calls) <= {r.representative for r in rows}
+        index, z = st.q0_amplitudes(classes)
+        assert (len(z), len(calls)) == Q0_ORBITS[n]
+        assert index == [i for i, c in enumerate(classes) if suppression_Q(c.representative) == 0]
+        assert set(calls) <= {classes[i].representative for i in index}
 
 
     def test_q_in_chunks(self, monkeypatch):
         classes = enumerate_quantum_classes(8)
-        whole = st.q0_rows(classes)
+        whole = st.q0_amplitudes(classes)
         monkeypatch.setattr(st, "_Q_CHUNK", 7)
-        assert st.q0_rows(classes) == whole
+        assert st.q0_amplitudes(classes) == whole
 
 
 class TestTable1:
