@@ -9,12 +9,14 @@ equivalence are used throughout:
 * quantum: arrangements related by a cyclic or anticyclic relabeling of the
   ports (canonical form: lexicographic minimum over the dihedral orbit).
 
-enumerate_quantum_classes works in numpy on base-(n+1) integer codes of the
-arrangements, in ascending blocks: a code is canonical iff it is the least of
-its 2n dihedral images, and the images equal to it give the orbit size
-(orbit-stabilizer).  Its class count is checked against Burnside's lemma
-(dihedral_class_count).  dihedral_orbit and canonical_quantum are the
-per-arrangement reference.
+enumerate_quantum_classes works in numpy on base-(n+1) integer codes, in
+ascending blocks, of the only arrangements that can be canonical: (1, ..., 1)
+and those with s_1 = 0 and s_n >= 1, C(2n-3, n-1) + 1 of the C(2n-1, n).  A
+code is canonical iff it is the least of its 2n dihedral images, and the
+images equal to it give the orbit size (orbit-stabilizer).  The orbit sizes
+must cover all C(2n-1, n) arrangements, and the class count must equal
+Burnside's (dihedral_class_count).  dihedral_orbit and canonical_quantum
+are the per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
@@ -228,20 +230,20 @@ def dihedral_class_count(n: int) -> int:
 _BLOCK = 4096
 
 
-def _code_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (codes, reversed codes) of all arrangements, in ascending code order.
+def _code_blocks(total: int, digits: int, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (codes, reversed codes) of the compositions of total into digits
+    parts, in ascending code order.
 
-    The code of s is its base-(n+1) value with port 1 as the most
-    significant digit, so code order is lexicographic order; the reversed
-    code is the code of s[::-1].  A prefix with more than _BLOCK suffixes
-    is split by its next digit, and runs of sibling prefixes with at most
-    _BLOCK suffixes in total are completed together, digit by digit, with
+    The code of c is its base-b value with c_1 as the most significant
+    digit, so code order is lexicographic order; the reversed code is the
+    code of c[::-1].  A prefix with more than _BLOCK suffixes is split by
+    its next digit, and runs of sibling prefixes with at most _BLOCK
+    suffixes in total are completed together, digit by digit, with
     np.repeat.
     """
-    b = n + 1
 
-    def suffixes(rem, digits):
-        return [math.comb(r + digits - 1, digits - 1) for r in rem.tolist()]
+    def suffixes(rem, left):
+        return [math.comb(r + left - 1, left - 1) for r in rem.tolist()]
 
     def extend(codes, rcodes, rem, j):
         fan = rem + 1
@@ -252,20 +254,20 @@ def _code_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             np.repeat(rem, fan) - digit,
         )
 
-    # (prefix codes, their reversed-code parts, particles left, digits set)
+    # (prefix codes, their reversed-code parts, units left, digits set)
     start = np.zeros(1, dtype=np.int64)
-    stack = [(start, start, start + n, 0)]
+    stack = [(start, start, start + total, 0)]
     while stack:
         codes, rcodes, rem, j = stack.pop()
-        if sum(suffixes(rem, n - j)) <= _BLOCK:
-            for k in range(j, n - 1):
+        if sum(suffixes(rem, digits - j)) <= _BLOCK:
+            for k in range(j, digits - 1):
                 codes, rcodes, rem = extend(codes, rcodes, rem, k)
-            yield codes * b + rem, rcodes + rem * b ** (n - 1)
+            yield codes * b + rem, rcodes + rem * b ** (digits - 1)
             continue
         # one prefix with too many suffixes: split it by its next digit
         codes, rcodes, rem = extend(codes, rcodes, rem, j)
         runs, first, size = [], 0, 0
-        for i, count in enumerate(suffixes(rem, n - j - 1)):
+        for i, count in enumerate(suffixes(rem, digits - j - 1)):
             if size + count > _BLOCK and i > first:
                 runs.append((first, i))
                 first, size = i, 0
@@ -275,17 +277,39 @@ def _code_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             stack.append((codes[lo:hi], rcodes[lo:hi], rem[lo:hi], j + 1))
 
 
+def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (codes, reversed codes) of the arrangements that can be canonical.
+
+    The least dihedral image of an arrangement with an empty port starts
+    with its longest run of zeros, so it cannot end in 0: the rotation that
+    moves that 0 to the front would be smaller.  The candidates are thus
+    (1, ..., 1), the only arrangement without an empty port, and the
+    arrangements with s_1 = 0 and s_n >= 1, s = (0, c_1, ..., c_(n-1) + 1)
+    for the compositions c of n - 1 into n - 1 parts.  In base b = n + 1,
+    s has code code(c) + 1 and reversed code (rcode(c) + b^(n-2)) * b.
+    (1, ..., 1) comes last, so codes ascend.
+    """
+    b = n + 1
+    if n > 1:
+        for codes, rcodes in _code_blocks(n - 1, n - 1, b):
+            yield codes + 1, (rcodes + b ** (n - 2)) * b
+    ones = np.array([(b**n - 1) // n], dtype=np.int64)
+    yield ones, ones
+
+
 def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     """One QuantumClass per dihedral orbit, ordered by representative.
 
-    Works on base-(n+1) int64 codes (see _code_blocks), block by block.  A
-    rotation by one port maps a code c to (c mod b^(n-1)) * b + c div
-    b^(n-1), with b = n + 1; n - 1 rotations of the code and of the
-    reversed code give the 2n dihedral images.  An arrangement is kept iff
-    its code is the minimum of its images, and its orbit size is 2n over
-    the number of images equal to its code (orbit-stabilizer).  The orbit
-    sizes must cover every arrangement and the class count must equal the
-    Burnside count dihedral_class_count(n); otherwise AssertionError.
+    Works on base-(n+1) int64 codes of the candidates of _candidate_blocks,
+    block by block.  A rotation by one port maps a code c to
+    (c mod b^(n-1)) * b + c div b^(n-1), with b = n + 1; n - 1 rotations of
+    the code and of the reversed code give the 2n dihedral images.  A
+    candidate is kept iff its code is the minimum of its images, and its
+    orbit size is 2n over the number of images equal to its code
+    (orbit-stabilizer).  The orbit sizes must cover every arrangement, so
+    no canonical code was left out of the candidates, and the class count
+    must equal the Burnside count dihedral_class_count(n); otherwise
+    AssertionError.
     """
     total = count_arrangements(n)
     if total > DEFAULT_ENUMERATION_CAP:
@@ -297,7 +321,7 @@ def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     classes = []
     covered = 0
-    for codes, rcodes in _code_blocks(n):
+    for codes, rcodes in _candidate_blocks(n):
         least = np.minimum(codes, rcodes)
         stabilizer = 1 + (rcodes == codes)
         c, r = codes, rcodes

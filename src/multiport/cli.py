@@ -35,6 +35,8 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -175,21 +177,40 @@ def _rows_to_payload(rows) -> list[list]:
     return [[list(r.representative), r.orbit_size, r.z] for r in rows]
 
 
-def _payload_to_rows(payload: list[list]):
-    return [stats.ClassProbabilityRow(tuple(rep), orbit, z) for rep, orbit, z in payload]
+def _payload_to_rows(payload: list[list], n: int):
+    """Rows from [representative, orbit size, z] triples.
+
+    ValueError unless the payload is a list of [list of n ints, int, int];
+    rows of that shape with wrong values are left to the certificate.  The
+    checks map over whole columns, so a cache hit pays little for them.
+    """
+    if type(payload) is not list or set(map(type, payload)) - {list} or set(map(len, payload)) - {3}:
+        raise ValueError("expected a list of [representative, orbit size, z] triples")
+    reps, orbits, zs = (list(map(itemgetter(i), payload)) for i in range(3))
+    if set(map(type, reps)) - {list} or set(map(len, reps)) - {n}:
+        raise ValueError(f"expected representatives of {n} occupancies")
+    if set(map(type, chain(orbits, zs, chain.from_iterable(reps)))) - {int}:
+        raise ValueError("expected integers only")
+    return list(map(stats.ClassProbabilityRow, map(tuple, reps), orbits, zs))
 
 
 def class_rows_cached(config: RunConfig):
     """Class rows for config.n, going through the cache when one is set.
 
     Every mode and command reads the same exact rows, so one entry per n
-    serves them all; it keeps the rows in the order they were built.
+    serves them all; it keeps the rows in the order they were built.  An
+    entry whose payload is not a list of triples is unreadable, like one
+    that is not JSON: a warning, then a recompute and an overwrite.
     """
     key = cache_key("rows", config.n)
     if config.cache_dir is not None:
         payload = cache_load(config.cache_dir, key)
         if payload is not None:
-            return _payload_to_rows(payload)
+            try:
+                return _payload_to_rows(payload, config.n)
+            except ValueError as exc:
+                path = _cache_path(config.cache_dir, key)
+                print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
     rows = stats.class_probability_table(config.n)
     if config.cache_dir is not None:
         cache_store(config.cache_dir, key, _rows_to_payload(rows))

@@ -6,15 +6,17 @@ per input port, the amplitude for the output arrangement s is the permanent
 of the matrix whose rows are the rows of U selected by the port assignment
 of s, divided by sqrt(prod s_j!).
 
-Every entry of the unnormalized matrix is a power of w = exp(2*pi*i/n), and
-its permanent z is an integer by construction: Ryser's formula, grouped by
-how many copies of each repeated row a subset takes, writes z as a signed
-sum of resultants Res(x(t), t^n - 1).  exact_integer_amplitude evaluates
-that sum modulo primes q = 1 (mod n) and rebuilds z by the Chinese
-remainder theorem; a redundant prime guards the reconstruction.  Every
-probability the package reports is z^2 / (n^n * prod s_j!), exactly or
-rounded once to float, so suppression verdicts (z == 0) carry no
-tolerance.  The float permanents (permanent_naive, permanent_ryser and
+Every entry of the unnormalized matrix is a power of w = exp(2*pi*i/n), so
+its permanent z is an algebraic integer, and it is rational: Glynn's
+formula (D. G. Glynn, Eur. J. Combin. 31, 1887 (2010)), grouped by how many
+copies of each repeated row a sign vector negates, writes 2^(n-1) z as a
+signed sum of resultants Res(y(t), t^n - 1).  So z is an integer.
+exact_integer_amplitude evaluates that sum modulo primes q = 1 (mod n),
+divides by 2^(n-1) there, and rebuilds z by the Chinese remainder theorem;
+a redundant prime guards the reconstruction.  Every probability the
+package reports is z^2 / (n^n * prod s_j!), exactly or rounded once to
+float, so suppression verdicts (z == 0) carry no tolerance.  The float
+permanents (permanent_naive, permanent_ryser and
 quantum_probability built on them) stay as independent oracles.
 """
 
@@ -209,7 +211,7 @@ def verify_gamma_shift(s: Sequence[int]) -> bool:
 
 # Names the exact kernel in cache keys, so results of another kernel are
 # never served from the cache.
-EXACT_KERNEL_TAG = "ryser-crt"
+EXACT_KERNEL_TAG = "glynn-crt"
 
 
 def _is_prime(q: int) -> bool:
@@ -233,8 +235,9 @@ def _is_prime(q: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Primes for the exact kernel of order n and their root-power tables.
+def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
+    """Primes for the exact kernel of order n, their root-power tables and
+    the inverses of 2^(n-1) modulo them.
 
     The primes are the largest q = 1 (mod n) below 2^31, as many as the
     bunched arrangement (n, 0, ..., 0), the largest bound, needs, plus one
@@ -256,45 +259,67 @@ def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray]:
         q -= n
     tables = np.array(powers)
     tables.setflags(write=False)
-    return tuple(primes), tables
+    return tuple(primes), tables, tuple(pow(2, 1 - n, q) for q in primes)
 
 
-def _ryser_residues(t: Sequence[int], primes: Sequence[int], powers: np.ndarray) -> list[int]:
-    """z mod q for each prime, from Ryser's formula over repeated rows.
+@lru_cache(maxsize=None)
+def _glynn_weights(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For m = 0..n: the row sums m - 2j and the signed binomials
+    (-1)^j C(m, j), j = 0..m, of m copies of one row, j of them signed -1."""
+    return tuple(
+        (np.arange(m, -m - 1, -2, dtype=np.int64),
+         np.array([(-1) ** j * math.comb(m, j) for j in range(m + 1)], dtype=np.int64))
+        for m in range(n + 1)
+    )
 
-    Row p of the matrix repeats s_p times, so Ryser's row subsets group by
-    the number x_p of copies of each row they take:
 
-        z = sum_{0 <= x <= s} (-1)^(n - |x|) prod_p C(s_p, x_p) prod_k x(w^k)
+def _glynn_residues(t: Sequence[int], primes: Sequence[int], powers: np.ndarray,
+                    inverses: Sequence[int]) -> list[int]:
+    """z mod q for each prime, from Glynn's formula over repeated rows.
 
-    with x(w^k) = sum_p x_p w^(p*k).  The grid of x spans the occupied
-    ports only, so a class costs prod(s_p + 1) * n operations per prime.
+    Row p of the matrix repeats s_p times.  Glynn's sign vectors group by
+    the number j_p of copies of each row signed -1; one copy of a
+    least-occupied port p0 is fixed to +1:
+
+        z = 2^(1-n) sum_j (-1)^|j| C(s_p0 - 1, j_p0) prod_{p != p0} C(s_p, j_p)
+                                   prod_k y_j(w^k)
+
+    with y_j(w^k) = sum_p (s_p - 2 j_p) w^(p*k).  The grid of j spans the
+    occupied ports only, so a class costs s_p0 * prod_{p != p0} (s_p + 1) * n
+    operations per prime.
     """
     n = len(t)
-    q = np.array(primes, dtype=np.int64)[:, None]
-    # sums[i, k, g] = x(w^k) at grid point g, below n * 2^31 until reduced
-    sums = np.zeros((len(primes), n, 1), dtype=np.int64)
-    coeffs = np.ones(1, dtype=np.int64)  # (-1)^(n - |x|) prod C(s_p, x_p)
+    weights = _glynn_weights(n)
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    p0 = min((sp, p) for p, sp in enumerate(t) if sp)[1]
+    # sums[i, k, g] = y(w^k) at grid point g, |y| below n * 2^31 until reduced
+    values, coeffs = weights[t[p0] - 1]
+    values = values + 1  # the copy of row p0 fixed to +1
+    sums = powers[:, p0, :, None] * values
     for p, sp in enumerate(t):
-        if sp:
-            step = powers[:, p, :, None] * np.arange(sp + 1)
+        if sp and p != p0:
+            values, signed = weights[sp]
+            step = powers[:, p, :, None] * values
             sums = (sums[:, :, :, None] + step[:, :, None, :]).reshape(len(primes), n, -1)
-            signed = [(-1) ** (sp - j) * math.comb(sp, j) for j in range(sp + 1)]
-            coeffs = np.multiply.outer(coeffs, np.array(signed, dtype=np.int64)).ravel()
-    sums %= q[:, :, None]
-    prod = sums[:, 0]
-    for k in range(1, n):
-        prod = prod * sums[:, k] % q
-    # sum |coeffs| = 2^n, so the dot product stays below 2^(n + 31)
-    return [int(r) for r in (prod @ coeffs) % q[:, 0]]
+            coeffs = np.multiply.outer(coeffs, signed).ravel()
+    prod = sums % q
+    # prod_k, pairwise: rows k < m - h times rows k >= h, until one is left
+    m = n
+    while m > 1:
+        h = (m + 1) // 2
+        prod[:, : m - h] *= prod[:, h:m]
+        prod[:, : m - h] %= q
+        m = h
+    # sum |coeffs| = 2^(n-1), so the dot product stays below 2^(n + 30)
+    return [int(r) * inv % qi for r, inv, qi in zip(prod[:, 0] @ coeffs, inverses, primes)]
 
 
 def exact_integer_amplitude(s: Sequence[int]) -> int:
     """The unnormalized permanent z of the root-of-unity matrix, exactly.
 
-    Each Ryser term prod_k x(w^k) is the resultant of x(t) and t^n - 1, so
-    z is an integer by construction, and any w of exact order n gives it.
-    It is evaluated mod primes q = 1 (mod n) whose product exceeds 2|z| + 1
+    Each Glynn term prod_k y(w^k) is the resultant of y(t) and t^n - 1, so
+    2^(n-1) z is a sum of integers, and any w of exact order n gives it.
+    z is evaluated mod primes q = 1 (mod n) whose product exceeds 2|z| + 1
     and rebuilt by the Chinese remainder theorem as a symmetric residue.
     One spare prime guards the reconstruction: if its residue disagrees
     with z, ArithmeticError is raised rather than a wrong z returned.
@@ -303,13 +328,13 @@ def exact_integer_amplitude(s: Sequence[int]) -> int:
     n = len(t)
     if n > EXACT_AMPLITUDE_LIMIT:
         raise ResourceLimitError(f"exact amplitude limited to n <= {EXACT_AMPLITUDE_LIMIT}")
-    primes, powers = _kernel_tables(n)
+    primes, powers, inverses = _kernel_tables(n)
     # z^2 / _denominator(t) is a probability, so 2|z| + 1 < bound
     bound = 2 * math.isqrt(_denominator(t)) + 2
     used = 1
     while math.prod(primes[:used]) <= bound:
         used += 1
-    residues = _ryser_residues(t, primes[: used + 1], powers[: used + 1])
+    residues = _glynn_residues(t, primes[: used + 1], powers[: used + 1], inverses[: used + 1])
     z, m = 0, 1
     for r, q in zip(residues[:used], primes):
         z += m * ((r - z) * pow(m, -1, q) % q)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
+import multiport.arrangements as arrangements_module
 from multiport.arrangements import (
     affine_keys,
     canonical_classical,
@@ -182,6 +183,22 @@ class TestQuantumClasses:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_quantum_classes(15)
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_lost_candidate_fails_coverage(self, drop, monkeypatch):
+        # the first candidate, (0, ..., 0, n), and the last, (1, ..., 1),
+        # are both canonical
+        real = arrangements_module._candidate_blocks
+
+        def lossy(n):
+            blocks = list(real(n))
+            codes, rcodes = blocks[drop]
+            blocks[drop] = (np.delete(codes, drop), np.delete(rcodes, drop))
+            return iter(blocks)
+
+        monkeypatch.setattr(arrangements_module, "_candidate_blocks", lossy)
+        with pytest.raises(AssertionError, match="orbit bookkeeping"):
+            enumerate_quantum_classes(7)
 
 
 def _code(s):

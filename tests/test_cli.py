@@ -114,14 +114,14 @@ class TestClasses:
         assert len(keys) == 50
 
     def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
-        real = scattering._ryser_residues
+        real = scattering._glynn_residues
 
-        def corrupted(t, primes, powers):
-            residues = real(t, primes, powers)
+        def corrupted(t, primes, powers, inverses):
+            residues = real(t, primes, powers, inverses)
             residues[0] = (residues[0] + 1) % primes[0]
             return residues
 
-        monkeypatch.setattr(scattering, "_ryser_residues", corrupted)
+        monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         code, _, err = run(capsys, "classes", "--n", "4", "--mode", "exact")
         assert code == 3
@@ -173,7 +173,7 @@ class TestTable1:
         code, census, _ = run(capsys, "table1", "--n-max", "6", "--cache-dir", str(cache))
         assert code == 0
         names = sorted(p.name for p in cache.glob("*.json"))
-        assert names == sorted(f"v1_rows_n{n}_exact-ryser-crt.json" for n in range(2, 7))
+        assert names == sorted(f"v1_rows_n{n}_exact-glynn-crt.json" for n in range(2, 7))
 
         def no_kernel(s):
             raise AssertionError("kernel ran on a cache hit")
@@ -379,13 +379,13 @@ class TestCache:
         monkeypatch.setattr(st, "class_probability_table", recompute)
         code, _, err = run(capsys, "classes", "--n", "6", "--mode", "exact", "--cache-dir", str(cache))
         assert code == 0, err
-        assert [p.name for p in cache.glob("*.json")] == ["v1_rows_n6_exact-ryser-crt.json"]
+        assert [p.name for p in cache.glob("*.json")] == ["v1_rows_n6_exact-glynn-crt.json"]
 
     def test_entry_holds_only_triples(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "classes", "--n", "5", "--cache-dir", str(cache))
         assert code == 0
-        payload = cache_load(cache, "v1_rows_n5_exact-ryser-crt")
+        payload = cache_load(cache, "v1_rows_n5_exact-glynn-crt")
         assert all(len(item) == 3 for item in payload)
         expected = st.class_probability_table(5)
         assert payload == [[list(r.representative), r.orbit_size, r.z] for r in expected]
@@ -419,6 +419,31 @@ class TestCache:
             code, out, err = run(capsys, *argv, "--n", "4", "--cache-dir", str(cache))
             assert (code, out) == (0, clean), argv
             assert "warning: unreadable cache entry" in err
+            assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [[1, 2]],
+            {"rows": []},
+            [[[0, 0, 4], 4, 24]],
+            [[[0, 0, 0, 4], 4]],
+            [[[0, 0, 0, 4.0], 4, 24]],
+            [[[0, 0, 0, 4], "4", 24]],
+            [[[0, 0, 0, 4], 4, None]],
+        ],
+    )
+    def test_misshapen_payload_recomputed(self, capsys, tmp_path, payload):
+        cache = tmp_path / "cache"
+        run(capsys, "classes", "--n", "4", "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        good = entry.read_bytes()
+        for argv in (["classes"], ["table2"], ["dist", "--kind", "occupied-ports"]):
+            _, clean, _ = run(capsys, *argv, "--n", "4")
+            cache_store(cache, entry.stem, payload)  # a valid checksum
+            code, out, err = run(capsys, *argv, "--n", "4", "--cache-dir", str(cache))
+            assert (code, out) == (0, clean), argv
+            assert "warning: unreadable cache entry" in err and "Traceback" not in err
             assert entry.read_bytes() == good
 
     def test_entry_is_canonical_json(self, capsys, tmp_path):
@@ -476,10 +501,12 @@ class TestCache:
         payload = cache_load(donor, next(donor.glob("*.json")).stem)
         payload[0][2] += 1
         # valid, checksummed entries under the names exact entries had
-        # before keys named their kernel, and before they held triples
+        # before keys named their kernel, before they held triples, and
+        # before the kernel was Glynn's
         cache = tmp_path / "cache"
         cache_store(cache, "v1_classes_n4_exact_tol1e-10", payload)
         cache_store(cache, "v1_classes_n4_exact-ryser-crt", [{"representative": [0, 0, 0, 4]}])
+        cache_store(cache, "v1_rows_n4_exact-ryser-crt", payload)
         stale = sorted(cache.glob("*.json"))
         before = [p.read_bytes() for p in stale]
         code, out, err = run(capsys, *args, "--cache-dir", str(cache))
@@ -487,13 +514,13 @@ class TestCache:
         assert out == clean
         assert "warning" not in err
         assert [p.read_bytes() for p in stale] == before
-        assert len(list(cache.glob("*.json"))) == 3
+        assert len(list(cache.glob("*.json"))) == 4
 
     def test_tampered_rows_fail_the_certificate(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
         assert code == 0
-        key = "v1_rows_n6_exact-ryser-crt"
+        key = "v1_rows_n6_exact-glynn-crt"
         payload = cache_load(cache, key)
         item = next(item for item in payload if item[2])
         item[2] += 1

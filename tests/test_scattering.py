@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiport import scattering
+from multiport import scattering, statistics
 from multiport.arrangements import dihedral_orbit, enumerate_arrangements, port_assignment
 from multiport.errors import InvalidArrangementError, ResourceLimitError
 from multiport.scattering import (
@@ -227,6 +227,18 @@ class TestExactAmplitude:
         for s in enumerate_arrangements(n):
             assert exact_integer_amplitude(s) == oracle_z(s), s
 
+    def test_matches_brute_force_on_affine_keys(self, monkeypatch):
+        # every call the class table makes at the oracle's largest n, some
+        # with two or more particles on each occupied port
+        n = scattering.CK_BRUTE_FORCE_LIMIT
+        keys = []
+        monkeypatch.setattr(statistics, "exact_integer_amplitude", lambda s: keys.append(s) or 0)
+        statistics.class_probability_table(n)
+        assert (n, len(keys)) == (9, 70)
+        assert any(min(x for x in s if x) >= 2 for s in keys)
+        for s in keys:
+            assert exact_integer_amplitude(s) == oracle_z(s), s
+
     def test_amplitude_is_rational_integer(self):
         # The c_k histogram reduces to a plain integer for every event.
         for n in range(1, 7):
@@ -288,33 +300,35 @@ class TestKernelChecks:
             sieve[f * f :: f] = False
         assert [scattering._is_prime(q) for q in range(100_000)] == sieve.tolist()
         for n in range(1, 15):
-            primes, powers = scattering._kernel_tables(n)
-            for q, table in zip(primes, powers):
+            primes, powers, inverses = scattering._kernel_tables(n)
+            assert len(primes) == len(powers) == len(inverses)
+            for q, table, inv in zip(primes, powers, inverses):
                 assert q < 2**31 and (q - 1) % n == 0
+                assert inv * 2 ** (n - 1) % q == 1
                 assert np.all(q % np.arange(2, math.isqrt(q) + 1))
                 row = table[1 % n].tolist()  # w^k for k < n
                 assert len(set(row)) == n and pow(row[1 % n], n, q) == 1
 
     @pytest.mark.parametrize("s", [(14,) + (0,) * 13, (0, 0, 0, 1, 1, 0, 0, 0, 1, 5, 4, 0, 0, 2), (1,) * 14])
     def test_wrong_residue_raises(self, s, monkeypatch):
-        real = scattering._ryser_residues
+        real = scattering._glynn_residues
         used = []
 
-        def spy(t, primes, powers):
+        def spy(t, primes, powers, inverses):
             used.append(len(primes))
-            return real(t, primes, powers)
+            return real(t, primes, powers, inverses)
 
-        monkeypatch.setattr(scattering, "_ryser_residues", spy)
+        monkeypatch.setattr(scattering, "_glynn_residues", spy)
         assert exact_integer_amplitude(s) == PINNED_N14[s]
         assert used[0] >= 2  # at least one working prime and the spare
         for bad in range(used[0]):
 
-            def corrupted(t, primes, powers, bad=bad):
-                residues = real(t, primes, powers)
+            def corrupted(t, primes, powers, inverses, bad=bad):
+                residues = real(t, primes, powers, inverses)
                 residues[bad] = (residues[bad] + 1) % primes[bad]
                 return residues
 
-            monkeypatch.setattr(scattering, "_ryser_residues", corrupted)
+            monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
             with pytest.raises(ArithmeticError):
                 exact_integer_amplitude(s)
 
