@@ -35,10 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ._numpy import np
-from .errors import InvalidArrangementError, ResourceLimitError
-
-# Refuse full enumerations beyond this many arrangements (n = 14 is ~20M).
-DEFAULT_ENUMERATION_CAP = 25_000_000
+from .errors import EXACT_AMPLITUDE_LIMIT, InvalidArrangementError, check_size
 
 Arrangement = tuple[int, ...]
 
@@ -311,11 +308,8 @@ def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     must equal the Burnside count dihedral_class_count(n); otherwise
     AssertionError.
     """
+    check_size("class enumeration", n, EXACT_AMPLITUDE_LIMIT)
     total = count_arrangements(n)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"n={n} has {total} arrangements, above the cap of {DEFAULT_ENUMERATION_CAP}"
-        )
     b = n + 1
     high = b ** (n - 1)
     places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)

@@ -19,6 +19,12 @@ its properties.  Floats are exact values rounded once, so --mode only sets
 the mode label of JSON output, and --jobs, still checked to be >= 1,
 changes nothing.
 
+main checks the size argument once, up front, against the caps in errors:
+verify runs brute-force oracles and takes n <= BRUTE_FORCE_LIMIT (9); the
+other row commands take n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses
+a too large --n-max before it builds any n.  ck is left to the check in
+scattering.ck_decomposition.  Each subcommand reads the parsed arguments.
+
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
 """
@@ -33,7 +39,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -48,9 +53,15 @@ from .arrangements import (
     multiplier_image,
     validate_arrangement,
 )
-from .errors import CacheCorruptionError, InvalidArrangementError, ResourceLimitError
-from .scattering import (
+from .errors import (
+    BRUTE_FORCE_LIMIT,
     EXACT_AMPLITUDE_LIMIT,
+    CacheCorruptionError,
+    InvalidArrangementError,
+    ResourceLimitError,
+    check_size,
+)
+from .scattering import (
     EXACT_KERNEL_TAG,
     ck_decomposition,
     exact_integer_amplitude,
@@ -64,24 +75,11 @@ from .scattering import (
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "MULTIPORT_CACHE_DIR"
 
-DEFAULT_VERIFY_CAP = 8
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_CACHE = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n: int
-    mode: str
-    format: str
-    output: Path | None
-    cache_dir: Path | None
-    kind: str | None = None
-    variant: str = "marginal"
 
 
 def _fmt_float(x: float) -> str:
@@ -104,9 +102,9 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def cache_key(kind: str, n: int) -> str:
-    """Entry name; it names the exact kernel that computed the entry."""
-    return f"v{SCHEMA_VERSION}_{kind}_n{n}_exact-{EXACT_KERNEL_TAG}"
+def cache_key(n: int) -> str:
+    """Name of the rows entry of n; it names the exact kernel that computed it."""
+    return f"v{SCHEMA_VERSION}_rows_n{n}_exact-{EXACT_KERNEL_TAG}"
 
 
 def cache_load(cache_dir: Path, key: str) -> dict | None:
@@ -180,9 +178,10 @@ def _rows_to_payload(rows) -> list[list]:
 def _payload_to_rows(payload: list[list], n: int):
     """Rows from [representative, orbit size, z] triples.
 
-    ValueError unless the payload is a list of [list of n ints, int, int];
-    rows of that shape with wrong values are left to the certificate.  The
-    checks map over whole columns, so a cache hit pays little for them.
+    ValueError unless the payload is a list of [list of n ints, int, int]
+    whose representatives are arrangements: non-negative, summing to n.
+    Other wrong values are left to the certificate.  The checks map over
+    whole columns, so a cache hit pays little for them.
     """
     if type(payload) is not list or set(map(type, payload)) - {list} or set(map(len, payload)) - {3}:
         raise ValueError("expected a list of [representative, orbit size, z] triples")
@@ -191,36 +190,38 @@ def _payload_to_rows(payload: list[list], n: int):
         raise ValueError(f"expected representatives of {n} occupancies")
     if set(map(type, chain(orbits, zs, chain.from_iterable(reps)))) - {int}:
         raise ValueError("expected integers only")
+    if set(map(sum, reps)) - {n} or min(chain.from_iterable(reps), default=0) < 0:
+        raise ValueError(f"expected representatives of non-negative occupancies summing to {n}")
     return list(map(stats.ClassProbabilityRow, map(tuple, reps), orbits, zs))
 
 
-def class_rows_cached(config: RunConfig):
-    """Class rows for config.n, going through the cache when one is set.
+def class_rows_cached(n: int, cache_dir: Path | None):
+    """Class rows for n, going through cache_dir when one is set.
 
     Every mode and command reads the same exact rows, so one entry per n
     serves them all; it keeps the rows in the order they were built.  An
-    entry whose payload is not a list of triples is unreadable, like one
-    that is not JSON: a warning, then a recompute and an overwrite.
+    entry that _payload_to_rows rejects is unreadable, like one that is
+    not JSON: a warning, then a recompute and an overwrite.
     """
-    key = cache_key("rows", config.n)
-    if config.cache_dir is not None:
-        payload = cache_load(config.cache_dir, key)
+    key = cache_key(n)
+    if cache_dir is not None:
+        payload = cache_load(cache_dir, key)
         if payload is not None:
             try:
-                return _payload_to_rows(payload, config.n)
+                return _payload_to_rows(payload, n)
             except ValueError as exc:
-                path = _cache_path(config.cache_dir, key)
+                path = _cache_path(cache_dir, key)
                 print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
-    rows = stats.class_probability_table(config.n)
-    if config.cache_dir is not None:
-        cache_store(config.cache_dir, key, _rows_to_payload(rows))
+    rows = stats.class_probability_table(n)
+    if cache_dir is not None:
+        cache_store(cache_dir, key, _rows_to_payload(rows))
     return rows
 
 
-def certified_rows(config: RunConfig):
-    """class_rows_cached, after statistics.check_normalization (exit 3 on failure)."""
-    rows = class_rows_cached(config)
-    stats.check_normalization(config.n, rows)
+def certified_rows(args: argparse.Namespace):
+    """class_rows_cached for args.n, after statistics.check_normalization (exit 3 on failure)."""
+    rows = class_rows_cached(args.n, args.cache_dir)
+    stats.check_normalization(args.n, rows)
     return rows
 
 
@@ -228,12 +229,12 @@ def certified_rows(config: RunConfig):
 # emission
 
 
-def _emit(config: RunConfig, write: Callable[[TextIO], object]) -> None:
-    """Call write on stdout, or on config.output opened for writing."""
-    if config.output is None:
+def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
+    """Call write on stdout, or on args.output opened for writing."""
+    if args.output is None:
         write(sys.stdout)
     else:
-        with config.output.open("w", encoding="utf-8") as f:
+        with args.output.open("w", encoding="utf-8") as f:
             write(f)
 
 
@@ -257,24 +258,24 @@ def _json_cell(v):
     return v
 
 
-def _emit_table(config: RunConfig, header, values, kind: str, n: int, mode: str, **extra) -> None:
-    """Emit one tuple of cells per row, in config.format; CSV and JSON share the cells.
+def _emit_table(args: argparse.Namespace, header, values, kind: str, n: int, mode: str, **extra) -> None:
+    """Emit one tuple of cells per row, in args.format; CSV and JSON share the cells.
 
     CSV rows are written as values yields them, so a table is never held
     as text; JSON is written as one document.
     """
-    if config.format == "csv":
+    if args.format == "csv":
 
         def write(f):
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(map(_csv_cell, row) for row in values)
 
-        _emit(config, write)
+        _emit(args, write)
     else:
         rows = [{k: _json_cell(v) for k, v in zip(header, row)} for row in values]
         doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra, "rows": rows}
-        _emit(config, lambda f: f.write(json.dumps(doc) + "\n"))
+        _emit(args, lambda f: f.write(json.dumps(doc) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -308,58 +309,58 @@ def _class_values(r) -> tuple:
     )
 
 
-def cmd_classes(config: RunConfig) -> int:
+def cmd_classes(args: argparse.Namespace) -> int:
     """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative."""
-    rows = certified_rows(config)
+    rows = certified_rows(args)
     rows.sort(key=lambda r: (stats._multinomial(r.representative), r.representative))
-    _emit_table(config, CLASS_COLUMNS, map(_class_values, rows), "classes", config.n, config.mode)
+    _emit_table(args, CLASS_COLUMNS, map(_class_values, rows), "classes", args.n, args.mode)
     return EXIT_OK
 
 
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(args: argparse.Namespace) -> int:
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
-    census = [stats.census_row(n, class_rows_cached(replace(config, n=n))) for n in range(2, config.n + 1)]
+    census = [stats.census_row(n, class_rows_cached(n, args.cache_dir)) for n in range(2, args.n_max + 1)]
     values = [
         (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
         for r in census
     ]
-    _emit_table(config, header, values, "table1", config.n, config.mode)
+    _emit_table(args, header, values, "table1", args.n_max, args.mode)
     return EXIT_OK
 
 
-def cmd_table2(config: RunConfig) -> int:
+def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
     alive = sorted(
-        (r for r in certified_rows(config) if r.z),
+        (r for r in certified_rows(args) if r.z),
         key=lambda r: (-r.z * r.z, r.representative),
     )
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
-    _emit_table(config, header, values, "table2", config.n, "exact")
+    _emit_table(args, header, values, "table2", args.n, "exact")
     return EXIT_OK
 
 
-def cmd_dist(config: RunConfig) -> int:
-    rows = certified_rows(config)
-    table = stats.distribution(config.kind, config.n, rows=rows, variant=config.variant)
+def cmd_dist(args: argparse.Namespace) -> int:
+    rows = certified_rows(args)
+    table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
-    _emit_table(config, header, table.rows, table.kind, config.n, config.mode, variant=config.variant)
+    _emit_table(args, header, table.rows, table.kind, args.n, args.mode, variant=args.variant)
     return EXIT_OK
 
 
-def cmd_ck(config: RunConfig, arrangement) -> int:
-    s = validate_arrangement(arrangement)
+def cmd_ck(args: argparse.Namespace) -> int:
+    s = validate_arrangement(args.arrangement)
     vec = ck_decomposition(s)
     barycenter = vec.to_complex()
     values = list(enumerate(vec.coefficients))
     extra = {"arrangement": list(s), "barycenter": [barycenter.real, barycenter.imag]}
-    _emit_table(config, ["k", "c_k"], values, "ck", len(s), "exact", **extra)
+    _emit_table(args, ["k", "c_k"], values, "ck", len(s), "exact", **extra)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the oracle suite; print one PASS/FAIL line per property."""
-    n = config.n
+    n = args.n
     failures = []
     lines = []
 
@@ -382,47 +383,26 @@ def cmd_verify(config: RunConfig) -> int:
     # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
     # proves each skipped class an exact zero (statistics.check_normalization,
     # reported here as a FAIL line rather than an exit code 3).
-    rows = class_rows_cached(config)
+    rows = class_rows_cached(n, args.cache_dir)
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
-    bad = None
-    for r in rows:
-        for member in dihedral_orbit(r.representative):
-            if abs(exact_integer_amplitude(member)) != abs(r.z):
-                bad = member
-                break
-        if bad:
-            break
+    members = ((m, r.z) for r in rows for m in dihedral_orbit(r.representative))
+    bad = next((m for m, z in members if abs(exact_integer_amplitude(m)) != abs(z)), None)
     record("dihedral-invariance", bad is None, f"violated by {bad}" if bad else "all orbits agree")
 
     # The rows share one kernel call per affine orbit of Q = 0 classes;
     # recompute z on the image p -> u*p of each of them, for every unit u.
     units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
-    bad = None
-    for r in rows:
-        for u in units if r.Q == 0 else ():
-            image = multiplier_image(r.representative, u)
-            if exact_integer_amplitude(image) != r.z:
-                bad = image
-                break
-        if bad:
-            break
+    images = ((multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units)
+    bad = next((image for image, z in images if exact_integer_amplitude(image) != z), None)
     detail = f"violated by {bad}" if bad else "z(u*s) = z(s) for every unit u"
     record("multiplier-invariance", bad is None, detail)
 
-    bad = None
-    for r in rows:
-        if r.Q != 0 and not is_suppressed_exact(r.representative):
-            bad = r.representative
-            break
+    bad = next((r.representative for r in rows if r.Q != 0 and not is_suppressed_exact(r.representative)), None)
     record("law-soundness", bad is None, f"violated by {bad}" if bad else "Q != 0 implies exact zero")
 
-    bad = None
-    for s in enumerate_arrangements(n):
-        if not verify_gamma_shift(s):
-            bad = s
-            break
+    bad = next((s for s in enumerate_arrangements(n) if not verify_gamma_shift(s)), None)
     record("gamma-shift", bad is None, f"violated by {bad}" if bad else "c_k periodic under Q shift")
 
     anomalous = sorted(r.representative for r in rows if r.Q == 0 and r.suppressed_exact)
@@ -434,7 +414,7 @@ def cmd_verify(config: RunConfig) -> int:
         lines.append("INFO anomalous-suppressions: none")
 
     text = "\n".join(lines) + "\n"
-    _emit(config, lambda f: f.write(text))
+    _emit(args, lambda f: f.write(text))
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
@@ -449,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_n=True):
+    def add_common(p, run, with_n=True):
+        p.set_defaults(run=run)
         if with_n:
             p.add_argument("--n", type=int, required=True, help="number of ports / particles")
         p.add_argument(
@@ -462,20 +443,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs are serial")
         p.add_argument("--cache-dir", type=str, default=None)
-        p.add_argument(
-            "--allow-large",
-            action="store_true",
-            help=f"lift the verify cap from n <= {DEFAULT_VERIFY_CAP} to 9 (runtime grows steeply)",
-        )
 
-    add_common(sub.add_parser("classes", help="per-quantum-class probability table"))
+    add_common(sub.add_parser("classes", help="per-quantum-class probability table"), cmd_classes)
 
     p1 = sub.add_parser("table1", help="event census for n = 2..n_max")
     p1.add_argument("--n-max", type=int, required=True)
-    add_common(p1, with_n=False)
+    add_common(p1, cmd_table1, with_n=False)
 
     p2 = sub.add_parser("table2", help="nonsuppressed classes with exact enhancements")
-    add_common(p2)
+    add_common(p2, cmd_table2)
 
     pd = sub.add_parser("dist", help="coarse-grained distribution table")
     pd.add_argument(
@@ -487,10 +463,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="marginal",
         help="port-occupancy definition",
     )
-    add_common(pd)
+    add_common(pd, cmd_dist)
 
-    pv = sub.add_parser("verify", help="oracle and invariant sweep")
-    add_common(pv)
+    pv = sub.add_parser("verify", help=f"oracle and invariant sweep, n <= {BRUTE_FORCE_LIMIT}")
+    add_common(pv, cmd_verify)
 
     pc = sub.add_parser("ck", help="phase-class histogram of one arrangement")
     pc.add_argument(
@@ -498,20 +474,20 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated occupancies, e.g. 0,1,2,1,0,2",
     )
-    add_common(pc, with_n=False)
+    add_common(pc, cmd_ck, with_n=False)
 
     return parser
 
 
-def _check_caps(parser, n: int, allow_large: bool, command: str) -> None:
+def _check_caps(parser, args: argparse.Namespace) -> None:
+    """Check the size argument against the caps in errors, before any rows are built."""
+    n = args.n_max if args.command == "table1" else args.n
     if n < 1:
         parser.error(f"--n must be >= 1, got {n}")
-    if command == "verify":
-        cap = 9 if allow_large else DEFAULT_VERIFY_CAP
-        if n > cap:
-            raise ResourceLimitError(f"verify supports n <= {cap} (brute-force oracles)")
-    elif n > EXACT_AMPLITUDE_LIMIT:
-        raise ResourceLimitError(f"exact amplitudes limited to n <= {EXACT_AMPLITUDE_LIMIT}")
+    if args.command == "verify":
+        check_size("verify (brute-force oracles)", n, BRUTE_FORCE_LIMIT)
+    else:
+        check_size("exact amplitudes", n, EXACT_AMPLITUDE_LIMIT)
 
 
 def main(argv=None) -> int:
@@ -519,46 +495,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "table1":
-            n = args.n_max
-            if n < 2:
-                parser.error(f"--n-max must be >= 2, got {n}")
-        elif args.command == "ck":
+        if args.command == "table1" and args.n_max < 2:
+            parser.error(f"--n-max must be >= 2, got {args.n_max}")
+        if args.command == "ck":
             try:
-                arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]
+                args.arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]
             except ValueError:
                 parser.error(f"--arrangement must be comma-separated integers, got {args.arrangement!r}")
-            n = len(arrangement)
-        else:
-            n = args.n
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.command != "ck":
-            _check_caps(parser, n, args.allow_large, args.command)
-
-        config = RunConfig(
-            n=n,
-            mode=args.mode,
-            format=args.format,
-            output=args.output,
-            cache_dir=_resolve_cache_dir(args.cache_dir),
-            kind=getattr(args, "kind", None),
-            variant=getattr(args, "variant", "marginal"),
-        )
-
-        if args.command == "classes":
-            return cmd_classes(config)
-        if args.command == "table1":
-            return cmd_table1(config)
-        if args.command == "table2":
-            return cmd_table2(config)
-        if args.command == "dist":
-            return cmd_dist(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "ck":
-            return cmd_ck(config, arrangement)
-        parser.error(f"unknown command {args.command}")
+            _check_caps(parser, args)
+        args.cache_dir = _resolve_cache_dir(args.cache_dir)
+        return args.run(args)
     except InvalidArrangementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -568,7 +517,6 @@ def main(argv=None) -> int:
     except CacheCorruptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import cmath
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import CYCLOTOMIC_LIMIT, check_size
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -25,8 +27,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 64:
-        raise ValueError("cyclotomic_polynomial supports n <= 64")
+    check_size("cyclotomic_polynomial", n, CYCLOTOMIC_LIMIT)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:

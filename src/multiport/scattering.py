@@ -32,12 +32,7 @@ from typing import Sequence
 from ._numpy import np
 from .arrangements import port_assignment, validate_arrangement
 from .cyclotomic import CyclotomicVector
-from .errors import ResourceLimitError
-
-NAIVE_PERMANENT_LIMIT = 9
-RYSER_PERMANENT_LIMIT = 24
-CK_BRUTE_FORCE_LIMIT = 9
-EXACT_AMPLITUDE_LIMIT = 14
+from .errors import BRUTE_FORCE_LIMIT, EXACT_AMPLITUDE_LIMIT, RYSER_PERMANENT_LIMIT, check_size
 
 
 @lru_cache(maxsize=32)
@@ -62,8 +57,7 @@ def permanent_naive(matrix: np.ndarray) -> complex:
     size = m.shape[0]
     if m.shape != (size, size):
         raise ValueError("matrix must be square")
-    if size > NAIVE_PERMANENT_LIMIT:
-        raise ResourceLimitError(f"naive permanent limited to size {NAIVE_PERMANENT_LIMIT}")
+    check_size("naive permanent", size, BRUTE_FORCE_LIMIT)
     rows = range(size)
     total = 0j
     for perm in itertools.permutations(range(size)):
@@ -85,8 +79,7 @@ def permanent_ryser(matrix: np.ndarray) -> complex:
     size = m.shape[0]
     if m.shape != (size, size):
         raise ValueError("matrix must be square")
-    if size > RYSER_PERMANENT_LIMIT:
-        raise ResourceLimitError(f"Ryser permanent limited to size {RYSER_PERMANENT_LIMIT}")
+    check_size("Ryser permanent", size, RYSER_PERMANENT_LIMIT)
     if size == 0:
         return 1.0 + 0j
     rowsums = np.zeros(size, dtype=complex)
@@ -136,19 +129,17 @@ def suppression_Q(s: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Amplitude:
-    """Transition amplitude, optionally with its exact unnormalized form.
+    """Transition amplitude and the factor that normalizes the permanent.
 
-    When exact is present, it is the integer z and value equals
-    z * normalization up to float rounding, with
-    normalization = 1 / (n^(n/2) * sqrt(prod s_j!)).
+    value equals exact_integer_amplitude(s) * normalization up to float
+    rounding, with normalization = 1 / (n^(n/2) * sqrt(prod s_j!)).
     """
 
     value: complex
-    exact: int | None
     normalization: float
 
 
-def quantum_amplitude(s: Sequence[int], with_exact: bool = False) -> Amplitude:
+def quantum_amplitude(s: Sequence[int]) -> Amplitude:
     """Amplitude for arrangement s from one particle in each input port."""
     t = validate_arrangement(s)
     n = len(t)
@@ -159,9 +150,8 @@ def quantum_amplitude(s: Sequence[int], with_exact: bool = False) -> Amplitude:
     for x in t:
         repeat_factor *= math.factorial(x)
     value = permanent_ryser(m) / math.sqrt(repeat_factor)
-    exact = exact_integer_amplitude(t) if with_exact else None
     normalization = 1.0 / (n ** (n / 2.0) * math.sqrt(repeat_factor))
-    return Amplitude(value=value, exact=exact, normalization=normalization)
+    return Amplitude(value=value, normalization=normalization)
 
 
 def quantum_probability(s: Sequence[int]) -> float:
@@ -171,7 +161,7 @@ def quantum_probability(s: Sequence[int]) -> float:
 
 @lru_cache(maxsize=4)
 def _all_permutations(n: int) -> np.ndarray:
-    """All permutations of range(n) as an (n!, n) int array (n <= 9)."""
+    """All permutations of range(n) as an (n!, n) int array (n <= BRUTE_FORCE_LIMIT)."""
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
@@ -186,10 +176,7 @@ def ck_decomposition(s: Sequence[int]) -> CyclotomicVector:
     """
     t = validate_arrangement(s)
     n = len(t)
-    if n > CK_BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(
-            f"brute-force decomposition limited to n <= {CK_BRUTE_FORCE_LIMIT} (n! terms)"
-        )
+    check_size("brute-force decomposition", n, BRUTE_FORCE_LIMIT)
     d0 = np.array(port_assignment(t), dtype=np.int64) - 1
     theta = (_all_permutations(n) @ d0) % n
     counts = np.bincount(theta, minlength=n)
@@ -326,8 +313,7 @@ def exact_integer_amplitude(s: Sequence[int]) -> int:
     """
     t = validate_arrangement(s)
     n = len(t)
-    if n > EXACT_AMPLITUDE_LIMIT:
-        raise ResourceLimitError(f"exact amplitude limited to n <= {EXACT_AMPLITUDE_LIMIT}")
+    check_size("exact amplitude", n, EXACT_AMPLITUDE_LIMIT)
     primes, powers, inverses = _kernel_tables(n)
     # z^2 / _denominator(t) is a probability, so 2|z| + 1 < bound
     bound = 2 * math.isqrt(_denominator(t)) + 2

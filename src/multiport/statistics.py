@@ -37,12 +37,7 @@ from .arrangements import (
     enumerate_quantum_classes,
     partition_count,
 )
-from .errors import ResourceLimitError
-from .scattering import (
-    EXACT_AMPLITUDE_LIMIT,
-    _denominator,
-    exact_integer_amplitude,
-)
+from .scattering import _denominator, exact_integer_amplitude
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
 OCCUPANCY_VARIANTS = ("marginal", "at-least-one")
@@ -157,8 +152,6 @@ def class_probability_table(n: int) -> list[ClassProbabilityRow]:
     by the zero-transmission law (Tichy et al., PRL 104, 220405);
     check_normalization certifies it, and `verify` checks it class by class.
     """
-    if n > EXACT_AMPLITUDE_LIMIT:
-        raise ResourceLimitError(f"class table limited to n <= {EXACT_AMPLITUDE_LIMIT}")
     classes = enumerate_quantum_classes(n)
     z = [0] * len(classes)
     for i, zi in zip(*q0_amplitudes(classes)):

@@ -25,6 +25,7 @@ from multiport.arrangements import (
     validate_arrangement,
 )
 from multiport.errors import InvalidArrangementError, ResourceLimitError
+from multiport.statistics import class_probability_table
 
 
 def arrangements(max_n=7):
@@ -181,8 +182,10 @@ class TestQuantumClasses:
         assert qc.orbit_size == len(dihedral_orbit((2, 1, 2, 1, 0, 0)))
 
     def test_enumeration_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_quantum_classes(15)
+        # the class table has no cap of its own: enumeration refuses for it
+        for build in (enumerate_quantum_classes, class_probability_table):
+            with pytest.raises(ResourceLimitError):
+                build(15)
 
     @pytest.mark.parametrize("drop", [0, -1])
     def test_lost_candidate_fails_coverage(self, drop, monkeypatch):

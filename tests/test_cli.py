@@ -281,9 +281,19 @@ class TestVerify:
         assert code == 0
         assert "anomalous-suppressions: none" in out
 
-    def test_cap(self, capsys):
-        code, _, _ = run(capsys, "verify", "--n", "12")
-        assert code == 3
+    def test_cap(self, capsys, monkeypatch):
+        def no_rows(n):
+            raise AssertionError("rows built past the verify cap")
+
+        monkeypatch.setattr(st, "class_probability_table", no_rows)
+        code, out, err = run(capsys, "verify", "--n", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "n <= 9" in err
+
+    def test_allow_large_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "9", "--allow-large"])
+        assert exc.value.code == 2
 
     def test_wrong_amplitude_fails_normalization(self, capsys, monkeypatch):
         real = scattering.exact_integer_amplitude
@@ -431,6 +441,9 @@ class TestCache:
             [[[0, 0, 0, 4.0], 4, 24]],
             [[[0, 0, 0, 4], "4", 24]],
             [[[0, 0, 0, 4], 4, None]],
+            [[[0, 0, 0, -4], 1, 24]],
+            [[[0, 0, -1, 5], 1, 24]],
+            [[[0, 0, 1, 4], 4, 24]],
         ],
     )
     def test_misshapen_payload_recomputed(self, capsys, tmp_path, payload):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from multiport.cyclotomic import CyclotomicVector, cyclotomic_polynomial, poly_mod
+from multiport.errors import ResourceLimitError
 
 
 def poly_mul(a, b):
@@ -48,6 +49,11 @@ class TestCyclotomicPolynomial:
             w = cmath.exp(2j * cmath.pi / n)
             value = sum(c * w**k for k, c in enumerate(cyclotomic_polynomial(n)))
             assert abs(value) < 1e-12
+
+    def test_limit(self):
+        assert len(cyclotomic_polynomial(64)) - 1 == 32
+        with pytest.raises(ResourceLimitError):
+            cyclotomic_polynomial(65)
 
 
 class TestPolyMod:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multiport import scattering, statistics
 from multiport.arrangements import dihedral_orbit, enumerate_arrangements, port_assignment
-from multiport.errors import InvalidArrangementError, ResourceLimitError
+from multiport.errors import BRUTE_FORCE_LIMIT, InvalidArrangementError, ResourceLimitError
 from multiport.scattering import (
     batch_quantum_probability,
     ck_decomposition,
@@ -119,9 +119,10 @@ class TestQuantumAmplitude:
 
     def test_exact_field_relation(self):
         for s in [(2, 0), (1, 1, 1), (0, 1, 2, 1, 0, 2), (0, 2, 0, 2, 0, 2)]:
-            amp = quantum_amplitude(s, with_exact=True)
-            assert amp.exact == ck_decomposition(s).as_integer()
-            assert abs(amp.value - amp.exact * amp.normalization) < 1e-9
+            z = exact_integer_amplitude(s)
+            assert z == ck_decomposition(s).as_integer()
+            amp = quantum_amplitude(s)
+            assert abs(amp.value - z * amp.normalization) < 1e-9
 
     @given(arrangements(max_n=5))
     @settings(max_examples=60, deadline=None)
@@ -230,7 +231,7 @@ class TestExactAmplitude:
     def test_matches_brute_force_on_affine_keys(self, monkeypatch):
         # every call the class table makes at the oracle's largest n, some
         # with two or more particles on each occupied port
-        n = scattering.CK_BRUTE_FORCE_LIMIT
+        n = BRUTE_FORCE_LIMIT
         keys = []
         monkeypatch.setattr(statistics, "exact_integer_amplitude", lambda s: keys.append(s) or 0)
         statistics.class_probability_table(n)
