@@ -2,15 +2,11 @@
 
 from .arrangements import (
     Arrangement,
-    ClassicalClass,
     QuantumClass,
-    canonical_classical,
-    canonical_quantum,
     count_arrangements,
     dihedral_class_count,
     dihedral_orbit,
     enumerate_arrangements,
-    enumerate_classical_classes,
     enumerate_quantum_classes,
     partition_count,
     port_assignment,
@@ -19,7 +15,6 @@ from .arrangements import (
 from .cyclotomic import CyclotomicVector, cyclotomic_polynomial
 from .errors import InvalidArrangementError, ResourceLimitError
 from .scattering import (
-    Amplitude,
     classical_probability,
     ck_decomposition,
     exact_integer_amplitude,
@@ -40,7 +35,6 @@ from .statistics import (
     class_probability_table,
     classical_class_distribution,
     distribution,
-    enhancement,
     occupied_ports_distribution,
     port_occupancy_distribution,
     suppressed_fraction_estimate,

@@ -15,7 +15,7 @@ and those with s_1 = 0 and s_n >= 1, C(2n-3, n-1) + 1 of the C(2n-1, n).  A
 code is canonical iff it is the least of its 2n dihedral images, and the
 images equal to it give the orbit size (orbit-stabilizer).  The orbit sizes
 must cover all C(2n-1, n) arrangements, and the class count must equal
-Burnside's (dihedral_class_count).  dihedral_orbit and canonical_quantum
+Burnside's (dihedral_class_count).  dihedral_orbit and quantum_class_of
 are the per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
@@ -30,7 +30,6 @@ into affine orbits, so that one kernel call serves a whole orbit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -71,16 +70,6 @@ def port_assignment(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
-def arrangement_from_ports(d: Sequence[int], n: int) -> Arrangement:
-    """Recover the occupation vector from a port-assignment list."""
-    counts = [0] * n
-    for p in d:
-        if not 1 <= p <= n:
-            raise InvalidArrangementError(f"port label {p} outside 1..{n}")
-        counts[p - 1] += 1
-    return validate_arrangement(counts)
-
-
 def count_arrangements(n: int) -> int:
     """Number of distinct arrangements of n particles over n ports."""
     if n < 1:
@@ -119,30 +108,6 @@ def enumerate_arrangements(n: int) -> Iterator[Arrangement]:
         a[i + 1] = rest
 
 
-@dataclass(frozen=True)
-class ClassicalClass:
-    """A classical equivalence class: a partition plus its arrangement count."""
-
-    partition: Arrangement
-    member_count: int
-
-
-def canonical_classical(s: Sequence[int]) -> ClassicalClass:
-    """Map an arrangement to its classical class (sorted occupancies).
-
-    member_count is the number of distinct arrangements sharing the
-    partition: n! divided by the factorials of the value multiplicities
-    (zeros included).
-    """
-    t = validate_arrangement(s)
-    part = tuple(sorted(t, reverse=True))
-    n = len(t)
-    members = math.factorial(n)
-    for mult in Counter(part).values():
-        members //= math.factorial(mult)
-    return ClassicalClass(partition=part, member_count=members)
-
-
 def partition_count(n: int) -> int:
     """Number of partitions of n (equals the count of classical classes)."""
     table = [1] + [0] * n
@@ -169,11 +134,6 @@ def dihedral_transforms(s: Sequence[int]) -> Iterator[Arrangement]:
 def dihedral_orbit(s: Sequence[int]) -> frozenset[Arrangement]:
     """The set of distinct arrangements reachable by dihedral relabeling."""
     return frozenset(dihedral_transforms(s))
-
-
-def canonical_quantum(s: Sequence[int]) -> Arrangement:
-    """Lexicographically smallest member of the dihedral orbit."""
-    return min(dihedral_transforms(s))
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,11 +351,3 @@ def affine_keys(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rcode = rcode % high * b + rcode // high
     return keys, shifts
 
-
-def enumerate_classical_classes(n: int) -> list[ClassicalClass]:
-    """One ClassicalClass per partition of n, ordered by partition."""
-    seen: dict[Arrangement, ClassicalClass] = {}
-    for s in enumerate_arrangements(n):
-        c = canonical_classical(s)
-        seen.setdefault(c.partition, c)
-    return [seen[p] for p in sorted(seen)]

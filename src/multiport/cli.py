@@ -15,15 +15,20 @@ as (representative, orbit size, z) triples; every column is derived from
 z, and table1 reduces the rows of each n = 2..n_max.  classes, table2,
 dist and table1 first check that the rows carry total probability exactly
 1 (statistics.check_normalization); verify reports that check as one of
-its properties.  Floats are exact values rounded once, so --mode only sets
-the mode label of JSON output, and --jobs, still checked to be >= 1,
-changes nothing.
+its properties.
+
+Each subcommand takes only the options it reads (_build_parser).  Floats
+are exact values rounded once, so --mode, on classes, table1 and dist,
+only sets the mode label of JSON output; --jobs, on classes and table1,
+is checked to be >= 1 and changes nothing.  dist takes a non-default
+--variant with --kind port-occupancy only.
 
 main checks the size argument once, up front, against the caps in errors:
 verify runs brute-force oracles and takes n <= BRUTE_FORCE_LIMIT (9); the
 other row commands take n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses
 a too large --n-max before it builds any n.  ck is left to the check in
 scattering.ck_decomposition.  Each subcommand reads the parsed arguments.
+An --output file that cannot be written is an invalid argument.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -58,6 +63,7 @@ from .errors import (
     EXACT_AMPLITUDE_LIMIT,
     CacheCorruptionError,
     InvalidArrangementError,
+    OutputError,
     ResourceLimitError,
     check_size,
 )
@@ -230,12 +236,15 @@ def certified_rows(args: argparse.Namespace):
 
 
 def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
-    """Call write on stdout, or on args.output opened for writing."""
+    """Call write on stdout, or on args.output opened for writing; OutputError if that fails."""
     if args.output is None:
         write(sys.stdout)
-    else:
+        return
+    try:
         with args.output.open("w", encoding="utf-8") as f:
             write(f)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _csv_cell(v) -> str:
@@ -422,6 +431,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+# The options several subcommands share; each subcommand takes those it reads.
+_SHARED_OPTIONS = {
+    "--n": dict(type=int, required=True, help="number of ports / particles"),
+    "--mode": dict(
+        choices=("float", "exact"),
+        default="float",
+        help="label of JSON output only; every result is computed exactly",
+    ),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--output": dict(type=Path, default=None, help="write here instead of stdout"),
+    "--jobs": dict(type=int, default=1, help="accepted for compatibility; runs are serial"),
+    "--cache-dir": dict(type=str, default=None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiport",
@@ -429,31 +453,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run, with_n=True):
+    def add(name, run, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        if with_n:
-            p.add_argument("--n", type=int, required=True, help="number of ports / particles")
-        p.add_argument(
-            "--mode",
-            choices=("float", "exact"),
-            default="float",
-            help="label of JSON output only; every result is computed exactly",
-        )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; runs are serial")
-        p.add_argument("--cache-dir", type=str, default=None)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_OPTIONS[flag])
+        return p
 
-    add_common(sub.add_parser("classes", help="per-quantum-class probability table"), cmd_classes)
+    add("classes", cmd_classes, "per-quantum-class probability table",
+        "--n", "--mode", "--format", "--output", "--jobs", "--cache-dir")
 
-    p1 = sub.add_parser("table1", help="event census for n = 2..n_max")
+    p1 = add("table1", cmd_table1, "event census for n = 2..n_max",
+             "--mode", "--format", "--output", "--jobs", "--cache-dir")
     p1.add_argument("--n-max", type=int, required=True)
-    add_common(p1, cmd_table1, with_n=False)
 
-    p2 = sub.add_parser("table2", help="nonsuppressed classes with exact enhancements")
-    add_common(p2, cmd_table2)
+    add("table2", cmd_table2, "nonsuppressed classes with exact enhancements",
+        "--n", "--format", "--output", "--cache-dir")
 
-    pd = sub.add_parser("dist", help="coarse-grained distribution table")
+    pd = add("dist", cmd_dist, "coarse-grained distribution table",
+             "--n", "--mode", "--format", "--output", "--cache-dir")
     pd.add_argument(
         "--kind", choices=stats.DISTRIBUTION_KINDS, required=True, help="grouping of arrangements"
     )
@@ -461,20 +479,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variant",
         choices=stats.OCCUPANCY_VARIANTS,
         default="marginal",
-        help="port-occupancy definition",
+        help="port-occupancy definition (--kind port-occupancy only)",
     )
-    add_common(pd, cmd_dist)
 
-    pv = sub.add_parser("verify", help=f"oracle and invariant sweep, n <= {BRUTE_FORCE_LIMIT}")
-    add_common(pv, cmd_verify)
+    add("verify", cmd_verify, f"oracle and invariant sweep, n <= {BRUTE_FORCE_LIMIT}",
+        "--n", "--output", "--cache-dir")
 
-    pc = sub.add_parser("ck", help="phase-class histogram of one arrangement")
+    pc = add("ck", cmd_ck, "phase-class histogram of one arrangement", "--format", "--output")
     pc.add_argument(
         "--arrangement",
         required=True,
         help="comma-separated occupancies, e.g. 0,1,2,1,0,2",
     )
-    add_common(pc, cmd_ck, with_n=False)
 
     return parser
 
@@ -502,13 +518,16 @@ def main(argv=None) -> int:
                 args.arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]
             except ValueError:
                 parser.error(f"--arrangement must be comma-separated integers, got {args.arrangement!r}")
-        if args.jobs < 1:
+        if args.command == "dist" and args.kind != "port-occupancy" and args.variant != "marginal":
+            parser.error(f"--variant applies to --kind port-occupancy only, not {args.kind}")
+        if "jobs" in args and args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.command != "ck":
             _check_caps(parser, args)
-        args.cache_dir = _resolve_cache_dir(args.cache_dir)
+        if "cache_dir" in args:
+            args.cache_dir = _resolve_cache_dir(args.cache_dir)
         return args.run(args)
-    except InvalidArrangementError as exc:
+    except (InvalidArrangementError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, ArithmeticError) as exc:

@@ -26,6 +26,10 @@ class CacheCorruptionError(RuntimeError):
     """A cache entry failed its integrity check and could not be replaced."""
 
 
+class OutputError(OSError):
+    """The file named by --output cannot be written."""
+
+
 def check_size(what: str, n: int, limit: int) -> None:
     """Raise ResourceLimitError when n exceeds limit, one of the caps above."""
     if n > limit:

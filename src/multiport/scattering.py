@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -127,36 +126,22 @@ def suppression_Q(s: Sequence[int]) -> int:
     return sum(j * x for j, x in enumerate(t, start=1)) % n
 
 
-@dataclass(frozen=True)
-class Amplitude:
-    """Transition amplitude and the factor that normalizes the permanent.
+def quantum_amplitude(s: Sequence[int]) -> complex:
+    """Amplitude for arrangement s from one particle in each input port.
 
-    value equals exact_integer_amplitude(s) * normalization up to float
-    rounding, with normalization = 1 / (n^(n/2) * sqrt(prod s_j!)).
+    It equals exact_integer_amplitude(s) / sqrt(n^n * prod s_j!) up to
+    float rounding.
     """
-
-    value: complex
-    normalization: float
-
-
-def quantum_amplitude(s: Sequence[int]) -> Amplitude:
-    """Amplitude for arrangement s from one particle in each input port."""
     t = validate_arrangement(s)
     n = len(t)
     d = port_assignment(t)
-    u = fourier_unitary(n)
-    m = u[[p - 1 for p in d], :]
-    repeat_factor = 1.0
-    for x in t:
-        repeat_factor *= math.factorial(x)
-    value = permanent_ryser(m) / math.sqrt(repeat_factor)
-    normalization = 1.0 / (n ** (n / 2.0) * math.sqrt(repeat_factor))
-    return Amplitude(value=value, normalization=normalization)
+    m = fourier_unitary(n)[[p - 1 for p in d], :]
+    return permanent_ryser(m) / math.sqrt(math.prod(map(math.factorial, t)))
 
 
 def quantum_probability(s: Sequence[int]) -> float:
     """|amplitude|^2, in [0, 1]."""
-    return abs(quantum_amplitude(s).value) ** 2
+    return abs(quantum_amplitude(s)) ** 2
 
 
 @lru_cache(maxsize=4)

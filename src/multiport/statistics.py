@@ -52,12 +52,6 @@ def suppressed_fraction_estimate(n: int) -> float:
     return 1.0 - 1.0 / n
 
 
-def enhancement(s: Sequence[int]) -> Fraction:
-    """Ratio of quantum to classical probability for one arrangement, z^2/n!."""
-    z = exact_integer_amplitude(s)
-    return Fraction(z * z, math.factorial(len(s)))
-
-
 def _multinomial(t: Arrangement) -> int:
     """n!/prod s_j!, the particle-to-port maps giving t; p_classical is this over n^n."""
     return math.factorial(len(t)) // math.prod(map(math.factorial, t))

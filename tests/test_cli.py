@@ -232,6 +232,18 @@ class TestDist:
             main(["dist", "--n", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["occupied-ports", "classical-classes"])
+    def test_variant_only_for_port_occupancy(self, capsys, kind, n):
+        argv = ["dist", "--n", str(n), "--kind", kind]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--variant", "at-least-one"])
+        assert exc.value.code == 2
+        assert "--variant" in capsys.readouterr().err
+        code, out, _ = run(capsys, *argv, "--variant", "marginal", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["variant"] == "marginal"
+
 
 class TestCk:
     def test_known_vector(self, capsys):
@@ -349,6 +361,51 @@ class TestFormats:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("representative,")
+
+
+    @pytest.mark.parametrize("argv", [["classes", "--n", "3"], ["verify", "--n", "2"]])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOptions:
+    """Each subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["table2", "--n", "3", "--mode", "exact"], 2),
+            (["table2", "--n", "3", "--jobs", "2"], 2),
+            (["dist", "--n", "3", "--kind", "occupied-ports", "--jobs", "2"], 2),
+            (["verify", "--n", "3", "--mode", "exact"], 2),
+            (["verify", "--n", "3", "--format", "json"], 2),
+            (["verify", "--n", "3", "--jobs", "2"], 2),
+            (["ck", "--arrangement", "0,0,3", "--mode", "exact"], 2),
+            (["ck", "--arrangement", "0,0,3", "--jobs", "2"], 2),
+            (["ck", "--arrangement", "0,0,3", "--cache-dir", "cache"], 2),
+            # the argument lists of the benchmark in perfbench/
+            (["table1", "--n-max", "4", "--mode", "exact", "--jobs", "2"], 0),
+            (["classes", "--n", "4", "--mode", "exact", "--jobs", "2"], 0),
+            (["dist", "--n", "4", "--kind", "port-occupancy", "--variant", "at-least-one"], 0),
+            (["classes", "--n", "4", "--format", "json"], 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_exit_code(self, capsys, monkeypatch, argv, code):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        assert _exit_code(argv) == code
 
 
 class TestDeterminism:
