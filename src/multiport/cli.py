@@ -17,6 +17,12 @@ dist and table1 first check that the rows carry total probability exactly
 1 (statistics.check_normalization); verify reports that check as one of
 its properties.
 
+classes derives the cells of each row in _class_cells, in integer
+arithmetic from its representative and z; the ClassProbabilityRow
+properties are the reference the tests hold them to.  _emit_table writes
+each row as it is rendered, in CSV and JSON alike, so no table is held
+as text; the rows are certified before the first byte is written.
+
 Each subcommand takes only the options it reads (_build_parser).  Floats
 are exact values rounded once, so --mode, on classes, table1 and dist,
 only sets the mode label of JSON output; --jobs, on classes and table1,
@@ -45,8 +51,8 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -260,31 +266,51 @@ def _csv_cell(v) -> str:
 
 
 def _json_cell(v):
-    if isinstance(v, tuple):
-        return list(v)
+    """JSON conventions: fractions as {"num", "den"}; json writes tuples as arrays."""
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator}
     return v
 
 
-def _emit_table(args: argparse.Namespace, header, values, kind: str, n: int, mode: str, **extra) -> None:
-    """Emit one tuple of cells per row, in args.format; CSV and JSON share the cells.
+def _cells(fmt: str, values):
+    """Each tuple of values with its cells rendered for fmt by _csv_cell or _json_cell."""
+    cell = _csv_cell if fmt == "csv" else _json_cell
+    return (map(cell, row) for row in values)
 
-    CSV rows are written as values yields them, so a table is never held
-    as text; JSON is written as one document.
+
+# Rows per json.dumps call when streaming JSON; one call per row would
+# spend most of its time setting up the encoder.
+_JSON_CHUNK = 1024
+
+
+def _emit_table(args: argparse.Namespace, header, rows, kind: str, n: int, mode: str, **extra) -> None:
+    """Write rows, iterables of cells rendered for args.format, as rows yields them.
+
+    Neither format holds the table: CSV goes through csv.writer, and JSON
+    is the bytes of json.dumps of the whole document, written as its head,
+    then the rows, _JSON_CHUNK at a time, and the tail.  json.dumps joins
+    list items with ", " at any level, so the pieces join to the same text.
     """
     if args.format == "csv":
 
         def write(f):
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(map(_csv_cell, row) for row in values)
+            writer.writerows(rows)
 
-        _emit(args, write)
     else:
-        rows = [{k: _json_cell(v) for k, v in zip(header, row)} for row in values]
-        doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra, "rows": rows}
-        _emit(args, lambda f: f.write(json.dumps(doc) + "\n"))
+        doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra}
+        head = json.dumps(doc)[:-1] + ', "rows": ['
+
+        def write(f):
+            f.write(head)
+            it, sep = iter(rows), ""
+            while chunk := [dict(zip(header, row)) for row in islice(it, _JSON_CHUNK)]:
+                f.write(sep + json.dumps(chunk)[1:-1])
+                sep = ", "
+            f.write("]}\n")
+
+    _emit(args, write)
 
 
 # ---------------------------------------------------------------------------
@@ -303,26 +329,52 @@ CLASS_COLUMNS = (
 )
 
 
-def _class_values(r) -> tuple:
-    """The CLASS_COLUMNS of one row, each derived from z once."""
-    p_classical = r.p_classical
-    return (
-        r.representative,
-        r.orbit_size,
-        r.Q,
-        r.suppressed_exact,
-        p_classical.numerator,
-        p_classical.denominator,
-        r.p_quantum,
-        r.enhancement,
-    )
+def _class_cells(n: int, rows, fmt: str):
+    """The CLASS_COLUMNS cells of each row, in integer arithmetic, rendered for fmt.
+
+    With m = n!/prod s_j!, p_classical is m/n^n reduced by gcd(m, n^n),
+    p_quantum is z^2/(n^n * prod s_j!) as one int/int division, rounded
+    once, and enhancement is z^2/n! reduced by gcd(z^2, n!).  A row with
+    z = 0 takes constant suppressed, p_quantum and enhancement cells.  The
+    ClassProbabilityRow properties define the values; the tests compare.
+    """
+    n_fact, n_pow, ports = math.factorial(n), n**n, range(1, n + 1)
+    if fmt == "csv":
+        digits = list(map(str, range(n + 1))).__getitem__
+        suppressed = ("true", 0, 0)
+
+        def rep(t):
+            return ",".join(map(digits, t))
+
+        def alive(p, num, den):
+            return "false", _fmt_float(p), f"{num}/{den}" if den != 1 else num
+
+    else:
+        rep, suppressed = tuple, (True, 0.0, {"num": 0, "den": 1})
+
+        def alive(p, num, den):
+            return False, p, {"num": num, "den": den}
+
+    for r in rows:
+        t, z = r.representative, r.z
+        s_fact = math.prod(map(math.factorial, t))
+        m = n_fact // s_fact
+        g = math.gcd(m, n_pow)
+        if z:
+            z2 = z * z
+            e = math.gcd(z2, n_fact)
+            flag, p, enhancement = alive(z2 / (n_pow * s_fact), z2 // e, n_fact // e)
+        else:
+            flag, p, enhancement = suppressed
+        yield rep(t), r.orbit_size, sum(map(mul, t, ports)) % n, flag, m // g, n_pow // g, p, enhancement
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
     """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative."""
     rows = certified_rows(args)
     rows.sort(key=lambda r: (stats._multinomial(r.representative), r.representative))
-    _emit_table(args, CLASS_COLUMNS, map(_class_values, rows), "classes", args.n, args.mode)
+    cells = _class_cells(args.n, rows, args.format)
+    _emit_table(args, CLASS_COLUMNS, cells, "classes", args.n, args.mode)
     return EXIT_OK
 
 
@@ -333,7 +385,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
         for r in census
     ]
-    _emit_table(args, header, values, "table1", args.n_max, args.mode)
+    _emit_table(args, header, _cells(args.format, values), "table1", args.n_max, args.mode)
     return EXIT_OK
 
 
@@ -345,7 +397,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     )
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
-    _emit_table(args, header, values, "table2", args.n, "exact")
+    _emit_table(args, header, _cells(args.format, values), "table2", args.n, "exact")
     return EXIT_OK
 
 
@@ -353,7 +405,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     rows = certified_rows(args)
     table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
-    _emit_table(args, header, table.rows, table.kind, args.n, args.mode, variant=args.variant)
+    cells = _cells(args.format, table.rows)
+    _emit_table(args, header, cells, table.kind, args.n, args.mode, variant=args.variant)
     return EXIT_OK
 
 
@@ -363,7 +416,7 @@ def cmd_ck(args: argparse.Namespace) -> int:
     barycenter = vec.to_complex()
     values = list(enumerate(vec.coefficients))
     extra = {"arrangement": list(s), "barycenter": [barycenter.real, barycenter.imag]}
-    _emit_table(args, ["k", "c_k"], values, "ck", len(s), "exact", **extra)
+    _emit_table(args, ["k", "c_k"], _cells(args.format, values), "ck", len(s), "exact", **extra)
     return EXIT_OK
 
 

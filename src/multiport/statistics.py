@@ -317,11 +317,17 @@ def distribution(
     rows: list[ClassProbabilityRow] | None = None,
     variant: str = "marginal",
 ) -> DistributionTable:
-    """Dispatch by kind; see the individual distribution functions."""
-    if kind == "occupied-ports":
-        return occupied_ports_distribution(n, rows=rows)
+    """Dispatch by kind; see the individual distribution functions.
+
+    Only port-occupancy has variants; ValueError for any variant but
+    "marginal" with another kind.
+    """
     if kind == "port-occupancy":
         return port_occupancy_distribution(n, rows=rows, variant=variant)
+    if kind in DISTRIBUTION_KINDS and variant != "marginal":
+        raise ValueError(f"variant {variant!r} applies to port-occupancy only, not {kind}")
+    if kind == "occupied-ports":
+        return occupied_ports_distribution(n, rows=rows)
     if kind == "classical-classes":
         return classical_class_distribution(n, rows=rows)
     raise ValueError(f"unknown distribution kind {kind!r}")

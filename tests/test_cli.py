@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -12,7 +14,16 @@ import pytest
 import multiport
 from multiport import scattering
 from multiport import statistics as st
-from multiport.cli import SCHEMA_VERSION, _canonical_json, cache_load, cache_store, main
+from multiport.cli import (
+    _JSON_CHUNK,
+    CLASS_COLUMNS,
+    SCHEMA_VERSION,
+    _canonical_json,
+    _emit_table,
+    cache_load,
+    cache_store,
+    main,
+)
 from multiport.errors import CacheCorruptionError
 
 
@@ -127,6 +138,60 @@ class TestClasses:
         assert code == 3
         assert err.startswith("error: ") and "spare prime" in err
         assert "Traceback" not in err
+
+
+class TestClassCells:
+    """The cells of classes, derived in integer arithmetic, against the row properties."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cells_equal_row_properties(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        rows = sorted(st.class_probability_table(n), key=lambda r: (r.p_classical, r.representative))
+        code, csv_out, _ = run(capsys, "classes", "--n", str(n))
+        assert code == 0
+        code, json_out, _ = run(capsys, "classes", "--n", str(n), "--format", "json")
+        assert code == 0
+        header, csv_rows = parse_csv(csv_out)
+        json_rows = json.loads(json_out)["rows"]
+        assert tuple(header) == CLASS_COLUMNS
+        assert len(csv_rows) == len(json_rows) == len(rows)
+        for r, csv_row, json_row in zip(rows, csv_rows, json_rows):
+            p, e = r.p_classical, r.enhancement
+            assert csv_row == [
+                ",".join(map(str, r.representative)),
+                str(r.orbit_size),
+                str(r.Q),
+                str(r.suppressed_exact).lower(),
+                str(p.numerator),
+                str(p.denominator),
+                format(r.p_quantum, ".17g"),
+                str(e),
+            ]
+            json_cells = [
+                list(r.representative),
+                r.orbit_size,
+                r.Q,
+                r.suppressed_exact,
+                p.numerator,
+                p.denominator,
+                r.p_quantum,
+                {"num": e.numerator, "den": e.denominator},
+            ]
+            assert list(json_row.items()) == list(zip(CLASS_COLUMNS, json_cells))
+            assert json_row["suppressed_exact"] is r.suppressed_exact
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ([], "ce4a94cc13f1d8021b58fb9d9ec79bf79c7104a9d44a6468211589cda25790f7"),
+            (["--format", "json"], "574b06ca2963fd2064b5a5f7c901bb9095d5dfd726c8cdbecc8c466b05e93749"),
+        ],
+    )
+    def test_n10_bytes_unchanged(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "classes", "--n", "10", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTable1:
@@ -354,6 +419,35 @@ class TestFormats:
             assert float(csv_row[6]) == json_row["p_quantum"]
             num = int(csv_row[4]), int(csv_row[5])
             assert num == (json_row["p_classical_num"], json_row["p_classical_den"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classes", "--n", "9"],  # 1387 rows, more than one chunk
+            ["table1", "--n-max", "5"],
+            ["table2", "--n", "6"],
+            ["dist", "--n", "5", "--kind", "occupied-ports"],
+            ["dist", "--n", "5", "--kind", "port-occupancy", "--variant", "at-least-one"],
+            ["dist", "--n", "6", "--kind", "classical-classes"],
+            ["ck", "--arrangement", "0,1,2,1,0,2"],
+        ],
+        ids=" ".join,
+    )
+    def test_streamed_json_is_one_dumps(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 3])
+    def test_json_chunks_join_like_one_dumps(self, tmp_path, count):
+        target = tmp_path / "out.json"
+        args = argparse.Namespace(format="json", output=target)
+        rows = [(k, k / 3, [k, -k]) for k in range(count)]
+        _emit_table(args, ["k", "x", "pair"], iter(rows), "test", 3, "exact", extra=[1.5])
+        doc = {"schema_version": SCHEMA_VERSION, "n": 3, "mode": "exact", "kind": "test", "extra": [1.5]}
+        doc["rows"] = [{"k": k, "x": x, "pair": pair} for k, x, pair in rows]
+        assert target.read_text() == json.dumps(doc) + "\n"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

@@ -398,3 +398,9 @@ class TestDistributionDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             st.distribution("bogus", 3)
+
+    @pytest.mark.parametrize("kind", ["occupied-ports", "classical-classes"])
+    @pytest.mark.parametrize("variant", ["at-least-one", "bogus"])
+    def test_variant_only_for_port_occupancy(self, kind, variant):
+        with pytest.raises(ValueError, match="port-occupancy only"):
+            st.distribution(kind, 4, variant=variant)
