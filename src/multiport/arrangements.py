@@ -30,8 +30,8 @@ into affine orbits, so that one kernel call serves a whole orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from ._numpy import np
 from .errors import EXACT_AMPLITUDE_LIMIT, InvalidArrangementError, check_size
@@ -75,6 +75,13 @@ def count_arrangements(n: int) -> int:
     if n < 1:
         raise InvalidArrangementError("n must be >= 1")
     return math.comb(2 * n - 1, n)
+
+
+def compositions(total: int, parts: int) -> int:
+    """Number of ways to place total particles on parts ports, C(total + parts - 1, parts - 1)."""
+    if parts == 0:
+        return int(total == 0)
+    return math.comb(total + parts - 1, parts - 1)
 
 
 def enumerate_arrangements(n: int) -> Iterator[Arrangement]:
@@ -136,12 +143,10 @@ def dihedral_orbit(s: Sequence[int]) -> frozenset[Arrangement]:
     return frozenset(dihedral_transforms(s))
 
 
-@dataclass(frozen=True, slots=True)
-class QuantumClass:
+class QuantumClass(namedtuple("QuantumClass", "representative orbit_size")):
     """A quantum equivalence class: canonical representative and orbit size."""
 
-    representative: Arrangement
-    orbit_size: int
+    __slots__ = ()
 
 
 def quantum_class_of(s: Sequence[int]) -> QuantumClass:
@@ -164,11 +169,6 @@ def dihedral_class_count(n: int) -> int:
     """
     if n < 1:
         raise InvalidArrangementError("n must be >= 1")
-
-    def compositions(total: int, parts: int) -> int:
-        if parts == 0:
-            return int(total == 0)
-        return math.comb(total + parts - 1, parts - 1)
 
     def reflection(f: int) -> int:
         p = (n - f) // 2

@@ -50,11 +50,12 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from io import TextIOBase
 from itertools import chain, islice
 from operator import itemgetter, mul
 from pathlib import Path
-from typing import Callable, TextIO
 
 from . import statistics as stats
 from ._numpy import np
@@ -110,6 +111,16 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# The text of an entry as cache_store writes it, _canonical_json of
+# {"checksum": digest, "payload": payload, "schema_version": SCHEMA_VERSION},
+# is _ENTRY_HEAD + digest + _ENTRY_BODY + _canonical_json(payload) + _ENTRY_TAIL.
+_ENTRY_HEAD = b'{"checksum":"'
+_ENTRY_BODY = b'","payload":'
+_ENTRY_TAIL = b',"schema_version":%d}' % SCHEMA_VERSION
+_DIGEST_END = len(_ENTRY_HEAD) + 64
+_PAYLOAD_START = _DIGEST_END + len(_ENTRY_BODY)
+
+
 def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
@@ -122,15 +133,29 @@ def cache_key(n: int) -> str:
 def cache_load(cache_dir: Path, key: str) -> dict | None:
     """Return the cached payload, or None when absent/stale/corrupted.
 
-    An unreadable entry (not JSON, not an object, a field missing) or a bad
-    checksum is reported on stderr; like a schema mismatch, it is treated
-    as a miss, and the caller recomputes and overwrites.
+    An entry in the layout cache_store writes is served when the sha256 of
+    its payload bytes, as written, equals its checksum: those bytes are
+    then the canonical JSON the checksum was taken over, so they need no
+    re-encoding.  Any other entry is parsed whole, and its payload
+    re-encoded canonically and hashed.  An unreadable entry (not JSON, not
+    an object, a field missing) or a bad checksum is reported on stderr;
+    like a schema mismatch, it is treated as a miss, and the caller
+    recomputes and overwrites.
     """
     path = _cache_path(cache_dir, key)
     if not path.is_file():
         return None
     try:
-        entry = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        body = data[_PAYLOAD_START : -len(_ENTRY_TAIL)]
+        if (
+            data.startswith(_ENTRY_HEAD)
+            and data.endswith(_ENTRY_TAIL)
+            and data[_DIGEST_END:_PAYLOAD_START] == _ENTRY_BODY
+            and hashlib.sha256(body).hexdigest().encode() == data[len(_ENTRY_HEAD) : _DIGEST_END]
+        ):
+            return json.loads(body)
+        entry = json.loads(data.decode("utf-8"))
         if not isinstance(entry, dict):
             raise ValueError(f"expected a JSON object, found {type(entry).__name__}")
         payload = entry["payload"]
@@ -152,19 +177,15 @@ def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
 
     A crash or a concurrent reader thus sees the previous entry or the new
     one, never a partial file; on failure the temp file is removed.  The
-    entry is compact, key-sorted JSON; the checksum covers the parsed
-    payload, so cache_load reads entries in any JSON layout.
+    entry is compact, key-sorted JSON, spliced from the payload's one
+    canonical encoding; the checksum is the sha256 of that encoding.
     """
     tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-        entry = {
-            "schema_version": SCHEMA_VERSION,
-            "checksum": digest,
-            "payload": payload,
-        }
-        tmp.write_text(_canonical_json(entry), encoding="utf-8")
+        body = _canonical_json(payload).encode()
+        digest = hashlib.sha256(body).hexdigest().encode()
+        tmp.write_bytes(_ENTRY_HEAD + digest + _ENTRY_BODY + body + _ENTRY_TAIL)
         os.replace(tmp, _cache_path(cache_dir, key))
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -241,7 +262,7 @@ def certified_rows(args: argparse.Namespace):
 # emission
 
 
-def _emit(args: argparse.Namespace, write: Callable[[TextIO], object]) -> None:
+def _emit(args: argparse.Namespace, write: Callable[[TextIOBase], object]) -> None:
     """Call write on stdout, or on args.output opened for writing; OutputError if that fails."""
     if args.output is None:
         write(sys.stdout)

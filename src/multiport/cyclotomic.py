@@ -12,8 +12,8 @@ producer of these vectors; it needs their reduction, not ring arithmetic.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import CYCLOTOMIC_LIMIT, check_size
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from ._numpy import np
 from .arrangements import port_assignment, validate_arrangement

@@ -7,9 +7,9 @@ column is derived from z.  class_probability_table is the one place rows
 are built, serially and in enumeration order.  Classes with Q != 0 are
 exact zeros by the zero-transmission law; the exact kernel runs on the
 Q = 0 classes only, and once per affine orbit of them (q0_amplitudes).  The
-census (census_row) and the distributions are reductions over the rows,
-and check_normalization certifies them.  Every float a table reports is
-one exact rational rounded once.
+census (census_row) and the distributions' quantum columns are reductions
+over the rows, and check_normalization certifies them.  Every float a
+table reports is one exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -17,22 +17,43 @@ Q = 0 classes to Q = 0 classes.  A shift p -> p + a multiplies z by
 (-1)^(a*(n-1)).  arrangements.affine_keys gives each Q = 0 class the least
 code over its images under p -> u*p + a and one shift a that reaches it;
 the classes sharing a key share z up to that sign.
+
+A distribution's classical and approx columns have exact integer closed
+forms (closed_forms); only its quantum column is a reduction over the
+rows, and only over the rows with z != 0.  Over maps of the n particles
+to the n ports (n^n of them, the classical column) and over arrangements
+(C(2n-1, n), the approx column), the numerators are:
+
+* occupied-ports, exactly k ports occupied: C(n,k) * sum_i (-1)^i C(k,i) (k-i)^n
+  maps and C(n,k) * C(n-1,k-1) arrangements;
+* port-occupancy marginal, the ports holding exactly k summed over the
+  arrangements: n * C(n,k) * (n-1)^(n-k) and n * C(2n-k-2, n-2);
+* port-occupancy at-least-one, some port holding exactly k: inclusion-
+  exclusion over i ports that each hold exactly k,
+  sum_i (-1)^(i+1) C(n,i) * n!/(k!^i (n-ik)!) * (n-i)^(n-ik) and
+  sum_i (-1)^(i+1) C(n,i) * C(2n-i-ik-1, n-i-1);
+* classical-classes, one category per partition lambda of n (padded with
+  zeros to n parts): n!/prod mult! arrangements, mult the multiplicities of
+  its parts, each of n!/prod lambda_i! maps.
+
+Except at-least-one, whose columns do not sum to one, the numerators are
+checked to sum to n^n and C(2n-1, n) times the table's scale.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from ._numpy import np
 from .arrangements import (
     Arrangement,
     QuantumClass,
     affine_keys,
+    compositions,
     count_arrangements,
     enumerate_quantum_classes,
     partition_count,
@@ -57,8 +78,7 @@ def _multinomial(t: Arrangement) -> int:
     return math.factorial(len(t)) // math.prod(map(math.factorial, t))
 
 
-@dataclass(frozen=True, slots=True)
-class ClassProbabilityRow:
+class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbit_size z")):
     """One quantum class: its representative, orbit size and exact amplitude z.
 
     The other columns are properties derived from z, recomputed on each
@@ -66,9 +86,7 @@ class ClassProbabilityRow:
     it again.
     """
 
-    representative: Arrangement
-    orbit_size: int
-    z: int
+    __slots__ = ()
 
     @property
     def Q(self) -> int:
@@ -176,16 +194,15 @@ def check_normalization(n: int, rows: Iterable[ClassProbabilityRow]) -> None:
         raise ArithmeticError(f"classes at n={n} carry probability {total}, not 1")
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(
+    namedtuple(
+        "Table1Row",
+        "n total classical_classes quantum_classes law_suppressed anomalous_suppressed",
+    )
+):
     """Event and class census for one n."""
 
-    n: int
-    total: int
-    classical_classes: int
-    quantum_classes: int
-    law_suppressed: int
-    anomalous_suppressed: int
+    __slots__ = ()
 
 
 def census_row(n: int, rows: Sequence[ClassProbabilityRow]) -> Table1Row:
@@ -212,50 +229,121 @@ def table1(n_max: int) -> list[Table1Row]:
     return [census_row(n, class_probability_table(n)) for n in range(2, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """Labeled categories with classical, quantum, and approximate columns."""
+class DistributionTable(namedtuple("DistributionTable", "kind n rows")):
+    """Labeled categories with classical, quantum, and approximate columns.
 
-    kind: str
-    n: int
-    rows: tuple[tuple[str, float, float, float], ...]
+    rows holds one (label, classical, quantum, approx) tuple per category.
+    """
+
+    __slots__ = ()
 
     def column(self, name: str) -> list[float]:
         index = {"classical": 1, "quantum": 2, "approx": 3}[name]
         return [row[index] for row in self.rows]
 
 
-def _reduce(kind: str, n: int, rows, weights, categories=None, scale: int = 1) -> DistributionTable:
-    """Sum the three columns over the quantum classes, per category.
+def _surjections(n: int, k: int) -> int:
+    """Maps of n particles onto k ports that leave none of them empty."""
+    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most largest, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _at_least_one(n: int, k: int) -> tuple[int, int]:
+    """Maps and arrangements with some port holding exactly k particles.
+
+    Inclusion-exclusion over i ports that each hold exactly k: their
+    particles are chosen in n!/(k!^i (n-ik)!) ways, and the other n - ik go
+    to the other n - i ports.
+    """
+    maps = arrangements = 0
+    for i in range(1, n // max(k, 1) + 1):
+        sign = (-1) ** (i + 1) * math.comb(n, i)
+        rest = n - i * k
+        ways = math.factorial(n) // (math.factorial(k) ** i * math.factorial(rest))
+        maps += sign * ways * (n - i) ** rest
+        arrangements += sign * compositions(rest, n - i)
+    return maps, arrangements
+
+
+def _check_variant(kind: str, variant: str) -> None:
+    if kind == "port-occupancy" and variant not in OCCUPANCY_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {OCCUPANCY_VARIANTS}")
+    if kind in DISTRIBUTION_KINDS and kind != "port-occupancy" and variant != "marginal":
+        raise ValueError(f"variant {variant!r} applies to port-occupancy only, not {kind}")
+
+
+def closed_forms(kind: str, n: int, variant: str = "marginal"):
+    """A distribution's categories and the integer numerators of its classical and approx columns.
+
+    Returns (categories, classical, approx, scale), categories in table
+    order.  classical[i] counts the maps of the n particles to the n ports
+    and approx[i] the arrangements, each weighted by scale times its share
+    of category i; the cells are classical[i] / (n^n * scale) and
+    approx[i] / (C(2n-1, n) * scale).  The formulas are in the module
+    docstring.  classical-classes ascend in the classical column, ties by
+    category.  ValueError for an unknown kind or variant; AssertionError
+    unless there are partition_count(n) classical classes and, except for
+    at-least-one, the numerators sum to n^n * scale and C(2n-1, n) * scale.
+    """
+    _check_variant(kind, variant)
+    comb, scale = math.comb, 1
+    if kind == "occupied-ports":
+        categories = [(k,) for k in range(1, n + 1)]
+        classical = [comb(n, k) * _surjections(n, k) for (k,) in categories]
+        approx = [comb(n, k) * comb(n - 1, k - 1) for (k,) in categories]
+    elif kind == "port-occupancy" and variant == "marginal":
+        scale = n
+        categories = [(k,) for k in range(n + 1)]
+        classical = [n * comb(n, k) * (n - 1) ** (n - k) for (k,) in categories]
+        approx = [n * compositions(n - k, n - 1) for (k,) in categories]
+    elif kind == "port-occupancy":
+        categories = [(k,) for k in range(n + 1)]
+        classical, approx = (list(col) for col in zip(*(_at_least_one(n, k) for (k,) in categories)))
+    elif kind == "classical-classes":
+        parts = [p + (0,) * (n - len(p)) for p in _partitions(n, n)]
+        if len(parts) != partition_count(n):
+            raise AssertionError(f"expected {partition_count(n)} classical classes, found {len(parts)}")
+        members = [math.factorial(n) // math.prod(map(math.factorial, Counter(p).values())) for p in parts]
+        table = sorted((m * _multinomial(p), p, m) for p, m in zip(parts, members))
+        classical, categories, approx = (list(col) for col in zip(*table))
+    else:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    totals = (n**n * scale, count_arrangements(n) * scale)
+    if variant == "marginal" and (sum(classical), sum(approx)) != totals:
+        raise AssertionError(f"{kind} closed forms at n={n} do not sum to n^n and C(2n-1, n)")
+    return categories, classical, approx, scale
+
+
+def _reduce(kind: str, n: int, rows, weights, variant: str = "marginal") -> DistributionTable:
+    """The table of closed_forms, with its quantum column summed over the rows with z != 0.
 
     weights(rep) yields (category, w) pairs: every arrangement of the class
     counts w / scale times towards that category.  With m = n!/prod(s_j!),
-    the classical column sums orbit * m * w as an integer over n^n * scale,
-    the quantum column sums orbit * m * z^2 * w over n^n * n! * scale, and
-    the approx column, uniform over arrangements, sums orbit * w over
-    C(2n-1, n) * scale; each cell is one correctly rounded int / int
-    division.  Without a fixed category list the rows ascend in the exact
-    classical value.
+    the quantum column sums orbit * m * z^2 * w over n^n * n! * scale.  Each
+    cell of the three columns is one correctly rounded int / int division.
     """
+    categories, classical, approx, scale = closed_forms(kind, n, variant)
     if rows is None:
         rows = class_probability_table(n)
-    classical: dict[Arrangement, int] = defaultdict(int)
-    quantum: dict[Arrangement, int] = defaultdict(int)
-    approx: dict[Arrangement, int] = defaultdict(int)
+    quantum = dict.fromkeys(categories, 0)
     for r in rows:
-        weight = r.orbit_size * _multinomial(r.representative)
-        z_squared = r.z * r.z
-        for cat, w in weights(r.representative):
-            classical[cat] += weight * w
-            quantum[cat] += weight * z_squared * w
-            approx[cat] += r.orbit_size * w
-    if categories is None:
-        categories = sorted(classical, key=lambda c: (classical[c], c))
+        if r.z:
+            weight = r.orbit_size * _multinomial(r.representative) * r.z * r.z
+            for cat, w in weights(r.representative):
+                quantum[cat] += weight * w
     c_den, a_den = n**n * scale, count_arrangements(n) * scale
     q_den = c_den * math.factorial(n)
     table_rows = tuple(
-        (",".join(map(str, cat)), classical[cat] / c_den, quantum[cat] / q_den, approx[cat] / a_den)
-        for cat in categories
+        (",".join(map(str, cat)), c / c_den, quantum[cat] / q_den, a / a_den)
+        for cat, c, a in zip(categories, classical, approx)
     )
     return DistributionTable(kind=kind, n=n, rows=table_rows)
 
@@ -268,7 +356,7 @@ def occupied_ports_distribution(
     def weights(rep):
         return [((n - rep.count(0),), 1)]
 
-    return _reduce("occupied-ports", n, rows, weights, [(k,) for k in range(1, n + 1)])
+    return _reduce("occupied-ports", n, rows, weights)
 
 
 def port_occupancy_distribution(
@@ -284,15 +372,12 @@ def port_occupancy_distribution(
     arrangements containing some port with exactly k particles; its columns
     do not sum to one.
     """
-    if variant not in OCCUPANCY_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {OCCUPANCY_VARIANTS}")
     marginal = variant == "marginal"
 
     def weights(rep):
         return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
 
-    categories = [(k,) for k in range(n + 1)]
-    return _reduce("port-occupancy", n, rows, weights, categories, n if marginal else 1)
+    return _reduce("port-occupancy", n, rows, weights, variant)
 
 
 def classical_class_distribution(
@@ -303,12 +388,7 @@ def classical_class_distribution(
     def weights(rep):
         return [(tuple(sorted(rep, reverse=True)), 1)]
 
-    table = _reduce("classical-classes", n, rows, weights)
-    if len(table.rows) != partition_count(n):
-        raise AssertionError(
-            f"expected {partition_count(n)} classical classes, found {len(table.rows)}"
-        )
-    return table
+    return _reduce("classical-classes", n, rows, weights)
 
 
 def distribution(
@@ -322,10 +402,9 @@ def distribution(
     Only port-occupancy has variants; ValueError for any variant but
     "marginal" with another kind.
     """
+    _check_variant(kind, variant)
     if kind == "port-occupancy":
         return port_occupancy_distribution(n, rows=rows, variant=variant)
-    if kind in DISTRIBUTION_KINDS and variant != "marginal":
-        raise ValueError(f"variant {variant!r} applies to port-occupancy only, not {kind}")
     if kind == "occupied-ports":
         return occupied_ports_distribution(n, rows=rows)
     if kind == "classical-classes":

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import multiport
-from multiport import scattering
+from multiport import cli, scattering
 from multiport import statistics as st
 from multiport.cli import (
     _JSON_CHUNK,
@@ -38,14 +38,16 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
-# Runs the CLI in a fresh interpreter, then reports its exit code and the
-# numpy submodules it loaded as a JSON line on stderr.
+# Runs the CLI in a fresh interpreter, then reports its exit code, the
+# numpy submodules it loaded and whether it loaded dataclasses as a JSON
+# line on stderr.
 _PROBE = """
 import json, sys
 from multiport.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
-print(json.dumps({"exit": code, "numpy": loaded}), file=sys.stderr)
+status = {"exit": code, "numpy": loaded, "dataclasses": "dataclasses" in sys.modules}
+print(json.dumps(status), file=sys.stderr)
 """
 
 
@@ -568,6 +570,35 @@ class TestCache:
         assert third == first
         assert "checksum mismatch" not in err
 
+    def test_digit_edited_in_canonical_entry_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        args = ["dist", "--n", "4", "--kind", "port-occupancy", "--cache-dir", str(cache)]
+        _, first, _ = run(capsys, *args)
+        entry = next(cache.glob("*.json"))
+        good = entry.read_bytes()
+        doc = json.loads(good)
+        doc["payload"][0][1] += 1  # one orbit-size digit, 4 -> 5
+        edited = _canonical_json(doc).encode()
+        assert len(edited) == len(good) and sum(a != b for a, b in zip(edited, good)) == 1
+        entry.write_bytes(edited)
+        code, second, err = run(capsys, *args)
+        assert (code, second) == (0, first)
+        assert "checksum mismatch" in err
+        assert entry.read_bytes() == good
+
+    def test_canonical_hit_is_not_reencoded(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        args = ["dist", "--n", "5", "--kind", "classical-classes", "--cache-dir", str(cache)]
+        _, first, _ = run(capsys, *args)
+        before = next(cache.glob("*.json")).read_bytes()
+
+        def reencode(obj):
+            raise AssertionError("a canonical hit re-encoded its payload")
+
+        monkeypatch.setattr(cli, "_canonical_json", reencode)
+        assert run(capsys, *args) == (0, first, "")
+        assert next(cache.glob("*.json")).read_bytes() == before
+
     @pytest.mark.parametrize("content", ["[1, 2]", '"x"'])
     def test_entry_not_an_object_recomputed(self, capsys, tmp_path, content):
         cache = tmp_path / "cache"
@@ -641,7 +672,7 @@ class TestCache:
         assert out == run(capsys, *dist)[1]
         for argv in (dist, ["classes", "--n", "6", "--format", "json"]):
             status, out = run_fresh(*argv, *cache)
-            assert status == {"exit": 0, "numpy": []}, argv
+            assert status == {"exit": 0, "numpy": [], "dataclasses": False}, argv
             assert out == run(capsys, *argv)[1]
 
     def test_schema_version_mismatch_invalidates(self, capsys, tmp_path):

@@ -88,6 +88,39 @@ class TestClosedForms:
         ]
 
 
+    @pytest.mark.parametrize("kind,variant", KINDS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_numerators_equal_brute_force(self, n, kind, variant):
+        # classical counts particle-to-port maps, n!/prod s_j! per
+        # arrangement, and approx counts arrangements, each weighted by
+        # scale times the arrangement's share of the category
+        categories, classical, approx, scale = st.closed_forms(kind, n, variant)
+        expected = {}
+        for s in enumerate_arrangements(n):
+            maps = math.factorial(n) // math.prod(math.factorial(x) for x in s)
+            for label, share in _categories(kind, variant, s):
+                c, a = expected.get(label, (0, 0))
+                expected[label] = (c + maps * share * scale, a + share * scale)
+        labels = [",".join(map(str, cat)) for cat in categories]
+        assert dict(zip(labels, zip(classical, approx))) == {
+            label: expected.get(label, (0, 0)) for label in labels
+        }
+        assert set(expected) <= set(labels)
+        assert all(type(v) is int for v in classical + approx)
+
+
+class TestNonzeroRows:
+    @pytest.mark.parametrize("kind,variant", KINDS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_unchanged_without_zero_rows(self, n, kind, variant):
+        rows = st.class_probability_table(n)
+        alive = [r for r in rows if r.z]
+        assert len(alive) < len(rows) or n < 3
+        assert st.distribution(kind, n, rows=alive, variant=variant) == st.distribution(
+            kind, n, rows=rows, variant=variant
+        )
+
+
 def _enhancement(s):
     """Quantum over classical probability of one arrangement, z^2/n!."""
     z = exact_integer_amplitude(s)
