@@ -12,12 +12,7 @@ CLI:  multiport dist --n 8 --kind occupied-ports
 import csv
 from pathlib import Path
 
-from multiport import (
-    class_probability_table,
-    classical_class_distribution,
-    occupied_ports_distribution,
-    port_occupancy_distribution,
-)
+from multiport import class_probability_table, distribution
 from multiport.statistics import occupied_ports_mean
 
 N = 8
@@ -26,9 +21,9 @@ HERE = Path(__file__).resolve().parent
 rows = class_probability_table(N)  # one exact class sweep shared by all three tables
 
 tables = {
-    "occupied_ports": occupied_ports_distribution(N, rows=rows),
-    "port_occupancy": port_occupancy_distribution(N, rows=rows),
-    "classical_classes": classical_class_distribution(N, rows=rows),
+    "occupied_ports": distribution("occupied-ports", N, rows=rows),
+    "port_occupancy": distribution("port-occupancy", N, rows=rows),
+    "classical_classes": distribution("classical-classes", N, rows=rows),
 }
 
 for name, table in tables.items():

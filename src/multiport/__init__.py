@@ -33,10 +33,7 @@ from .statistics import (
     DistributionTable,
     Table1Row,
     class_probability_table,
-    classical_class_distribution,
     distribution,
-    occupied_ports_distribution,
-    port_occupancy_distribution,
     suppressed_fraction_estimate,
     table1,
 )

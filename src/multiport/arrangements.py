@@ -30,6 +30,7 @@ into affine orbits, so that one kernel call serves a whole orbit.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
@@ -42,10 +43,14 @@ Arrangement = tuple[int, ...]
 def validate_arrangement(s: Sequence[int]) -> Arrangement:
     """Check the basic invariants and return the arrangement as a tuple.
 
-    Raises InvalidArrangementError if the vector is empty, contains a
-    negative count, or its occupancies do not sum to its length.
+    Raises InvalidArrangementError if the vector is empty, holds anything
+    but integers (numpy integers included; operator.index decides), contains
+    a negative count, or its occupancies do not sum to its length.
     """
-    t = tuple(int(x) for x in s)
+    try:
+        t = tuple(map(operator.index, s))
+    except TypeError as exc:
+        raise InvalidArrangementError(f"occupancies must be integers, got {s!r}") from exc
     n = len(t)
     if n == 0:
         raise InvalidArrangementError("arrangement must have at least one port")

@@ -14,8 +14,10 @@ serially by statistics.class_probability_table and cached under one key
 as (representative, orbit size, z) triples; every column is derived from
 z, and table1 reduces the rows of each n = 2..n_max.  classes, table2,
 dist and table1 first check that the rows carry total probability exactly
-1 (statistics.check_normalization); verify reports that check as one of
-its properties.
+1 (statistics.check_normalization; dist through statistics.distribution);
+verify reports that check as one of its properties.  cache_load serves an
+entry only in the one byte layout cache_store writes, under a matching
+sha256; anything else is a warning, a recompute and an overwrite.
 
 classes derives the cells of each row in _class_cells, in integer
 arithmetic from its representative and z; the ClassProbabilityRow
@@ -24,10 +26,11 @@ each row as it is rendered, in CSV and JSON alike, so no table is held
 as text; the rows are certified before the first byte is written.
 
 Each subcommand takes only the options it reads (_build_parser).  Floats
-are exact values rounded once, so --mode, on classes, table1 and dist,
-only sets the mode label of JSON output; --jobs, on classes and table1,
-is checked to be >= 1 and changes nothing.  dist takes a non-default
---variant with --kind port-occupancy only.
+are exact values rounded once, so --mode, on classes and table1, only
+sets the mode label of JSON output; --jobs, on the same two, is checked
+to be >= 1 and changes nothing.  The other commands label their JSON
+"exact".  dist takes a non-default --variant with --kind port-occupancy
+only.
 
 main checks the size argument once, up front, against the caps in errors:
 verify runs brute-force oracles and takes n <= BRUTE_FORCE_LIMIT (9); the
@@ -131,15 +134,14 @@ def cache_key(n: int) -> str:
 
 
 def cache_load(cache_dir: Path, key: str) -> dict | None:
-    """Return the cached payload, or None when absent/stale/corrupted.
+    """Return the cached payload, or None when absent, unreadable or corrupted.
 
-    An entry in the layout cache_store writes is served when the sha256 of
-    its payload bytes, as written, equals its checksum: those bytes are
-    then the canonical JSON the checksum was taken over, so they need no
-    re-encoding.  Any other entry is parsed whole, and its payload
-    re-encoded canonically and hashed.  An unreadable entry (not JSON, not
-    an object, a field missing) or a bad checksum is reported on stderr;
-    like a schema mismatch, it is treated as a miss, and the caller
+    An entry is served only in the byte layout cache_store writes, and only
+    when the sha256 of its payload bytes, as written, equals its checksum:
+    those bytes are then the canonical JSON the checksum was taken over, so
+    they need no re-encoding.  Any other entry (another layout or
+    schema_version, not JSON) is unreadable.  An unreadable entry or a bad
+    checksum is reported on stderr and treated as a miss; the caller
     recomputes and overwrites.
     """
     path = _cache_path(cache_dir, key)
@@ -147,29 +149,16 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
         return None
     try:
         data = path.read_bytes()
-        body = data[_PAYLOAD_START : -len(_ENTRY_TAIL)]
-        if (
-            data.startswith(_ENTRY_HEAD)
-            and data.endswith(_ENTRY_TAIL)
-            and data[_DIGEST_END:_PAYLOAD_START] == _ENTRY_BODY
-            and hashlib.sha256(body).hexdigest().encode() == data[len(_ENTRY_HEAD) : _DIGEST_END]
-        ):
-            return json.loads(body)
-        entry = json.loads(data.decode("utf-8"))
-        if not isinstance(entry, dict):
-            raise ValueError(f"expected a JSON object, found {type(entry).__name__}")
-        payload = entry["payload"]
-        stored = entry["checksum"]
-    except (OSError, ValueError, KeyError) as exc:
+        digest, body = data[len(_ENTRY_HEAD) : _DIGEST_END], data[_PAYLOAD_START : -len(_ENTRY_TAIL)]
+        if data != _ENTRY_HEAD + digest + _ENTRY_BODY + body + _ENTRY_TAIL:
+            raise ValueError("not in the layout cache_store writes")
+        if hashlib.sha256(body).hexdigest().encode() != digest:
+            print(f"warning: checksum mismatch in {path}, recomputing", file=sys.stderr)
+            return None
+        return json.loads(body)
+    except (OSError, ValueError) as exc:
         print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
         return None
-    if entry.get("schema_version") != SCHEMA_VERSION:
-        return None
-    digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-    if digest != stored:
-        print(f"warning: checksum mismatch in {path}, recomputing", file=sys.stderr)
-        return None
-    return payload
 
 
 def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
@@ -423,11 +412,11 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    rows = certified_rows(args)
+    rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
     table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
     cells = _cells(args.format, table.rows)
-    _emit_table(args, header, cells, table.kind, args.n, args.mode, variant=args.variant)
+    _emit_table(args, header, cells, table.kind, args.n, "exact", variant=args.variant)
     return EXIT_OK
 
 
@@ -545,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n", "--format", "--output", "--cache-dir")
 
     pd = add("dist", cmd_dist, "coarse-grained distribution table",
-             "--n", "--mode", "--format", "--output", "--cache-dir")
+             "--n", "--format", "--output", "--cache-dir")
     pd.add_argument(
         "--kind", choices=stats.DISTRIBUTION_KINDS, required=True, help="grouping of arrangements"
     )
@@ -592,8 +581,11 @@ def main(argv=None) -> int:
                 args.arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]
             except ValueError:
                 parser.error(f"--arrangement must be comma-separated integers, got {args.arrangement!r}")
-        if args.command == "dist" and args.kind != "port-occupancy" and args.variant != "marginal":
-            parser.error(f"--variant applies to --kind port-occupancy only, not {args.kind}")
+        if args.command == "dist":
+            try:  # the variant rule of closed_forms, before any rows are built
+                stats.closed_forms(args.kind, 1, args.variant)
+            except ValueError as exc:
+                parser.error(f"--variant: {exc}")
         if "jobs" in args and args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.command != "ck":

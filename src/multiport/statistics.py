@@ -18,11 +18,13 @@ Q = 0 classes to Q = 0 classes.  A shift p -> p + a multiplies z by
 code over its images under p -> u*p + a and one shift a that reaches it;
 the classes sharing a key share z up to that sign.
 
-A distribution's classical and approx columns have exact integer closed
-forms (closed_forms); only its quantum column is a reduction over the
-rows, and only over the rows with z != 0.  Over maps of the n particles
-to the n ports (n^n of them, the classical column) and over arrangements
-(C(2n-1, n), the approx column), the numerators are:
+distribution is the one entry point for the distributions, and
+closed_forms the one place their kinds are told apart.  A distribution's
+classical and approx columns have exact integer closed forms; only its
+quantum column is a reduction over the rows, and only over the rows with
+z != 0, once check_normalization has certified them.  Over maps of the n
+particles to the n ports (n^n of them, the classical column) and over
+arrangements (C(2n-1, n), the approx column), the numerators are:
 
 * occupied-ports, exactly k ports occupied: C(n,k) * sum_i (-1)^i C(k,i) (k-i)^n
   maps and C(n,k) * C(n-1,k-1) arrangements;
@@ -273,40 +275,47 @@ def _at_least_one(n: int, k: int) -> tuple[int, int]:
     return maps, arrangements
 
 
-def _check_variant(kind: str, variant: str) -> None:
-    if kind == "port-occupancy" and variant not in OCCUPANCY_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {OCCUPANCY_VARIANTS}")
-    if kind in DISTRIBUTION_KINDS and kind != "port-occupancy" and variant != "marginal":
-        raise ValueError(f"variant {variant!r} applies to port-occupancy only, not {kind}")
-
-
 def closed_forms(kind: str, n: int, variant: str = "marginal"):
-    """A distribution's categories and the integer numerators of its classical and approx columns.
+    """A distribution's categories, its classical and approx numerators, and its category map.
 
-    Returns (categories, classical, approx, scale), categories in table
-    order.  classical[i] counts the maps of the n particles to the n ports
-    and approx[i] the arrangements, each weighted by scale times its share
-    of category i; the cells are classical[i] / (n^n * scale) and
-    approx[i] / (C(2n-1, n) * scale).  The formulas are in the module
-    docstring.  classical-classes ascend in the classical column, ties by
-    category.  ValueError for an unknown kind or variant; AssertionError
-    unless there are partition_count(n) classical classes and, except for
-    at-least-one, the numerators sum to n^n * scale and C(2n-1, n) * scale.
+    Returns (categories, classical, approx, scale, weights), categories in
+    table order.  classical[i] counts the maps of the n particles to the n
+    ports and approx[i] the arrangements, each weighted by scale times its
+    share of category i; the cells are classical[i] / (n^n * scale) and
+    approx[i] / (C(2n-1, n) * scale).  weights(rep) yields the (category, w)
+    pairs of an arrangement rep: it counts w / scale towards each.  The
+    formulas are in the module docstring.  classical-classes ascend in the
+    classical column, ties by category.  ValueError for an unknown kind or
+    variant; only port-occupancy has variants.  AssertionError unless there
+    are partition_count(n) classical classes and, except for at-least-one,
+    the numerators sum to n^n * scale and C(2n-1, n) * scale.
     """
-    _check_variant(kind, variant)
+    variants = OCCUPANCY_VARIANTS if kind == "port-occupancy" else ("marginal",)
+    if variant not in variants:
+        raise ValueError(
+            f"variant {variant!r} of {kind}: expected {variants}; others are port-occupancy only"
+        )
     comb, scale = math.comb, 1
     if kind == "occupied-ports":
         categories = [(k,) for k in range(1, n + 1)]
         classical = [comb(n, k) * _surjections(n, k) for (k,) in categories]
         approx = [comb(n, k) * comb(n - 1, k - 1) for (k,) in categories]
-    elif kind == "port-occupancy" and variant == "marginal":
-        scale = n
-        categories = [(k,) for k in range(n + 1)]
-        classical = [n * comb(n, k) * (n - 1) ** (n - k) for (k,) in categories]
-        approx = [n * compositions(n - k, n - 1) for (k,) in categories]
+
+        def weights(rep):
+            return [((n - rep.count(0),), 1)]
+
     elif kind == "port-occupancy":
-        categories = [(k,) for k in range(n + 1)]
-        classical, approx = (list(col) for col in zip(*(_at_least_one(n, k) for (k,) in categories)))
+        categories, marginal = [(k,) for k in range(n + 1)], variant == "marginal"
+        if marginal:
+            scale = n
+            classical = [n * comb(n, k) * (n - 1) ** (n - k) for (k,) in categories]
+            approx = [n * compositions(n - k, n - 1) for (k,) in categories]
+        else:
+            classical, approx = (list(col) for col in zip(*(_at_least_one(n, k) for (k,) in categories)))
+
+        def weights(rep):
+            return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
+
     elif kind == "classical-classes":
         parts = [p + (0,) * (n - len(p)) for p in _partitions(n, n)]
         if len(parts) != partition_count(n):
@@ -314,25 +323,38 @@ def closed_forms(kind: str, n: int, variant: str = "marginal"):
         members = [math.factorial(n) // math.prod(map(math.factorial, Counter(p).values())) for p in parts]
         table = sorted((m * _multinomial(p), p, m) for p, m in zip(parts, members))
         classical, categories, approx = (list(col) for col in zip(*table))
+
+        def weights(rep):
+            return [(tuple(sorted(rep, reverse=True)), 1)]
+
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
     totals = (n**n * scale, count_arrangements(n) * scale)
     if variant == "marginal" and (sum(classical), sum(approx)) != totals:
         raise AssertionError(f"{kind} closed forms at n={n} do not sum to n^n and C(2n-1, n)")
-    return categories, classical, approx, scale
+    return categories, classical, approx, scale, weights
 
 
-def _reduce(kind: str, n: int, rows, weights, variant: str = "marginal") -> DistributionTable:
+def distribution(
+    kind: str,
+    n: int,
+    rows: Sequence[ClassProbabilityRow] | None = None,
+    variant: str = "marginal",
+) -> DistributionTable:
     """The table of closed_forms, with its quantum column summed over the rows with z != 0.
 
-    weights(rep) yields (category, w) pairs: every arrangement of the class
-    counts w / scale times towards that category.  With m = n!/prod(s_j!),
+    kind is one of DISTRIBUTION_KINDS, as the module docstring defines them.
+    By cyclic invariance the port-occupancy "marginal" is the occupancy law
+    of any single port; the "at-least-one" columns do not sum to one.  rows
+    default to class_probability_table(n); either way they must pass
+    check_normalization (ArithmeticError otherwise).  With m = n!/prod(s_j!),
     the quantum column sums orbit * m * z^2 * w over n^n * n! * scale.  Each
     cell of the three columns is one correctly rounded int / int division.
     """
-    categories, classical, approx, scale = closed_forms(kind, n, variant)
+    categories, classical, approx, scale, weights = closed_forms(kind, n, variant)
     if rows is None:
         rows = class_probability_table(n)
+    check_normalization(n, rows)
     quantum = dict.fromkeys(categories, 0)
     for r in rows:
         if r.z:
@@ -346,70 +368,6 @@ def _reduce(kind: str, n: int, rows, weights, variant: str = "marginal") -> Dist
         for cat, c, a in zip(categories, classical, approx)
     )
     return DistributionTable(kind=kind, n=n, rows=table_rows)
-
-
-def occupied_ports_distribution(
-    n: int, rows: list[ClassProbabilityRow] | None = None
-) -> DistributionTable:
-    """Probability that exactly k of the n output ports are occupied, k = 1..n."""
-
-    def weights(rep):
-        return [((n - rep.count(0),), 1)]
-
-    return _reduce("occupied-ports", n, rows, weights)
-
-
-def port_occupancy_distribution(
-    n: int,
-    rows: list[ClassProbabilityRow] | None = None,
-    variant: str = "marginal",
-) -> DistributionTable:
-    """Occupancy law of a uniformly chosen port, k = 0..n.
-
-    The default "marginal" weights each arrangement by the fraction of its
-    ports holding exactly k particles; by cyclic invariance this equals the
-    marginal of any single port.  The "at-least-one" variant instead scores
-    arrangements containing some port with exactly k particles; its columns
-    do not sum to one.
-    """
-    marginal = variant == "marginal"
-
-    def weights(rep):
-        return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
-
-    return _reduce("port-occupancy", n, rows, weights, variant)
-
-
-def classical_class_distribution(
-    n: int, rows: list[ClassProbabilityRow] | None = None
-) -> DistributionTable:
-    """Event probability grouped by classical class, ascending in the classical column."""
-
-    def weights(rep):
-        return [(tuple(sorted(rep, reverse=True)), 1)]
-
-    return _reduce("classical-classes", n, rows, weights)
-
-
-def distribution(
-    kind: str,
-    n: int,
-    rows: list[ClassProbabilityRow] | None = None,
-    variant: str = "marginal",
-) -> DistributionTable:
-    """Dispatch by kind; see the individual distribution functions.
-
-    Only port-occupancy has variants; ValueError for any variant but
-    "marginal" with another kind.
-    """
-    _check_variant(kind, variant)
-    if kind == "port-occupancy":
-        return port_occupancy_distribution(n, rows=rows, variant=variant)
-    if kind == "occupied-ports":
-        return occupied_ports_distribution(n, rows=rows)
-    if kind == "classical-classes":
-        return classical_class_distribution(n, rows=rows)
-    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def occupied_ports_mean(table: DistributionTable, column: str) -> float:

@@ -327,7 +327,7 @@ class TestCriterion8StructuralProperties:
 
 class TestCriterion9Distributions:
     def test_n8_mean_and_approximation(self):
-        table = st.occupied_ports_distribution(8)
+        table = st.distribution("occupied-ports", 8)
         q_mean = st.occupied_ports_mean(table, "quantum")
         c_mean = st.occupied_ports_mean(table, "classical")
         assert q_mean < c_mean

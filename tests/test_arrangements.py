@@ -36,9 +36,15 @@ def arrangements(max_n=7):
 class TestValidation:
     def test_accepts_valid(self):
         assert validate_arrangement([2, 1, 0, 2, 0]) == (2, 1, 0, 2, 0)
+        t = validate_arrangement(np.array([2, 1, 0, 2, 0], dtype=np.int16))
+        assert t == (2, 1, 0, 2, 0) and all(type(x) is int for x in t)
 
+    # non-integers are neither truncated nor parsed: (2.7, 0, 1) is not (2, 0, 1)
     @pytest.mark.parametrize(
-        "bad", [[], [3, 1], [2, 0, 0], [-1, 2], [0, 0, 0]], ids=repr
+        "bad",
+        [[], [3, 1], [2, 0, 0], [-1, 2], [0, 0, 0],
+         [2.7, 0, 1], ["2", "0", "1"], [2.0, 0, 1], [None, 1, 2], [np.float64(2), 0, 1]],
+        ids=repr,
     )
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidArrangementError):

@@ -310,6 +310,7 @@ class TestDist:
         code, out, _ = run(capsys, *argv, "--variant", "marginal", "--format", "json")
         assert code == 0
         assert json.loads(out)["variant"] == "marginal"
+        assert json.loads(out)["mode"] == "exact"  # dist takes no --mode
 
 
 class TestCk:
@@ -485,6 +486,7 @@ class TestOptions:
             (["table2", "--n", "3", "--mode", "exact"], 2),
             (["table2", "--n", "3", "--jobs", "2"], 2),
             (["dist", "--n", "3", "--kind", "occupied-ports", "--jobs", "2"], 2),
+            (["dist", "--n", "3", "--kind", "occupied-ports", "--mode", "exact"], 2),
             (["verify", "--n", "3", "--mode", "exact"], 2),
             (["verify", "--n", "3", "--format", "json"], 2),
             (["verify", "--n", "3", "--jobs", "2"], 2),
@@ -560,7 +562,7 @@ class TestCache:
         entry = next(cache.glob("*.json"))
         doc = json.loads(entry.read_text())
         doc["payload"][0][1] = 999
-        entry.write_text(json.dumps(doc))
+        entry.write_text(_canonical_json(doc))
         code, second, err = run(capsys, *args)
         assert code == 0
         assert second == first
@@ -647,21 +649,29 @@ class TestCache:
         text = next(cache.glob("*.json")).read_text()
         assert text == _canonical_json(json.loads(text))
 
-    def test_indented_entry_still_served(self, capsys, tmp_path, monkeypatch):
-        # the layout of entries written before they were compact
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # indented, as entries were written before they were compact
+            lambda doc: json.dumps(doc, indent=1, sort_keys=True),
+            lambda doc: json.dumps({k: doc[k] for k in ("payload", "checksum", "schema_version")},
+                                   separators=(",", ":")),
+            lambda doc: _canonical_json({**doc, "schema_version": 999}),
+        ],
+        ids=["indented", "key-reordered", "schema-999"],
+    )
+    def test_other_layout_recomputed(self, capsys, tmp_path, layout):
+        # only the bytes cache_store writes are served, even under a valid checksum
         cache = tmp_path / "cache"
         args = ["classes", "--n", "5", "--cache-dir", str(cache)]
         _, clean, _ = run(capsys, *args)
         entry = next(cache.glob("*.json"))
-        entry.write_text(json.dumps(json.loads(entry.read_text()), indent=1, sort_keys=True))
-        before = entry.read_bytes()
-
-        def recompute(*args):
-            raise AssertionError("an indented entry missed the cache")
-
-        monkeypatch.setattr(st, "class_probability_table", recompute)
-        assert run(capsys, *args) == (0, clean, "")
-        assert entry.read_bytes() == before
+        good = entry.read_bytes()
+        entry.write_text(layout(json.loads(good)))
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (0, clean)
+        assert f"warning: unreadable cache entry {entry}: not in the layout cache_store writes" in err
+        assert entry.read_bytes() == good
 
     def test_hits_load_no_numpy(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)

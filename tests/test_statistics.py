@@ -66,7 +66,7 @@ class TestApproxColumn:
 class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_occupied_ports(self, n):
-        t = st.occupied_ports_distribution(n)
+        t = st.distribution("occupied-ports", n)
         total = math.comb(2 * n - 1, n)
         assert t.column("classical") == [
             math.comb(n, k) * math.factorial(k) * _stirling2(n, k) / n**n
@@ -78,7 +78,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_port_occupancy_marginal(self, n):
-        t = st.port_occupancy_distribution(n)
+        t = st.distribution("port-occupancy", n)
         total = math.comb(2 * n - 1, n)
         assert t.column("classical") == [
             math.comb(n, k) * (n - 1) ** (n - k) / n**n for k in range(n + 1)
@@ -93,11 +93,14 @@ class TestClosedForms:
     def test_numerators_equal_brute_force(self, n, kind, variant):
         # classical counts particle-to-port maps, n!/prod s_j! per
         # arrangement, and approx counts arrangements, each weighted by
-        # scale times the arrangement's share of the category
-        categories, classical, approx, scale = st.closed_forms(kind, n, variant)
+        # scale times the arrangement's share of the category, the share
+        # weights(s) gives it too
+        categories, classical, approx, scale, weights = st.closed_forms(kind, n, variant)
         expected = {}
         for s in enumerate_arrangements(n):
             maps = math.factorial(n) // math.prod(math.factorial(x) for x in s)
+            shares = {",".join(map(str, cat)): Fraction(w, scale) for cat, w in weights(s)}
+            assert shares == dict(_categories(kind, variant, s)), s
             for label, share in _categories(kind, variant, s):
                 c, a = expected.get(label, (0, 0))
                 expected[label] = (c + maps * share * scale, a + share * scale)
@@ -119,6 +122,24 @@ class TestNonzeroRows:
         assert st.distribution(kind, n, rows=alive, variant=variant) == st.distribution(
             kind, n, rows=rows, variant=variant
         )
+
+
+class TestDistributionCertifiesRows:
+    @staticmethod
+    def _bumped(n):
+        # every nonzero z raised by 1: the n = 6 rows then carry probability 0.994
+        return [r._replace(z=r.z + 1) if r.z else r for r in st.class_probability_table(n)]
+
+    @pytest.mark.parametrize("kind,variant", KINDS)
+    def test_rows_that_fail_normalization_raise(self, kind, variant):
+        with pytest.raises(ArithmeticError, match="not 1"):
+            st.distribution(kind, 6, rows=self._bumped(6), variant=variant)
+
+    def test_default_rows_are_checked_too(self, monkeypatch):
+        bumped = self._bumped(6)
+        monkeypatch.setattr(st, "class_probability_table", lambda n: bumped)
+        with pytest.raises(ArithmeticError, match="not 1"):
+            st.distribution("occupied-ports", 6)
 
 
 def _enhancement(s):
@@ -331,7 +352,7 @@ class TestSuppressedFractionEstimate:
 
 class TestOccupiedPorts:
     def test_n2_columns(self):
-        t = st.occupied_ports_distribution(2)
+        t = st.distribution("occupied-ports", 2)
         classical = t.column("classical")
         quantum = t.column("quantum")
         assert classical == [0.5, 0.5]
@@ -340,31 +361,31 @@ class TestOccupiedPorts:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_columns_normalized(self, n):
-        t = st.occupied_ports_distribution(n)
+        t = st.distribution("occupied-ports", n)
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_quantum_mean_below_classical(self, n):
-        t = st.occupied_ports_distribution(n)
+        t = st.distribution("occupied-ports", n)
         assert st.occupied_ports_mean(t, "quantum") < st.occupied_ports_mean(t, "classical")
 
 
 class TestPortOccupancy:
     def test_n2_quantum_marginal(self):
-        t = st.port_occupancy_distribution(2)
+        t = st.distribution("port-occupancy", 2)
         quantum = t.column("quantum")
         assert abs(quantum[0] - 0.5) < 1e-12
         assert quantum[1] < 1e-30
         assert abs(quantum[2] - 0.5) < 1e-12
 
     def test_n2_classical_marginal(self):
-        t = st.port_occupancy_distribution(2)
+        t = st.distribution("port-occupancy", 2)
         assert t.column("classical") == [0.25, 0.5, 0.25]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_marginal_columns_normalized(self, n):
-        t = st.port_occupancy_distribution(n)
+        t = st.distribution("port-occupancy", n)
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
@@ -372,14 +393,14 @@ class TestPortOccupancy:
     def test_equals_first_port_marginal(self, n):
         # Cyclic invariance: the uniform-port law equals port 1's law, and
         # both are one exact rational rounded once.
-        t = st.port_occupancy_distribution(n)
+        t = st.distribution("port-occupancy", n)
         direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
             direct[s[0]] += exact_quantum_probability(s)
         assert t.column("quantum") == [float(p) for p in direct]
 
     def test_at_least_one_variant(self):
-        t = st.port_occupancy_distribution(2, variant="at-least-one")
+        t = st.distribution("port-occupancy", 2, variant="at-least-one")
         # classical: some port empty iff bunched (prob 1/2); some port with
         # one particle iff coincident (1/2); some port with two iff bunched.
         assert t.column("classical") == [0.5, 0.5, 0.5]
@@ -390,23 +411,23 @@ class TestPortOccupancy:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            st.port_occupancy_distribution(3, variant="bogus")
+            st.distribution("port-occupancy", 3, variant="bogus")
 
 
 class TestClassicalClassDistribution:
     @pytest.mark.parametrize("n,rows", [(4, 5), (6, 11)])
     def test_row_counts(self, n, rows):
-        t = st.classical_class_distribution(n)
+        t = st.distribution("classical-classes", n)
         assert len(t.rows) == rows
 
     def test_sorted_ascending_in_classical(self):
-        t = st.classical_class_distribution(6)
+        t = st.distribution("classical-classes", 6)
         classical = t.column("classical")
         assert classical == sorted(classical)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_columns_normalized(self, n):
-        t = st.classical_class_distribution(n)
+        t = st.distribution("classical-classes", n)
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
@@ -414,7 +435,7 @@ class TestClassicalClassDistribution:
 class TestOrbitExpansionConsistency:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_class_sweep_equals_direct_enumeration(self, n):
-        t = st.occupied_ports_distribution(n)
+        t = st.distribution("occupied-ports", n)
         direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
             k = sum(1 for x in s if x > 0)
