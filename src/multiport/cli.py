@@ -80,7 +80,7 @@ from .errors import (
 from .scattering import (
     EXACT_KERNEL_TAG,
     ck_decomposition,
-    exact_integer_amplitude,
+    exact_integer_amplitudes,
     is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
@@ -459,15 +459,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
-    members = ((m, r.z) for r in rows for m in dihedral_orbit(r.representative))
-    bad = next((m for m, z in members if abs(exact_integer_amplitude(m)) != abs(z)), None)
+    members = [(m, r.z) for r in rows for m in dihedral_orbit(r.representative)]
+    found = exact_integer_amplitudes([m for m, _ in members])
+    bad = next((m for (m, z), y in zip(members, found) if abs(y) != abs(z)), None)
     record("dihedral-invariance", bad is None, f"violated by {bad}" if bad else "all orbits agree")
 
-    # The rows share one kernel call per affine orbit of Q = 0 classes;
+    # The rows share one kernel evaluation per affine orbit of Q = 0 classes;
     # recompute z on the image p -> u*p of each of them, for every unit u.
     units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
-    images = ((multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units)
-    bad = next((image for image, z in images if exact_integer_amplitude(image) != z), None)
+    images = [(multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units]
+    found = exact_integer_amplitudes([image for image, _ in images])
+    bad = next((image for (image, z), y in zip(images, found) if y != z), None)
     detail = f"violated by {bad}" if bad else "z(u*s) = z(s) for every unit u"
     record("multiplier-invariance", bad is None, detail)
 
@@ -577,10 +579,10 @@ def main(argv=None) -> int:
         if args.command == "table1" and args.n_max < 2:
             parser.error(f"--n-max must be >= 2, got {args.n_max}")
         if args.command == "ck":
-            try:
-                args.arrangement = [int(x) for x in args.arrangement.split(",") if x.strip() != ""]
-            except ValueError:
+            fields = [x.strip() for x in args.arrangement.split(",")]
+            if not all(x.isascii() and x.isdigit() for x in fields):
                 parser.error(f"--arrangement must be comma-separated integers, got {args.arrangement!r}")
+            args.arrangement = [int(x) for x in fields]
         if args.command == "dist":
             try:  # the variant rule of closed_forms, before any rows are built
                 stats.closed_forms(args.kind, 1, args.variant)

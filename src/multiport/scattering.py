@@ -11,12 +11,14 @@ its permanent z is an algebraic integer, and it is rational: Glynn's
 formula (D. G. Glynn, Eur. J. Combin. 31, 1887 (2010)), grouped by how many
 copies of each repeated row a sign vector negates, writes 2^(n-1) z as a
 signed sum of resultants Res(y(t), t^n - 1).  So z is an integer.
-exact_integer_amplitude evaluates that sum modulo primes q = 1 (mod n),
-divides by 2^(n-1) there, and rebuilds z by the Chinese remainder theorem;
-a redundant prime guards the reconstruction.  Every probability the
-package reports is z^2 / (n^n * prod s_j!), exactly or rounded once to
-float, so suppression verdicts (z == 0) carry no tolerance.  The float
-permanents (permanent_naive, permanent_ryser and
+exact_integer_amplitudes, the one exact kernel, evaluates that sum modulo
+primes q = 1 (mod n), divides by 2^(n-1) there, and rebuilds z by the
+Chinese remainder theorem; a redundant prime guards the reconstruction.
+The arrangements of one occupancy profile, sorted(s), share the primes and
+the Glynn grid, so it evaluates them in one numpy pipeline.  Every
+probability the package reports is z^2 / (n^n * prod s_j!), exactly or
+rounded once to float, so suppression verdicts (z == 0) carry no
+tolerance.  The float permanents (permanent_naive, permanent_ryser and
 quantum_probability built on them) stay as independent oracles.
 """
 
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
 from ._numpy import np
-from .arrangements import port_assignment, validate_arrangement
+from .arrangements import Arrangement, port_assignment, validate_arrangement
 from .cyclotomic import CyclotomicVector
 from .errors import BRUTE_FORCE_LIMIT, EXACT_AMPLITUDE_LIMIT, RYSER_PERMANENT_LIMIT, check_size
 
@@ -245,49 +247,55 @@ def _glynn_weights(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     )
 
 
-def _glynn_residues(t: Sequence[int], primes: Sequence[int], powers: np.ndarray,
-                    inverses: Sequence[int]) -> list[int]:
-    """z mod q for each prime, from Glynn's formula over repeated rows.
+def _glynn_residues(ts: Sequence[Arrangement], primes: Sequence[int], powers: np.ndarray,
+                    inverses: Sequence[int]) -> np.ndarray:
+    """z mod q for each prime and each class of one occupancy profile, as a
+    (primes, classes) array, from Glynn's formula over repeated rows.
 
     Row p of the matrix repeats s_p times.  Glynn's sign vectors group by
-    the number j_p of copies of each row signed -1; one copy of a
-    least-occupied port p0 is fixed to +1:
+    the number j_p of copies of each row signed -1; one copy of p0, the
+    first occupied port in (occupancy, port) order, is fixed to +1:
 
         z = 2^(1-n) sum_j (-1)^|j| C(s_p0 - 1, j_p0) prod_{p != p0} C(s_p, j_p)
                                    prod_k y_j(w^k)
 
     with y_j(w^k) = sum_p (s_p - 2 j_p) w^(p*k).  The grid of j spans the
     occupied ports only, so a class costs s_p0 * prod_{p != p0} (s_p + 1) * n
-    operations per prime.
+    operations per prime.  In that order the classes of one profile share
+    the grid and coefficients, and differ only in the rows of powers used.
     """
-    n = len(t)
-    weights = _glynn_weights(n)
-    q = np.array(primes, dtype=np.int64)[:, None, None]
-    p0 = min((sp, p) for p, sp in enumerate(t) if sp)[1]
-    # sums[i, k, g] = y(w^k) at grid point g, |y| below n * 2^31 until reduced
-    values, coeffs = weights[t[p0] - 1]
-    values = values + 1  # the copy of row p0 fixed to +1
-    sums = powers[:, p0, :, None] * values
-    for p, sp in enumerate(t):
-        if sp and p != p0:
-            values, signed = weights[sp]
-            step = powers[:, p, :, None] * values
-            sums = (sums[:, :, :, None] + step[:, :, None, :]).reshape(len(primes), n, -1)
-            coeffs = np.multiply.outer(coeffs, signed).ravel()
-    prod = sums % q
+    n = len(ts[0])
+    q = np.array(primes, dtype=np.int64)[:, None]
+    occupancies = sorted(x for x in ts[0] if x)
+    ports = np.argsort(np.array(ts), axis=1, kind="stable")[:, n - len(occupancies):]
+    # y[i, c, k, g] = y(w^k) of class c at grid point g, |y| below n * 2^31 until reduced
+    values, coeffs = _glynn_weights(n)[occupancies[0] - 1]
+    y = powers[:, ports[:, 0], :, None] * (values + 1)  # the copy of p0 fixed to +1
+    for port, sp in zip(ports[:, 1:].T, occupancies[1:]):
+        values, signed = _glynn_weights(n)[sp]
+        step = powers[:, port, :, None] * values
+        y = (step[..., None] + y[..., None, :]).reshape(*y.shape[:3], -1)
+        coeffs = np.multiply.outer(signed, coeffs).ravel()
+    # fmod keeps the sign (|y| < q, products < 2^62) and beats % on negatives
+    np.fmod(y, q[..., None, None], out=y)
     # prod_k, pairwise: rows k < m - h times rows k >= h, until one is left
     m = n
     while m > 1:
         h = (m + 1) // 2
-        prod[:, : m - h] *= prod[:, h:m]
-        prod[:, : m - h] %= q
+        y[:, :, : m - h] *= y[:, :, h:m]
+        np.fmod(y[:, :, : m - h], q[..., None, None], out=y[:, :, : m - h])
         m = h
     # sum |coeffs| = 2^(n-1), so the dot product stays below 2^(n + 30)
-    return [int(r) * inv % qi for r, inv, qi in zip(prod[:, 0] @ coeffs, inverses, primes)]
+    return y[:, :, 0] @ coeffs % q * np.array(inverses, dtype=np.int64)[:, None] % q
 
 
-def exact_integer_amplitude(s: Sequence[int]) -> int:
-    """The unnormalized permanent z of the root-of-unity matrix, exactly.
+# The most grid cells (classes times Glynn grid points) of one profile that
+# _glynn_residues takes at a time; more leaves peak RSS higher at n = 10 to 12.
+_CELLS = 1 << 11
+
+
+def exact_integer_amplitudes(arrangements: Iterable[Sequence[int]]) -> list[int]:
+    """The unnormalized permanents z of arrangements of one n, exactly, in order.
 
     Each Glynn term prod_k y(w^k) is the resultant of y(t) and t^n - 1, so
     2^(n-1) z is a sum of integers, and any w of exact order n gives it.
@@ -295,26 +303,41 @@ def exact_integer_amplitude(s: Sequence[int]) -> int:
     and rebuilt by the Chinese remainder theorem as a symmetric residue.
     One spare prime guards the reconstruction: if its residue disagrees
     with z, ArithmeticError is raised rather than a wrong z returned.
+    Classes of one profile are evaluated together, _CELLS grid cells at most.
     """
-    t = validate_arrangement(s)
-    n = len(t)
+    ts = [validate_arrangement(s) for s in arrangements]
+    n = len(ts[0]) if ts else 1
+    if any(len(t) != n for t in ts):
+        raise ValueError("exact amplitudes of one call must share one n")
     check_size("exact amplitude", n, EXACT_AMPLITUDE_LIMIT)
     primes, powers, inverses = _kernel_tables(n)
-    # z^2 / _denominator(t) is a probability, so 2|z| + 1 < bound
-    bound = 2 * math.isqrt(_denominator(t)) + 2
-    used = 1
-    while math.prod(primes[:used]) <= bound:
-        used += 1
-    residues = _glynn_residues(t, primes[: used + 1], powers[: used + 1], inverses[: used + 1])
-    z, m = 0, 1
-    for r, q in zip(residues[:used], primes):
-        z += m * ((r - z) * pow(m, -1, q) % q)
-        m *= q
-    if 2 * z > m:
-        z -= m
-    if (z - residues[used]) % primes[used]:
-        raise ArithmeticError(f"amplitude of {t}: residues disagree with the spare prime")
+    profiles: dict[Arrangement, list[int]] = {}
+    for i, t in enumerate(ts):
+        profiles.setdefault(tuple(sorted(t)), []).append(i)
+    z = [0] * len(ts)
+    for profile, members in profiles.items():
+        # z^2 / _denominator(t) is a probability, so 2|z| + 1 < bound
+        bound = 2 * math.isqrt(_denominator(profile)) + 2
+        used = next(u for u in itertools.count(1) if math.prod(primes[:u]) > bound)
+        occupied = [x for x in profile if x]
+        size = max(1, _CELLS // (occupied[0] * math.prod(x + 1 for x in occupied[1:])))
+        for chunk in (members[i : i + size] for i in range(0, len(members), size)):
+            residues = _glynn_residues([ts[i] for i in chunk], primes[: used + 1],
+                                       powers[: used + 1], inverses[: used + 1])
+            for i, r in zip(chunk, residues.T.tolist()):
+                x, m = 0, 1
+                for ri, q in zip(r, primes[:used]):
+                    x += m * ((ri - x) * pow(m, -1, q) % q)
+                    m *= q
+                z[i] = x - m if 2 * x > m else x
+                if (z[i] - r[used]) % primes[used]:
+                    raise ArithmeticError(f"amplitude of {ts[i]}: residues disagree with the spare prime")
     return z
+
+
+def exact_integer_amplitude(s: Sequence[int]) -> int:
+    """z of one arrangement: exact_integer_amplitudes([s])[0]."""
+    return exact_integer_amplitudes([s])[0]
 
 
 def is_suppressed_exact(s: Sequence[int]) -> bool:

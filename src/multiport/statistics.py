@@ -6,10 +6,10 @@ its representative, orbit size and exact integer amplitude z; every other
 column is derived from z.  class_probability_table is the one place rows
 are built, serially and in enumeration order.  Classes with Q != 0 are
 exact zeros by the zero-transmission law; the exact kernel runs on the
-Q = 0 classes only, and once per affine orbit of them (q0_amplitudes).  The
-census (census_row) and the distributions' quantum columns are reductions
-over the rows, and check_normalization certifies them.  Every float a
-table reports is one exact rational rounded once.
+Q = 0 classes only, in one batched call per n on the first member of each
+of their affine orbits (q0_amplitudes).  The census and the distributions'
+quantum columns reduce the rows, and check_normalization certifies them.
+Every float a table reports is one exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -60,7 +60,7 @@ from .arrangements import (
     enumerate_quantum_classes,
     partition_count,
 )
-from .scattering import _denominator, exact_integer_amplitude
+from .scattering import _denominator, exact_integer_amplitudes
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
 OCCUPANCY_VARIANTS = ("marginal", "at-least-one")
@@ -142,18 +142,18 @@ def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[np.ndarray, np.ndarray
 
 
 def q0_amplitudes(classes: Sequence[QuantumClass]) -> tuple[list[int], list[int]]:
-    """Positions of the Q = 0 classes and their z, one exact-kernel call per affine orbit.
+    """Positions of the Q = 0 classes and their z, from one batched exact-kernel call.
 
     affine_keys maps each class s to its orbit's key by some p -> u*p + a,
     so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
     member of their orbit up to the ratio of their signs.  The kernel runs
-    on those first members.
+    on those first members, all in one exact_integer_amplitudes call.
     """
     index, digits = _q0_classes(classes)
     n = digits.shape[1]
     keys, shifts = affine_keys(digits)
     _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
-    z = [exact_integer_amplitude(classes[i].representative) for i in index[first].tolist()]
+    z = exact_integer_amplitudes([classes[i].representative for i in index[first].tolist()])
     sign = 1 - 2 * (shifts * (n - 1) % 2)
     relative = (sign * sign[first][orbit]).tolist()
     return index.tolist(), [s * z[k] for s, k in zip(relative, orbit.tolist())]

@@ -38,6 +38,17 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def altered_kernel(target, change):
+    """The batched exact kernel with change applied to the z of the arrangement target."""
+    real = scattering.exact_integer_amplitudes
+
+    def kernel(ts):
+        ts = list(ts)
+        return [change(z) if tuple(s) == target else z for s, z in zip(ts, real(ts))]
+
+    return kernel
+
+
 # Runs the CLI in a fresh interpreter, then reports its exit code, the
 # numpy submodules it loaded and whether it loaded dataclasses as a JSON
 # line on stderr.
@@ -129,9 +140,9 @@ class TestClasses:
     def test_kernel_check_failure_exits_3(self, capsys, monkeypatch):
         real = scattering._glynn_residues
 
-        def corrupted(t, primes, powers, inverses):
-            residues = real(t, primes, powers, inverses)
-            residues[0] = (residues[0] + 1) % primes[0]
+        def corrupted(ts, primes, powers, inverses):
+            residues = real(ts, primes, powers, inverses)
+            residues[0] = (residues[0] + 1) % primes[0]  # every class, first prime
             return residues
 
         monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
@@ -209,13 +220,8 @@ class TestTable1:
         assert rows[-1] == ["6", "462", "11", "50", "38", "2"]
 
     def test_normalization_certificate_failure_exits_3(self, capsys, monkeypatch):
-        real = st.exact_integer_amplitude
-
-        def off_by_one(s):
-            z = real(s)
-            return z + 1 if tuple(s) == (0, 0, 0, 1, 4, 1) else z
-
-        monkeypatch.setattr(st, "exact_integer_amplitude", off_by_one)
+        kernel = altered_kernel((0, 0, 0, 1, 4, 1), lambda z: z + 1)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", kernel)
         code, out, err = run(capsys, "table1", "--n-max", "6", "--mode", "exact")
         assert code == 3
         assert out == ""
@@ -242,10 +248,10 @@ class TestTable1:
         names = sorted(p.name for p in cache.glob("*.json"))
         assert names == sorted(f"v1_rows_n{n}_exact-glynn-crt.json" for n in range(2, 7))
 
-        def no_kernel(s):
+        def no_kernel(ts):
             raise AssertionError("kernel ran on a cache hit")
 
-        monkeypatch.setattr(st, "exact_integer_amplitude", no_kernel)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", no_kernel)
         code, out, err = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
         assert code == 0, err
         assert len(parse_csv(out)[1]) == 50
@@ -334,6 +340,18 @@ class TestCk:
             main(["ck", "--arrangement", "1,frog"])
         assert exc.value.code == 2
 
+    # digit separators, signs, non-ASCII digits and empty fields are not occupancies
+    @pytest.mark.parametrize("text", ["0,0,0_3", "0,+0,\uff13", "1,,1,1", "0,0,3,", "0,-0,3", ""])
+    def test_fields_must_be_ascii_digits(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["ck", "--arrangement", text])
+        assert exc.value.code == 2
+        assert "--arrangement must be comma-separated integers" in capsys.readouterr().err
+
+    def test_spaces_around_fields_allowed(self, capsys):
+        spaced = run(capsys, "ck", "--arrangement", " 0, 1,2 ,1,0,2")
+        assert spaced[:2] == run(capsys, "ck", "--arrangement", "0,1,2,1,0,2")[:2]
+
     def test_wrong_sum_exits_2(self, capsys):
         code, _, err = run(capsys, "ck", "--arrangement", "1,1,1,0")
         assert code == 2
@@ -376,13 +394,8 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_wrong_amplitude_fails_normalization(self, capsys, monkeypatch):
-        real = scattering.exact_integer_amplitude
-
-        def off_by_one(s):
-            z = real(s)
-            return z + 1 if tuple(s) == (0, 0, 0, 0, 0, 6) else z
-
-        monkeypatch.setattr(st, "exact_integer_amplitude", off_by_one)
+        kernel = altered_kernel((0, 0, 0, 0, 0, 6), lambda z: z + 1)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", kernel)
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         code, out, _ = run(capsys, "verify", "--n", "6")
         assert code == 1
@@ -391,13 +404,8 @@ class TestVerify:
 
     def test_wrong_sign_fails_multiplier_invariance(self, capsys, monkeypatch):
         # -z keeps every |z| and z^2, so only the multiplier check sees it
-        real = scattering.exact_integer_amplitude
-
-        def negated(s):
-            z = real(s)
-            return -z if tuple(s) == (0, 0, 0, 0, 1, 5, 1) else z
-
-        monkeypatch.setattr(st, "exact_integer_amplitude", negated)
+        kernel = altered_kernel((0, 0, 0, 0, 1, 5, 1), lambda z: -z)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", kernel)
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         code, out, _ = run(capsys, "verify", "--n", "7")
         assert code == 1

@@ -1,4 +1,7 @@
 import math
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from multiport.scattering import (
     ck_decomposition,
     classical_probability,
     exact_integer_amplitude,
+    exact_integer_amplitudes,
     exact_quantum_probability,
     fourier_unitary,
     is_suppressed_exact,
@@ -225,20 +229,31 @@ class TestExactAmplitude:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_exactly(self, n):
-        for s in enumerate_arrangements(n):
-            assert exact_integer_amplitude(s) == oracle_z(s), s
+        # every arrangement, shuffled, in one batched call and one by one
+        arrangements = list(enumerate_arrangements(n))
+        random.Random(n).shuffle(arrangements)
+        expected = [oracle_z(s) for s in arrangements]
+        assert exact_integer_amplitudes(iter(arrangements)) == expected
+        for s, z in zip(arrangements, expected):
+            assert exact_integer_amplitude(s) == z, s
 
     def test_matches_brute_force_on_affine_keys(self, monkeypatch):
-        # every call the class table makes at the oracle's largest n, some
-        # with two or more particles on each occupied port
+        # every class the class table sends to the kernel at the oracle's
+        # largest n, in its one call, some with two or more particles on
+        # each occupied port
         n = BRUTE_FORCE_LIMIT
-        keys = []
-        monkeypatch.setattr(statistics, "exact_integer_amplitude", lambda s: keys.append(s) or 0)
+        calls = []
+
+        def record(ts):
+            calls.append(list(ts))
+            return [0] * len(calls[-1])
+
+        monkeypatch.setattr(statistics, "exact_integer_amplitudes", record)
         statistics.class_probability_table(n)
-        assert (n, len(keys)) == (9, 70)
+        assert (n, [len(keys) for keys in calls]) == (9, [70])
+        keys = calls[0]
         assert any(min(x for x in s if x) >= 2 for s in keys)
-        for s in keys:
-            assert exact_integer_amplitude(s) == oracle_z(s), s
+        assert exact_integer_amplitudes(keys) == [oracle_z(s) for s in keys]
 
     def test_amplitude_is_rational_integer(self):
         # The c_k histogram reduces to a plain integer for every event.
@@ -315,23 +330,86 @@ class TestKernelChecks:
         real = scattering._glynn_residues
         used = []
 
-        def spy(t, primes, powers, inverses):
+        def spy(ts, primes, powers, inverses):
             used.append(len(primes))
-            return real(t, primes, powers, inverses)
+            return real(ts, primes, powers, inverses)
 
         monkeypatch.setattr(scattering, "_glynn_residues", spy)
         assert exact_integer_amplitude(s) == PINNED_N14[s]
         assert used[0] >= 2  # at least one working prime and the spare
         for bad in range(used[0]):
 
-            def corrupted(t, primes, powers, inverses, bad=bad):
-                residues = real(t, primes, powers, inverses)
-                residues[bad] = (residues[bad] + 1) % primes[bad]
+            def corrupted(ts, primes, powers, inverses, bad=bad):
+                residues = real(ts, primes, powers, inverses)
+                assert residues.shape == (len(primes), 1)
+                residues[bad, 0] = (residues[bad, 0] + 1) % primes[bad]
                 return residues
 
             monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
             with pytest.raises(ArithmeticError):
                 exact_integer_amplitude(s)
+
+
+class TestBatchedKernel:
+    """exact_integer_amplitudes groups its inputs by occupancy profile and
+    evaluates each group in chunks of at most _CELLS grid cells."""
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_chunk_cap_does_not_change_z(self, cells, monkeypatch):
+        arrangements = list(enumerate_arrangements(7))
+        whole = exact_integer_amplitudes(arrangements)
+        real = scattering._glynn_residues
+        chunks = []
+
+        def spy(ts, *tables):
+            chunks.append(ts)
+            return real(ts, *tables)
+
+        monkeypatch.setattr(scattering, "_CELLS", cells)
+        monkeypatch.setattr(scattering, "_glynn_residues", spy)
+        assert exact_integer_amplitudes(arrangements) == whole
+        profiles = Counter(tuple(sorted(ts[0])) for ts in chunks)
+        assert all(tuple(sorted(t)) == tuple(sorted(ts[0])) for ts in chunks for t in ts)
+        assert sum(map(len, chunks)) == len(arrangements)
+        if cells == 1:
+            assert all(len(ts) == 1 for ts in chunks)
+        else:  # some profile is split into chunks of two or more classes
+            assert any(len(ts) > 1 and profiles[tuple(sorted(ts[0]))] > 1 for ts in chunks)
+
+    def test_corrupted_class_in_a_chunk_is_named(self, monkeypatch):
+        arrangements = [s for s in enumerate_arrangements(6) if sorted(s) == [0, 0, 1, 1, 2, 2]]
+        target = arrangements[7]
+        real = scattering._glynn_residues
+        used = []
+
+        def spy(ts, primes, powers, inverses):
+            used.append((len(ts), len(primes)))
+            return real(ts, primes, powers, inverses)
+
+        monkeypatch.setattr(scattering, "_glynn_residues", spy)
+        exact_integer_amplitudes(arrangements)
+        assert used == [(len(arrangements), used[0][1])] and len(arrangements) > 1
+        for bad in range(used[0][1]):
+
+            def corrupted(ts, primes, powers, inverses, bad=bad):
+                residues = real(ts, primes, powers, inverses)
+                c = ts.index(target)
+                residues[bad, c] = (residues[bad, c] + 1) % primes[bad]
+                return residues
+
+            monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
+            with pytest.raises(ArithmeticError, match=re.escape(f"amplitude of {target}:")):
+                exact_integer_amplitudes(arrangements)
+
+    def test_empty_mixed_and_invalid_inputs(self):
+        assert exact_integer_amplitudes([]) == []
+        with pytest.raises(ValueError, match="one n") as exc:
+            exact_integer_amplitudes([(1, 1), (1, 1, 1)])
+        assert not isinstance(exc.value, InvalidArrangementError)
+        with pytest.raises(InvalidArrangementError):
+            exact_integer_amplitudes([(1, 1, 1), (1, 2, 1)])
+        with pytest.raises(ResourceLimitError):
+            exact_integer_amplitudes([(1,) * 15])
 
 
 class TestSuppressedExact:

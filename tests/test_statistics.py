@@ -197,19 +197,20 @@ class TestClassProbabilityTable:
         ]
 
     def test_kernel_runs_only_on_q0_classes(self, monkeypatch):
-        real = st.exact_integer_amplitude
+        real = st.exact_integer_amplitudes
         calls = []
 
-        def counting(s):
-            calls.append(s)
-            return real(s)
+        def counting(ts):
+            calls.append(list(ts))
+            return real(calls[-1])
 
-        monkeypatch.setattr(st, "exact_integer_amplitude", counting)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", counting)
         rows = st.class_probability_table(8)
-        assert len(calls) == 49  # one per affine orbit of the 69 Q = 0 classes
-        assert all(suppression_Q(s) == 0 for s in calls)
+        # one call, with one class per affine orbit of the 69 Q = 0 classes
+        assert [len(c) for c in calls] == [49]
+        assert all(suppression_Q(s) == 0 for s in calls[0])
         everything_through_kernel = [
-            st.ClassProbabilityRow(r.representative, r.orbit_size, real(r.representative))
+            st.ClassProbabilityRow(r.representative, r.orbit_size, exact_integer_amplitude(r.representative))
             for r in rows
         ]
         assert rows == everything_through_kernel
@@ -266,7 +267,7 @@ class TestClassProbabilityTable:
         ]
 
 
-# n -> (Q = 0 classes, affine orbits among them = exact-kernel calls)
+# n -> (Q = 0 classes, affine orbits among them = classes in the one exact-kernel call)
 Q0_ORBITS = {8: (69, 49), 9: (186, 70), 10: (526, 268), 11: (1584, 320), 12: (4932, 2806)}
 
 
@@ -286,15 +287,16 @@ class TestQ0Rows:
         classes = enumerate_quantum_classes(n)
         calls = []
 
-        def record(s):
-            calls.append(s)
-            return 0
+        def record(ts):
+            calls.append(list(ts))
+            return [0] * len(calls[-1])
 
-        monkeypatch.setattr(st, "exact_integer_amplitude", record)
+        monkeypatch.setattr(st, "exact_integer_amplitudes", record)
         index, z = st.q0_amplitudes(classes)
-        assert (len(z), len(calls)) == Q0_ORBITS[n]
+        assert len(calls) == 1
+        assert (len(z), len(calls[0])) == Q0_ORBITS[n]
         assert index == [i for i, c in enumerate(classes) if suppression_Q(c.representative) == 0]
-        assert set(calls) <= {classes[i].representative for i in index}
+        assert set(calls[0]) <= {classes[i].representative for i in index}
 
 
     def test_q_in_chunks(self, monkeypatch):
