@@ -1,8 +1,10 @@
 """numpy, imported on first attribute access.
 
 A cache hit of the row commands runs no numpy, so it does not pay for
-numpy's import, most of the package's own; every other path imports it at
-its first ``np.`` access.  Modules use ``from ._numpy import np``.
+numpy's import, most of the package's own: the entry's columns are JSON
+lists of ints, and statistics.ClassTable and arrangements.decode_codes
+read them in pure Python.  Every other path imports numpy at its first
+``np.`` access.  Modules use ``from ._numpy import np``.
 LazyLoader is not thread-safe before Python 3.12; the package starts no
 threads.
 """

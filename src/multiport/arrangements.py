@@ -9,14 +9,19 @@ equivalence are used throughout:
 * quantum: arrangements related by a cyclic or anticyclic relabeling of the
   ports (canonical form: lexicographic minimum over the dihedral orbit).
 
-enumerate_quantum_classes works in numpy on base-(n+1) integer codes, in
-ascending blocks, of the only arrangements that can be canonical: (1, ..., 1)
-and those with s_1 = 0 and s_n >= 1, C(2n-3, n-1) + 1 of the C(2n-1, n).  A
-code is canonical iff it is the least of its 2n dihedral images, and the
-images equal to it give the orbit size (orbit-stabilizer).  The orbit sizes
-must cover all C(2n-1, n) arrangements, and the class count must equal
-Burnside's (dihedral_class_count).  dihedral_orbit and quantum_class_of
-are the per-arrangement reference.
+class_columns enumerates the classes in numpy on base-(n+1) integer codes
+(the code of s is sum_p s_p * (n+1)^(n-1-p), so code order is
+lexicographic order), in ascending blocks, of the only arrangements that
+can be canonical: (1, ..., 1) and those with s_1 = 0 and s_n >= 1,
+C(2n-3, n-1) + 1 of the C(2n-1, n).  A code is canonical iff it is the
+least of its 2n dihedral images, and the images equal to it give the orbit
+size (orbit-stabilizer).  The orbit sizes must cover all C(2n-1, n)
+arrangements, and the class count must equal Burnside's
+(dihedral_class_count).  The classes stay columns: int64 codes and orbit
+sizes.  q0_positions reads Q = 0 off the codes, and decode_codes turns
+codes back into tuples, both in pure Python, for only the classes a caller
+reads; enumerate_quantum_classes is the decoded view.  dihedral_orbit and
+quantum_class_of are the per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
@@ -29,6 +34,7 @@ into affine orbits, so that one kernel call serves a whole orbit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -259,8 +265,8 @@ def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     yield ones, ones
 
 
-def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
-    """One QuantumClass per dihedral orbit, ordered by representative.
+def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quantum classes of n as int64 columns: codes and orbit sizes.
 
     Works on base-(n+1) int64 codes of the candidates of _candidate_blocks,
     block by block.  A rotation by one port maps a code c to
@@ -268,18 +274,16 @@ def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
     the code and of the reversed code give the 2n dihedral images.  A
     candidate is kept iff its code is the minimum of its images, and its
     orbit size is 2n over the number of images equal to its code
-    (orbit-stabilizer).  The orbit sizes must cover every arrangement, so
-    no canonical code was left out of the candidates, and the class count
+    (orbit-stabilizer).  Codes ascend, so the classes are ordered by
+    representative.  The orbit sizes must cover every arrangement, so no
+    canonical code was left out of the candidates, and the class count
     must equal the Burnside count dihedral_class_count(n); otherwise
     AssertionError.
     """
     check_size("class enumeration", n, EXACT_AMPLITUDE_LIMIT)
-    total = count_arrangements(n)
     b = n + 1
     high = b ** (n - 1)
-    places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    classes = []
-    covered = 0
+    blocks = []
     for codes, rcodes in _candidate_blocks(n):
         least = np.minimum(codes, rcodes)
         stabilizer = 1 + (rcodes == codes)
@@ -290,20 +294,63 @@ def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
             least = np.minimum(least, np.minimum(c, r))
             stabilizer += (c == codes) + (r == codes)
         keep = least == codes
-        sizes = (2 * n // stabilizer[keep]).tolist()
-        reps = (codes[keep, None] // places % b).tolist()
-        classes.extend(QuantumClass(tuple(rep), size) for rep, size in zip(reps, sizes))
-        covered += sum(sizes)
+        blocks.append((codes[keep], 2 * n // stabilizer[keep]))
+    codes, sizes = (np.concatenate(column) for column in zip(*blocks))
+    covered, total = int(sizes.sum()), count_arrangements(n)
     if covered != total:
         raise AssertionError(
             f"orbit bookkeeping mismatch for n={n}: {covered} != {total}"
         )
     expected = dihedral_class_count(n)
-    if len(classes) != expected:
+    if len(codes) != expected:
         raise AssertionError(
-            f"class count mismatch for n={n}: {len(classes)} != Burnside {expected}"
+            f"class count mismatch for n={n}: {len(codes)} != Burnside {expected}"
         )
-    return classes
+    return codes, sizes
+
+
+def q0_positions(n: int, codes: Sequence[int]) -> list[int]:
+    """Positions of the codes of arrangements with Q = sum_p p * s_p = 0 (mod n), in pure Python.
+
+    With b = n + 1 = 1 (mod n), b^k = 1 + k*n (mod n^2), so the base-b code
+    of an arrangement s, whose occupancies sum to n, is n * (1 - Q) mod n^2
+    for Q over the 0-based ports (the same Q as over 1-based ports, since
+    the s_p sum to n): Q = 0 iff code = n (mod n^2).  No digit is decoded.
+    """
+    m = n * n
+    return [i for i, c in enumerate(codes) if c % m == n % m]
+
+
+def decode_codes(n: int, codes: Sequence[int]) -> list[Arrangement]:
+    """The arrangements of base-(n+1) codes in [0, (n+1)^n), in pure Python (no numpy).
+
+    The digits are read for all codes at once, a group of three at a time
+    (the leading group holds the other one to three) through a table of the
+    digit tuples of each group value, so a code costs about n/3 divisions.
+    ValueError unless the digits of every code sum to n.
+    """
+    b, reps = n + 1, itertools.repeat(())
+    first = n - 3 * ((n - 1) // 3)
+    tables = {width: list(itertools.product(range(b), repeat=width)) for width in {first, 3}}
+    for end in range(first, n + 1, 3):  # the group of digits end-width+1..end, from the left
+        width = min(end, 3)
+        values = map(operator.floordiv, codes, itertools.repeat(b ** (n - end)))
+        groups = map(tables[width].__getitem__, map(operator.mod, values, itertools.repeat(b**width)))
+        reps = map(operator.add, reps, groups)
+    reps = list(reps)  # one pass: the partial tuples live one code at a time
+    if set(map(sum, reps)) - {n}:
+        raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
+    return reps
+
+
+def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
+    """One QuantumClass per dihedral orbit, ordered by representative.
+
+    A decoding view of class_columns; the package's own paths read the
+    columns.
+    """
+    codes, sizes = class_columns(n)
+    return list(map(QuantumClass, decode_codes(n, codes.tolist()), sizes.tolist()))
 
 
 def multiplier_units(n: int) -> list[int]:

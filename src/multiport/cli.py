@@ -9,15 +9,22 @@ Subcommands
 * verify:  oracle and invariant sweep, exit 1 on any failure
 * ck:      phase-class histogram of one arrangement
 
-Every command but ck reads one set of exact class rows per n, built
-serially by statistics.class_probability_table and cached under one key
-as (representative, orbit size, z) triples; every column is derived from
-z, and table1 reduces the rows of each n = 2..n_max.  classes, table2,
-dist and table1 first check that the rows carry total probability exactly
-1 (statistics.check_normalization; dist through statistics.distribution);
-verify reports that check as one of its properties.  cache_load serves an
-entry only in the one byte layout cache_store writes, under a matching
-sha256; anything else is a warning, a recompute and an overwrite.
+Every command but ck reads one exact statistics.ClassTable per n, built
+serially by statistics.class_table and cached under one key as its
+columns: {"codes": [...], "orbit_sizes": [...], "z": [...]}, the
+base-(n+1) codes and orbit sizes of every class, and z of each class with
+Q = 0, in code order; Q = 0 is read off the codes.  Every other column is
+derived from z.
+class_rows_cached decodes only the rows a command reads: those with
+z != 0 for dist, table2, table1 and the certificate, every row for
+classes and verify.  table1 counts from the columns of each
+n = 2..n_max.  classes, table2, dist and table1 first check that the rows
+carry total probability exactly 1 (statistics.check_normalization; dist
+through statistics.distribution); verify reports that check as one of its
+properties.  cache_load serves an entry only in the one byte layout
+cache_store writes, under a matching sha256; anything else, or columns
+that _payload_to_rows rejects, is a warning, a recompute and an
+overwrite.  Only the cache imports hashlib.
 
 classes derives the cells of each row in _class_cells, in integer
 arithmetic from its representative and z; the ClassProbabilityRow
@@ -48,7 +55,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import math
 import os
@@ -57,15 +63,18 @@ from collections.abc import Callable
 from fractions import Fraction
 from io import TextIOBase
 from itertools import chain, islice
-from operator import itemgetter, mul
+from operator import lt, mul
 from pathlib import Path
 
 from . import statistics as stats
 from ._numpy import np
 from .arrangements import (
+    count_arrangements,
+    dihedral_class_count,
     dihedral_orbit,
     enumerate_arrangements,
     multiplier_image,
+    q0_positions,
     validate_arrangement,
 )
 from .errors import (
@@ -81,7 +90,6 @@ from .scattering import (
     EXACT_KERNEL_TAG,
     ck_decomposition,
     exact_integer_amplitudes,
-    is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
     random_unitary,
@@ -129,8 +137,8 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def cache_key(n: int) -> str:
-    """Name of the rows entry of n; it names the exact kernel that computed it."""
-    return f"v{SCHEMA_VERSION}_rows_n{n}_exact-{EXACT_KERNEL_TAG}"
+    """Name of the columns entry of n; it names the exact kernel that computed it."""
+    return f"v{SCHEMA_VERSION}_columns_n{n}_exact-{EXACT_KERNEL_TAG}"
 
 
 def cache_load(cache_dir: Path, key: str) -> dict | None:
@@ -144,6 +152,8 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
     checksum is reported on stderr and treated as a miss; the caller
     recomputes and overwrites.
     """
+    import hashlib  # OpenSSL's import costs milliseconds; only the cache hashes
+
     path = _cache_path(cache_dir, key)
     if not path.is_file():
         return None
@@ -169,6 +179,8 @@ def cache_store(cache_dir: Path, key: str, payload: dict) -> None:
     entry is compact, key-sorted JSON, spliced from the payload's one
     canonical encoding; the checksum is the sha256 of that encoding.
     """
+    import hashlib
+
     tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -193,56 +205,69 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 # class rows
 
 
-def _rows_to_payload(rows) -> list[list]:
-    return [[list(r.representative), r.orbit_size, r.z] for r in rows]
+def _rows_to_payload(table: stats.ClassTable) -> dict:
+    return {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z}
 
 
-def _payload_to_rows(payload: list[list], n: int):
-    """Rows from [representative, orbit size, z] triples.
+def _payload_to_rows(payload: dict, n: int, nonzero: bool):
+    """The ClassTable of a payload of columns, and its rows decoded as ClassTable.rows does.
 
-    ValueError unless the payload is a list of [list of n ints, int, int]
-    whose representatives are arrangements: non-negative, summing to n.
-    Other wrong values are left to the certificate.  The checks map over
-    whole columns, so a cache hit pays little for them.
+    ValueError unless the payload holds exactly the three columns as lists
+    of ints: dihedral_class_count(n) strictly ascending codes of n digits in
+    base n + 1, as many positive orbit sizes summing to C(2n-1, n), and one
+    z per code with Q = 0 (arrangements.q0_positions).  Decoding checks
+    that each code it reads is an arrangement of n.  The checks map over
+    whole columns, so a hit pays little for them; wrong values that pass
+    them are left to the certificate.
     """
-    if type(payload) is not list or set(map(type, payload)) - {list} or set(map(len, payload)) - {3}:
-        raise ValueError("expected a list of [representative, orbit size, z] triples")
-    reps, orbits, zs = (list(map(itemgetter(i), payload)) for i in range(3))
-    if set(map(type, reps)) - {list} or set(map(len, reps)) - {n}:
-        raise ValueError(f"expected representatives of {n} occupancies")
-    if set(map(type, chain(orbits, zs, chain.from_iterable(reps)))) - {int}:
+    if type(payload) is not dict or sorted(payload) != ["codes", "orbit_sizes", "z"]:
+        raise ValueError("expected the columns codes, orbit_sizes and z")
+    codes, orbits, z = payload["codes"], payload["orbit_sizes"], payload["z"]
+    if {type(codes), type(orbits), type(z)} != {list}:
+        raise ValueError("expected each column to be a list")
+    if set(map(type, chain(codes, orbits, z))) - {int}:
         raise ValueError("expected integers only")
-    if set(map(sum, reps)) - {n} or min(chain.from_iterable(reps), default=0) < 0:
-        raise ValueError(f"expected representatives of non-negative occupancies summing to {n}")
-    return list(map(stats.ClassProbabilityRow, map(tuple, reps), orbits, zs))
+    count = dihedral_class_count(n)
+    if (len(codes), len(orbits)) != (count, count):
+        raise ValueError(f"expected {count} codes and orbit sizes")
+    if sum(orbits) != count_arrangements(n) or min(orbits) < 1:
+        raise ValueError(f"expected positive orbit sizes summing to {count_arrangements(n)}")
+    if not (all(map(lt, codes, islice(codes, 1, None))) and 0 <= codes[0] and codes[-1] < (n + 1) ** n):
+        raise ValueError(f"expected strictly ascending codes of {n} base-{n + 1} digits")
+    q0 = q0_positions(n, codes)
+    if len(z) != len(q0):
+        raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
+    table = stats.ClassTable(n, codes, orbits, q0, z)
+    return table, table.rows(nonzero)
 
 
-def class_rows_cached(n: int, cache_dir: Path | None):
-    """Class rows for n, going through cache_dir when one is set.
+def class_rows_cached(n: int, cache_dir: Path | None, nonzero: bool = True):
+    """The ClassTable of n, through cache_dir when one is set, and its decoded rows.
 
-    Every mode and command reads the same exact rows, so one entry per n
-    serves them all; it keeps the rows in the order they were built.  An
-    entry that _payload_to_rows rejects is unreadable, like one that is
-    not JSON: a warning, then a recompute and an overwrite.
+    The rows are those with z != 0, which every command reads, or with
+    nonzero=False every row; a hit decodes no others.  Every command reads
+    the same exact table, so one entry per n serves them all.  An entry
+    that _payload_to_rows rejects is unreadable, like one that is not
+    JSON: a warning, then a recompute and an overwrite.
     """
     key = cache_key(n)
     if cache_dir is not None:
         payload = cache_load(cache_dir, key)
         if payload is not None:
             try:
-                return _payload_to_rows(payload, n)
+                return _payload_to_rows(payload, n, nonzero)
             except ValueError as exc:
                 path = _cache_path(cache_dir, key)
                 print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
-    rows = stats.class_probability_table(n)
+    table = stats.class_table(n)
     if cache_dir is not None:
-        cache_store(cache_dir, key, _rows_to_payload(rows))
-    return rows
+        cache_store(cache_dir, key, _rows_to_payload(table))
+    return table, table.rows(nonzero)
 
 
-def certified_rows(args: argparse.Namespace):
-    """class_rows_cached for args.n, after statistics.check_normalization (exit 3 on failure)."""
-    rows = class_rows_cached(args.n, args.cache_dir)
+def certified_rows(args: argparse.Namespace, nonzero: bool = True):
+    """The rows of class_rows_cached for args.n, after statistics.check_normalization (exit 3 on failure)."""
+    _, rows = class_rows_cached(args.n, args.cache_dir, nonzero)
     stats.check_normalization(args.n, rows)
     return rows
 
@@ -365,8 +390,7 @@ def _class_cells(n: int, rows, fmt: str):
         def alive(p, num, den):
             return False, p, {"num": num, "den": den}
 
-    for r in rows:
-        t, z = r.representative, r.z
+    for t, orbit_size, z in rows:
         s_fact = math.prod(map(math.factorial, t))
         m = n_fact // s_fact
         g = math.gcd(m, n_pow)
@@ -376,21 +400,24 @@ def _class_cells(n: int, rows, fmt: str):
             flag, p, enhancement = alive(z2 / (n_pow * s_fact), z2 // e, n_fact // e)
         else:
             flag, p, enhancement = suppressed
-        yield rep(t), r.orbit_size, sum(map(mul, t, ports)) % n, flag, m // g, n_pow // g, p, enhancement
+        yield rep(t), orbit_size, sum(map(mul, t, ports)) % n, flag, m // g, n_pow // g, p, enhancement
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
-    """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative."""
-    rows = certified_rows(args)
-    rows.sort(key=lambda r: (stats._multinomial(r.representative), r.representative))
-    cells = _class_cells(args.n, rows, args.format)
-    _emit_table(args, CLASS_COLUMNS, cells, "classes", args.n, args.mode)
+    """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative.
+
+    That is descending prod s_j!; the rows come in code order, which is
+    representative order, and a stable sort keeps it among ties.
+    """
+    rows = certified_rows(args, nonzero=False)
+    rows.sort(key=lambda r: math.prod(map(math.factorial, r.representative)), reverse=True)
+    _emit_table(args, CLASS_COLUMNS, _class_cells(args.n, rows, args.format), "classes", args.n, args.mode)
     return EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
-    census = [stats.census_row(n, class_rows_cached(n, args.cache_dir)) for n in range(2, args.n_max + 1)]
+    census = [stats.census_row(*class_rows_cached(n, args.cache_dir)) for n in range(2, args.n_max + 1)]
     values = [
         (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
         for r in census
@@ -401,10 +428,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
-    alive = sorted(
-        (r for r in certified_rows(args) if r.z),
-        key=lambda r: (-r.z * r.z, r.representative),
-    )
+    alive = sorted(certified_rows(args), key=lambda r: (-r.z * r.z, r.representative))
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
     _emit_table(args, header, _cells(args.format, values), "table2", args.n, "exact")
@@ -412,7 +436,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
+    _, rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
     table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
     cells = _cells(args.format, table.rows)
@@ -455,7 +479,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
     # proves each skipped class an exact zero (statistics.check_normalization,
     # reported here as a FAIL line rather than an exit code 3).
-    rows = class_rows_cached(n, args.cache_dir)
+    _, rows = class_rows_cached(n, args.cache_dir, nonzero=False)
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
@@ -473,7 +497,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     detail = f"violated by {bad}" if bad else "z(u*s) = z(s) for every unit u"
     record("multiplier-invariance", bad is None, detail)
 
-    bad = next((r.representative for r in rows if r.Q != 0 and not is_suppressed_exact(r.representative)), None)
+    law = [r.representative for r in rows if r.Q != 0]
+    bad = next((s for s, y in zip(law, exact_integer_amplitudes(law)) if y), None)
     record("law-soundness", bad is None, f"violated by {bad}" if bad else "Q != 0 implies exact zero")
 
     bad = next((s for s in enumerate_arrangements(n) if not verify_gamma_shift(s)), None)

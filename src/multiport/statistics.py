@@ -1,15 +1,20 @@
 """Aggregate observables over all output arrangements.
 
 Everything here is a deterministic reduction over the quantum equivalence
-classes: per-class probabilities weighted by orbit size.  A class row is
-its representative, orbit size and exact integer amplitude z; every other
-column is derived from z.  class_probability_table is the one place rows
-are built, serially and in enumeration order.  Classes with Q != 0 are
-exact zeros by the zero-transmission law; the exact kernel runs on the
-Q = 0 classes only, in one batched call per n on the first member of each
-of their affine orbits (q0_amplitudes).  The census and the distributions'
-quantum columns reduce the rows, and check_normalization certifies them.
-Every float a table reports is one exact rational rounded once.
+classes: per-class probabilities weighted by orbit size.  class_table is
+the one place they are computed, serially: a ClassTable holds the classes
+as columns, enumeration's codes and orbit sizes (arrangements.class_columns)
+and the exact integer amplitude z at the Q = 0 positions only.  Classes
+with Q != 0 are exact zeros by the zero-transmission law; the exact kernel
+runs on the Q = 0 classes only, in one batched call per n on the first
+member of each of their affine orbits (q0_amplitudes), and only those
+become tuples.  A class row is a representative, orbit size and z, decoded
+from the columns by ClassTable.rows for the rows a caller reads; every
+other column is derived from z.  The census counts from the columns; the
+distributions' quantum columns and check_normalization, which certifies
+the table, read only the rows with z != 0 (430 of 4,752 at n = 10).
+class_probability_table is the view with every row decoded.  Every float
+a table reports is one exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -44,7 +49,6 @@ checked to sum to n^n and C(2n-1, n) times the table's scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
@@ -53,12 +57,13 @@ from fractions import Fraction
 from ._numpy import np
 from .arrangements import (
     Arrangement,
-    QuantumClass,
     affine_keys,
+    class_columns,
     compositions,
     count_arrangements,
-    enumerate_quantum_classes,
+    decode_codes,
     partition_count,
+    q0_positions,
 )
 from .scattering import _denominator, exact_integer_amplitudes
 
@@ -115,62 +120,71 @@ class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbi
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
 
-# Q is computed over this many classes at a time, so that the n = 14 census
-# holds no int array over all 718,146 classes beside the classes themselves.
-_Q_CHUNK = 1 << 16
+class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
+    """The quantum classes of n as columns: the one form rows are built, cached and reduced in.
 
-
-def _q0_classes(classes: Sequence[QuantumClass]) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the classes with Q = sum_p p * s_p = 0 (mod n), and their occupancies.
-
-    Q is computed in numpy from the representatives, which enumeration
-    has already validated; rows, which carry representatives too, are
-    filtered the same way.
+    codes are the ascending base-(n+1) codes of the representatives and
+    orbit_sizes their orbit sizes (arrangements.class_columns); q0 holds
+    the ascending positions of the classes with Q = 0, read off the codes
+    (arrangements.q0_positions), and z their exact amplitudes.  Every other
+    class is an exact zero by the law.  The columns are lists of ints, so a
+    cache hit builds a table without numpy, and rows decodes only the codes
+    a command reads.
     """
-    n = len(classes[0].representative)
-    weights = np.arange(n, dtype=np.int16)
-    index, digits = [], []
-    for i in range(0, len(classes), _Q_CHUNK):
-        part = classes[i : i + _Q_CHUNK]
-        flat = itertools.chain.from_iterable(c.representative for c in part)
-        # int16 holds every occupancy and every sum_p p * s_p up to n = 181
-        d = np.fromiter(flat, dtype=np.int16, count=len(part) * n).reshape(-1, n)
-        zero = d @ weights % n == 0
-        index.append(np.flatnonzero(zero) + i)
-        digits.append(d[zero])
-    return np.concatenate(index), np.concatenate(digits)
+
+    __slots__ = ()
+
+    def rows(self, nonzero: bool = False) -> list[ClassProbabilityRow]:
+        """The classes as rows in code order: every class, or only those with z != 0.
+
+        Decodes the codes of those rows only (arrangements.decode_codes,
+        ValueError for a code that is not an arrangement of n).
+        """
+        codes, orbits, z = self.codes, self.orbit_sizes, self.z
+        if nonzero:
+            index = [i for i, zi in zip(self.q0, z) if zi]
+            codes, orbits, z = [codes[i] for i in index], [orbits[i] for i in index], list(filter(None, z))
+        else:
+            z = [0] * len(codes)
+            for i, zi in zip(self.q0, self.z):
+                z[i] = zi
+        return list(map(ClassProbabilityRow, decode_codes(self.n, codes), orbits, z))
 
 
-def q0_amplitudes(classes: Sequence[QuantumClass]) -> tuple[list[int], list[int]]:
-    """Positions of the Q = 0 classes and their z, from one batched exact-kernel call.
+def q0_amplitudes(n: int, codes: np.ndarray) -> list[int]:
+    """z of the Q = 0 classes with these codes, from one batched exact-kernel call.
 
     affine_keys maps each class s to its orbit's key by some p -> u*p + a,
     so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
     member of their orbit up to the ratio of their signs.  The kernel runs
-    on those first members, all in one exact_integer_amplitudes call.
+    on those first members, all in one exact_integer_amplitudes call; only
+    they are turned into Python sequences.
     """
-    index, digits = _q0_classes(classes)
-    n = digits.shape[1]
+    digits = codes[:, None] // (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64) % (n + 1)
     keys, shifts = affine_keys(digits)
     _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
-    z = exact_integer_amplitudes([classes[i].representative for i in index[first].tolist()])
+    z = exact_integer_amplitudes(digits[first].tolist())
     sign = 1 - 2 * (shifts * (n - 1) % 2)
     relative = (sign * sign[first][orbit]).tolist()
-    return index.tolist(), [s * z[k] for s, k in zip(relative, orbit.tolist())]
+    return [s * z[k] for s, k in zip(relative, orbit.tolist())]
 
 
-def class_probability_table(n: int) -> list[ClassProbabilityRow]:
-    """One row per quantum class, in enumeration order.
+def class_table(n: int) -> ClassTable:
+    """The ClassTable of n: enumeration's columns, and z on the Q = 0 classes.
 
     The exact kernel runs through q0_amplitudes.  Q != 0 is an exact zero
     by the zero-transmission law (Tichy et al., PRL 104, 220405);
     check_normalization certifies it, and `verify` checks it class by class.
     """
-    classes = enumerate_quantum_classes(n)
-    z = [0] * len(classes)
-    for i, zi in zip(*q0_amplitudes(classes)):
-        z[i] = zi
-    return [ClassProbabilityRow(c.representative, c.orbit_size, zi) for c, zi in zip(classes, z)]
+    codes, sizes = class_columns(n)
+    listed = codes.tolist()
+    q0 = q0_positions(n, listed)
+    return ClassTable(n, listed, sizes.tolist(), q0, q0_amplitudes(n, codes[q0]))
+
+
+def class_probability_table(n: int) -> list[ClassProbabilityRow]:
+    """One row per quantum class, in enumeration order: class_table(n).rows()."""
+    return class_table(n).rows()
 
 
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
@@ -207,28 +221,29 @@ class Table1Row(
     __slots__ = ()
 
 
-def census_row(n: int, rows: Sequence[ClassProbabilityRow]) -> Table1Row:
-    """The census of n from its class rows, once they pass check_normalization.
+def census_row(table: ClassTable, rows: Iterable[ClassProbabilityRow] | None = None) -> Table1Row:
+    """The census of table.n from its columns, once its rows pass check_normalization.
 
-    law_suppressed counts the classes whose representative has Q != 0;
-    anomalous_suppressed those with Q = 0 whose exact amplitude is
-    nevertheless zero.
+    rows are the table's rows with z != 0, table.rows(nonzero=True) unless
+    the caller has decoded them already.  law_suppressed counts the
+    classes with Q != 0; anomalous_suppressed those with Q = 0 whose exact
+    amplitude is nevertheless zero.
     """
-    check_normalization(n, rows)
-    q0_index, _ = _q0_classes(rows)
+    n, count = table.n, len(table.codes)
+    check_normalization(n, table.rows(nonzero=True) if rows is None else rows)
     return Table1Row(
         n=n,
         total=count_arrangements(n),
         classical_classes=partition_count(n),
-        quantum_classes=len(rows),
-        law_suppressed=len(rows) - len(q0_index),
-        anomalous_suppressed=sum(not rows[i].z for i in q0_index.tolist()),
+        quantum_classes=count,
+        law_suppressed=count - len(table.q0),
+        anomalous_suppressed=table.z.count(0),
     )
 
 
 def table1(n_max: int) -> list[Table1Row]:
     """Census rows for n = 2..n_max; see census_row."""
-    return [census_row(n, class_probability_table(n)) for n in range(2, n_max + 1)]
+    return [census_row(class_table(n)) for n in range(2, n_max + 1)]
 
 
 class DistributionTable(namedtuple("DistributionTable", "kind n rows")):

@@ -50,16 +50,27 @@ def altered_kernel(target, change):
 
 
 # Runs the CLI in a fresh interpreter, then reports its exit code, the
-# numpy submodules it loaded and whether it loaded dataclasses as a JSON
-# line on stderr.
+# numpy submodules it loaded and whether it loaded dataclasses and
+# OpenSSL's _hashlib as a JSON line on stderr.
 _PROBE = """
 import json, sys
 from multiport.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
-status = {"exit": code, "numpy": loaded, "dataclasses": "dataclasses" in sys.modules}
+status = {"exit": code, "numpy": loaded, "dataclasses": "dataclasses" in sys.modules,
+          "_hashlib": "_hashlib" in sys.modules}
 print(json.dumps(status), file=sys.stderr)
 """
+
+
+# The columns of the n = 4 entry: codes of (0, 0, 0, 4), (0, 0, 1, 3), ...,
+# (1, 1, 1, 1) in base 5, their orbit sizes, and z on the Q = 0 classes
+# (0, 0, 0, 4), (0, 1, 2, 1) and (0, 2, 0, 2).
+_N4 = {
+    "codes": [4, 8, 12, 28, 32, 36, 52, 156],
+    "orbit_sizes": [4, 8, 4, 4, 8, 4, 2, 1],
+    "z": [-24, -8, 8],
+}
 
 
 def run_fresh(*argv):
@@ -246,7 +257,7 @@ class TestTable1:
         code, census, _ = run(capsys, "table1", "--n-max", "6", "--cache-dir", str(cache))
         assert code == 0
         names = sorted(p.name for p in cache.glob("*.json"))
-        assert names == sorted(f"v1_rows_n{n}_exact-glynn-crt.json" for n in range(2, 7))
+        assert names == sorted(f"v1_columns_n{n}_exact-glynn-crt.json" for n in range(2, 7))
 
         def no_kernel(ts):
             raise AssertionError("kernel ran on a cache hit")
@@ -383,7 +394,7 @@ class TestVerify:
         def no_rows(n):
             raise AssertionError("rows built past the verify cap")
 
-        monkeypatch.setattr(st, "class_probability_table", no_rows)
+        monkeypatch.setattr(st, "class_table", no_rows)
         code, out, err = run(capsys, "verify", "--n", "10")
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "n <= 9" in err
@@ -411,6 +422,19 @@ class TestVerify:
         assert code == 1
         assert "PASS normalization" in out and "PASS dihedral-invariance" in out
         assert "FAIL multiplier-invariance: violated by" in out
+
+    def test_nonzero_law_class_fails_law_soundness(self, capsys, monkeypatch):
+        # z = 1 on the last Q != 0 class, in the kernel that verify's own checks call
+        target = (1, 1, 1, 1, 1, 1)
+        assert scattering.suppression_Q(target) != 0
+        kernel, calls = altered_kernel(target, lambda z: 1), []
+        monkeypatch.setattr(cli, "exact_integer_amplitudes", lambda ts: calls.append(1) or kernel(ts))
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "verify", "--n", "6")
+        assert code == 1
+        assert "PASS normalization" in out
+        assert "FAIL law-soundness: violated by (1, 1, 1, 1, 1, 1)\n" in out
+        assert len(calls) == 3  # dihedral, multiplier and law lines: one batched call each
 
 
 class TestFormats:
@@ -549,19 +573,39 @@ class TestCache:
         def recompute(*args):
             raise AssertionError("second run missed the cache")
 
-        monkeypatch.setattr(st, "class_probability_table", recompute)
+        monkeypatch.setattr(st, "class_table", recompute)
         code, _, err = run(capsys, "classes", "--n", "6", "--mode", "exact", "--cache-dir", str(cache))
         assert code == 0, err
-        assert [p.name for p in cache.glob("*.json")] == ["v1_rows_n6_exact-glynn-crt.json"]
+        assert [p.name for p in cache.glob("*.json")] == ["v1_columns_n6_exact-glynn-crt.json"]
 
-    def test_entry_holds_only_triples(self, capsys, tmp_path):
+    def test_entry_holds_only_columns(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "classes", "--n", "5", "--cache-dir", str(cache))
         assert code == 0
-        payload = cache_load(cache, "v1_rows_n5_exact-glynn-crt")
-        assert all(len(item) == 3 for item in payload)
-        expected = st.class_probability_table(5)
-        assert payload == [[list(r.representative), r.orbit_size, r.z] for r in expected]
+        payload = cache_load(cache, "v1_columns_n5_exact-glynn-crt")
+        table = st.class_table(5)
+        assert payload == {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z}
+        rows = st.class_probability_table(5)
+        assert [sum(x * 6 ** (4 - p) for p, x in enumerate(r.representative)) for r in rows] == table.codes
+        assert [r.orbit_size for r in rows] == table.orbit_sizes
+        assert table.q0 == [i for i, r in enumerate(rows) if r.Q == 0]
+        assert table.z == [rows[i].z for i in table.q0]
+
+    def test_old_rows_entry_neither_read_nor_rewritten(self, capsys, tmp_path):
+        # an entry in the layout of the triples, one per class, under its old
+        # key, checksummed, with every z zeroed so that reading it would show
+        cache = tmp_path / "cache"
+        old = [[list(r.representative), r.orbit_size, 0] for r in st.class_probability_table(5)]
+        cache_store(cache, "v1_rows_n5_exact-glynn-crt", old)
+        entry = cache / "v1_rows_n5_exact-glynn-crt.json"
+        before = entry.read_bytes()
+        for argv in (["classes", "--n"], ["table2", "--n"], ["dist", "--kind", "occupied-ports", "--n"],
+                     ["table1", "--n-max"]):
+            _, clean, _ = run(capsys, *argv, "5")
+            code, out, err = run(capsys, *argv, "5", "--cache-dir", str(cache))
+            assert (code, out, err) == (0, clean, ""), argv
+        assert entry.read_bytes() == before
+        assert (cache / "v1_columns_n5_exact-glynn-crt.json").is_file()
 
     def test_corruption_detected_and_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -569,7 +613,7 @@ class TestCache:
         _, first, _ = run(capsys, *args)
         entry = next(cache.glob("*.json"))
         doc = json.loads(entry.read_text())
-        doc["payload"][0][1] = 999
+        doc["payload"]["orbit_sizes"][0] = 999
         entry.write_text(_canonical_json(doc))
         code, second, err = run(capsys, *args)
         assert code == 0
@@ -587,7 +631,7 @@ class TestCache:
         entry = next(cache.glob("*.json"))
         good = entry.read_bytes()
         doc = json.loads(good)
-        doc["payload"][0][1] += 1  # one orbit-size digit, 4 -> 5
+        doc["payload"]["orbit_sizes"][0] += 1  # one orbit-size digit, 4 -> 5
         edited = _canonical_json(doc).encode()
         assert len(edited) == len(good) and sum(a != b for a, b in zip(edited, good)) == 1
         entry.write_bytes(edited)
@@ -623,19 +667,33 @@ class TestCache:
             assert "warning: unreadable cache entry" in err
             assert entry.read_bytes() == good
 
+    # Variants of the n = 4 entry, whose columns are _N4; each is checksummed
+    # and left to _payload_to_rows or to decoding.
     @pytest.mark.parametrize(
         "payload",
         [
             [[1, 2]],
             {"rows": []},
-            [[[0, 0, 4], 4, 24]],
-            [[[0, 0, 0, 4], 4]],
-            [[[0, 0, 0, 4.0], 4, 24]],
-            [[[0, 0, 0, 4], "4", 24]],
-            [[[0, 0, 0, 4], 4, None]],
-            [[[0, 0, 0, -4], 1, 24]],
-            [[[0, 0, -1, 5], 1, 24]],
-            [[[0, 0, 1, 4], 4, 24]],
+            {k: v for k, v in _N4.items() if k != "z"},
+            {**_N4, "z": -24},
+            {**_N4, "orbit_sizes": [4, 8, 4, 4, 8, 4, 2]},  # unequal column lengths
+            {**_N4, "z": [-24, -8]},
+            {**_N4, "codes": [4.0, 8, 12, 28, 32, 36, 52, 156]},  # not ints
+            {**_N4, "orbit_sizes": ["4", 8, 4, 4, 8, 4, 2, 1]},
+            {**_N4, "z": [None, -8, 8]},
+            {**_N4, "z": [-24, True, 8]},
+            # 7 classes, not dihedral_class_count(4) = 8, with orbit sizes summing to 35
+            {**_N4, "codes": [4, 8, 12, 28, 32, 36, 52], "orbit_sizes": [4, 8, 4, 4, 8, 4, 3]},
+            {**_N4, "orbit_sizes": [5, 8, 4, 4, 8, 4, 2, 1]},  # sum 36, not C(7, 4) = 35
+            {**_N4, "orbit_sizes": [0, 12, 4, 4, 8, 4, 2, 1]},
+            {**_N4, "codes": [4, 4, 12, 28, 32, 36, 52, 156]},  # a duplicate code
+            {**_N4, "codes": [8, 4, 12, 28, 32, 36, 52, 156]},
+            {**_N4, "codes": [-4, 8, 12, 28, 32, 36, 52, 156]},  # out of range
+            {**_N4, "codes": [4, 8, 12, 28, 32, 36, 52, 625]},
+            # (0, 2, 3, 3) sums to 8; its code is 4 (mod 16), like the (0, 2, 0, 2) it replaces
+            {**_N4, "codes": [4, 8, 12, 28, 32, 36, 68, 156]},
+            {**_N4, "z": [-24, -8, 8, 0]},  # one z more than the classes with Q = 0
+            {**_N4, "q0": [0, 5, 6]},  # a column more
         ],
     )
     def test_misshapen_payload_recomputed(self, capsys, tmp_path, payload):
@@ -684,14 +742,41 @@ class TestCache:
     def test_hits_load_no_numpy(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         cache = ["--cache-dir", str(tmp_path / "cache")]
-        dist = ["dist", "--n", "6", "--kind", "classical-classes"]
-        status, out = run_fresh(*dist, *cache)
-        assert status["exit"] == 0 and status["numpy"]  # the miss ran the kernel
-        assert out == run(capsys, *dist)[1]
-        for argv in (dist, ["classes", "--n", "6", "--format", "json"]):
+        table1 = ["table1", "--n-max", "6"]
+        status, out = run_fresh(*table1, *cache)
+        assert status["exit"] == 0 and status["numpy"]  # the misses ran the kernel
+        assert out == run(capsys, *table1)[1]
+        hits = [
+            ["dist", "--n", "6", "--kind", "classical-classes"],
+            ["classes", "--n", "6", "--format", "json"],
+            table1,
+            ["table2", "--n", "6"],
+        ]
+        for argv in hits:
             status, out = run_fresh(*argv, *cache)
-            assert status == {"exit": 0, "numpy": [], "dataclasses": False}, argv
+            assert status == {"exit": 0, "numpy": [], "dataclasses": False, "_hashlib": True}, argv
             assert out == run(capsys, *argv)[1]
+        # only the cache hashes, so a run without one does not load OpenSSL
+        for argv in (["ck", "--arrangement", "0,1,2,1,0,2"], ["classes", "--n", "6"]):
+            status, out = run_fresh(*argv)
+            assert (status["exit"], status["_hashlib"]) == (0, False), argv
+            assert out == run(capsys, *argv)[1]
+
+    def test_dist_hit_decodes_only_nonzero_rows(self, capsys, tmp_path, monkeypatch):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        dist = ["dist", "--n", "10", "--kind", "port-occupancy"]
+        code, clean, _ = run(capsys, *dist, *cache)
+        assert code == 0
+        real, decoded = st.decode_codes, []
+
+        def counting(n, codes):
+            decoded.append(len(codes))
+            return real(n, codes)
+
+        monkeypatch.setattr(st, "decode_codes", counting)
+        assert run(capsys, *dist, *cache) == (0, clean, "")
+        table = st.class_table(10)
+        assert decoded == [430] == [len(table.z) - table.z.count(0)]
 
     def test_schema_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -712,7 +797,7 @@ class TestCache:
         donor = tmp_path / "donor"
         run(capsys, *args, "--cache-dir", str(donor))
         payload = cache_load(donor, next(donor.glob("*.json")).stem)
-        payload[0][2] += 1
+        payload["z"][0] += 1
         # valid, checksummed entries under the names exact entries had
         # before keys named their kernel, before they held triples, and
         # before the kernel was Glynn's
@@ -733,10 +818,10 @@ class TestCache:
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))
         assert code == 0
-        key = "v1_rows_n6_exact-glynn-crt"
+        key = "v1_columns_n6_exact-glynn-crt"
         payload = cache_load(cache, key)
-        item = next(item for item in payload if item[2])
-        item[2] += 1
+        z = payload["z"]
+        z[next(i for i, zi in enumerate(z) if zi)] += 1
         cache_store(cache, key, payload)  # a valid checksum over the changed z
         for argv in (["classes"], ["table2"], ["dist", "--kind", "occupied-ports"]):
             code, out, err = run(capsys, *argv, "--n", "6", "--cache-dir", str(cache))

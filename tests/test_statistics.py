@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from multiport.arrangements import enumerate_arrangements, enumerate_quantum_classes, multiplier_image
+from multiport.arrangements import (
+    enumerate_arrangements,
+    enumerate_quantum_classes,
+    multiplier_image,
+    q0_positions,
+)
 from multiport.scattering import (
     classical_probability,
     exact_integer_amplitude,
@@ -288,22 +293,22 @@ class TestQ0Rows:
         calls = []
 
         def record(ts):
-            calls.append(list(ts))
+            calls.append([tuple(s) for s in ts])
             return [0] * len(calls[-1])
 
         monkeypatch.setattr(st, "exact_integer_amplitudes", record)
-        index, z = st.q0_amplitudes(classes)
+        table = st.class_table(n)
         assert len(calls) == 1
-        assert (len(z), len(calls[0])) == Q0_ORBITS[n]
-        assert index == [i for i, c in enumerate(classes) if suppression_Q(c.representative) == 0]
-        assert set(calls[0]) <= {classes[i].representative for i in index}
+        assert (len(table.z), len(calls[0])) == Q0_ORBITS[n]
+        assert table.q0 == [i for i, c in enumerate(classes) if suppression_Q(c.representative) == 0]
+        assert set(calls[0]) <= {classes[i].representative for i in table.q0}
 
-
-    def test_q_in_chunks(self, monkeypatch):
-        classes = enumerate_quantum_classes(8)
-        whole = st.q0_amplitudes(classes)
-        monkeypatch.setattr(st, "_Q_CHUNK", 7)
-        assert st.q0_amplitudes(classes) == whole
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_q0_positions_from_codes(self, n):
+        # every arrangement, not only the class representatives
+        events = list(enumerate_arrangements(n))
+        codes = [sum(x * (n + 1) ** (n - 1 - p) for p, x in enumerate(s)) for s in events]
+        assert q0_positions(n, codes) == [i for i, s in enumerate(events) if suppression_Q(s) == 0]
 
 
 class TestTable1:
@@ -319,12 +324,16 @@ class TestTable1:
             ) == census[row.n]
 
     def test_census_row_requires_the_certificate(self):
-        rows = st.class_probability_table(6)
-        assert st.census_row(6, rows) == st.table1(6)[-1]
-        i = next(i for i, r in enumerate(rows) if r.z)
-        rows[i] = st.ClassProbabilityRow(rows[i].representative, rows[i].orbit_size, 0)
+        table = st.class_table(6)
+        assert st.census_row(table) == st.table1(6)[-1]
+        rows = table.rows(nonzero=True)
+        assert st.census_row(table, rows) == st.table1(6)[-1]
         with pytest.raises(ArithmeticError, match="n=6"):
-            st.census_row(6, rows)
+            st.census_row(table, rows[1:])
+        z = list(table.z)
+        z[next(i for i, zi in enumerate(z) if zi)] = 0
+        with pytest.raises(ArithmeticError, match="n=6"):
+            st.census_row(table._replace(z=z))
 
 
 class TestTotalProbability:
