@@ -12,13 +12,13 @@ CLI:  multiport dist --n 8 --kind occupied-ports
 import csv
 from pathlib import Path
 
-from multiport import class_probability_table, distribution
+from multiport import class_table, distribution
 from multiport.statistics import occupied_ports_mean
 
 N = 8
 HERE = Path(__file__).resolve().parent
 
-rows = class_probability_table(N)  # one exact class sweep shared by all three tables
+rows = class_table(N).rows(nonzero=True)  # one exact class sweep shared by all three tables
 
 tables = {
     "occupied_ports": distribution("occupied-ports", N, rows=rows),

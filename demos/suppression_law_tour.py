@@ -8,10 +8,9 @@ from fractions import Fraction
 
 from multiport import (
     ck_decomposition,
+    class_table,
     dihedral_orbit,
-    enumerate_quantum_classes,
     exact_integer_amplitude,
-    is_suppressed_exact,
     port_assignment,
     quantum_probability,
     suppression_Q,
@@ -44,11 +43,11 @@ print("  survives: only cyclic and mirror relabelings preserve the amplitude.")
 # below the law: their permutation phases still cancel.
 
 print("\nAnomalous zeros at n = 6 (Q = 0 but exact amplitude 0):")
-for cls in enumerate_quantum_classes(6):
-    rep = cls.representative
-    if suppression_Q(rep) == 0 and is_suppressed_exact(rep):
+for r in class_table(6).rows():
+    rep = r.representative
+    if r.Q == 0 and r.z == 0:
         c = ck_decomposition(rep)
-        print(f"  {rep}: orbit of {cls.orbit_size}, c_k = {c.coefficients}")
+        print(f"  {rep}: orbit of {r.orbit_size}, c_k = {c.coefficients}")
         print(f"    sum c_k = {sum(c.coefficients)} = 6!, barycenter = "
               f"{abs(c.to_complex()):.2e}")
 

@@ -2,12 +2,10 @@
 
 from .arrangements import (
     Arrangement,
-    QuantumClass,
     count_arrangements,
     dihedral_class_count,
     dihedral_orbit,
     enumerate_arrangements,
-    enumerate_quantum_classes,
     partition_count,
     port_assignment,
     validate_arrangement,
@@ -20,7 +18,6 @@ from .scattering import (
     exact_integer_amplitude,
     exact_quantum_probability,
     fourier_unitary,
-    is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
     quantum_amplitude,
@@ -32,10 +29,10 @@ from .statistics import (
     ClassProbabilityRow,
     DistributionTable,
     Table1Row,
-    class_probability_table,
+    census_row,
+    class_table,
     distribution,
     suppressed_fraction_estimate,
-    table1,
 )
 
 __version__ = "0.1.0"

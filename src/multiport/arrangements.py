@@ -20,8 +20,8 @@ arrangements, and the class count must equal Burnside's
 (dihedral_class_count).  The classes stay columns: int64 codes and orbit
 sizes.  q0_positions reads Q = 0 off the codes, and decode_codes turns
 codes back into tuples, both in pure Python, for only the classes a caller
-reads; enumerate_quantum_classes is the decoded view.  dihedral_orbit and
-quantum_class_of are the per-arrangement reference.
+reads.  dihedral_orbit and quantum_class_of are the per-arrangement
+reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from ._numpy import np
@@ -99,31 +98,17 @@ def enumerate_arrangements(n: int) -> Iterator[Arrangement]:
     """Yield every arrangement exactly once, in descending lexicographic order.
 
     The first item is (n, 0, ..., 0) and the last is (0, ..., 0, n).  The
-    order is fixed so that downstream tables are byte-stable.
+    order is fixed so that downstream tables are byte-stable.  By stars and
+    bars: the 0-based star i at slot p of 2n - 1 has p - i bars before it,
+    so it lands in port p - i, and ascending slots give descending arrangements.
     """
     if n < 1:
         raise InvalidArrangementError("n must be >= 1")
-    if n == 1:
-        yield (1,)
-        return
-    # a[i] holds the current occupancy of port i+1; the tail beyond `pos`
-    # always carries the remaining particles in its last cell.
-    a = [0] * n
-    a[0] = n
-    while True:
+    for slots in itertools.combinations(range(2 * n - 1), n):
+        a = [0] * n
+        for i, p in enumerate(slots):
+            a[p - i] += 1
         yield tuple(a)
-        # Find the rightmost position (excluding the last) that can donate.
-        i = n - 2
-        while i >= 0 and a[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        a[i] -= 1
-        # Everything right of i collapses into position i+1.
-        rest = sum(a[i + 1 :]) + 1
-        for k in range(i + 1, n):
-            a[k] = 0
-        a[i + 1] = rest
 
 
 def partition_count(n: int) -> int:
@@ -135,34 +120,16 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def dihedral_transforms(s: Sequence[int]) -> Iterator[Arrangement]:
-    """Yield all 2n cyclic and anticyclic relabelings of the occupancies.
-
-    Images may repeat when the arrangement has symmetry; use
-    dihedral_orbit for the distinct set.
-    """
-    t = validate_arrangement(s)
-    n = len(t)
-    rev = t[::-1]
-    for shift in range(n):
-        yield t[shift:] + t[:shift]
-        yield rev[shift:] + rev[:shift]
-
-
 def dihedral_orbit(s: Sequence[int]) -> frozenset[Arrangement]:
-    """The set of distinct arrangements reachable by dihedral relabeling."""
-    return frozenset(dihedral_transforms(s))
+    """The set of distinct arrangements reachable by the 2n cyclic and anticyclic relabelings."""
+    t = validate_arrangement(s)
+    return frozenset(v[k:] + v[:k] for v in (t, t[::-1]) for k in range(len(t)))
 
 
-class QuantumClass(namedtuple("QuantumClass", "representative orbit_size")):
-    """A quantum equivalence class: canonical representative and orbit size."""
-
-    __slots__ = ()
-
-
-def quantum_class_of(s: Sequence[int]) -> QuantumClass:
+def quantum_class_of(s: Sequence[int]) -> tuple[Arrangement, int]:
+    """The quantum class of one arrangement, (representative, orbit size), from its orbit."""
     orbit = dihedral_orbit(s)
-    return QuantumClass(representative=min(orbit), orbit_size=len(orbit))
+    return min(orbit), len(orbit)
 
 
 def dihedral_class_count(n: int) -> int:
@@ -343,16 +310,6 @@ def decode_codes(n: int, codes: Sequence[int]) -> list[Arrangement]:
     return reps
 
 
-def enumerate_quantum_classes(n: int) -> list[QuantumClass]:
-    """One QuantumClass per dihedral orbit, ordered by representative.
-
-    A decoding view of class_columns; the package's own paths read the
-    columns.
-    """
-    codes, sizes = class_columns(n)
-    return list(map(QuantumClass, decode_codes(n, codes.tolist()), sizes.tolist()))
-
-
 def multiplier_units(n: int) -> list[int]:
     """Units u of Z/n with 1 <= u <= n/2; with the reflection u = -1 they give all phi(n)."""
     return [u for u in range(1, max(n // 2, 1) + 1) if math.gcd(u, n) == 1]
@@ -376,7 +333,7 @@ def affine_keys(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits is an (m, n) array of occupancies.  The images of s under
     p -> u*p + a, u a unit mod n, are the 2n dihedral images of
     multiplier_image(s, u) for u in multiplier_units(n).  In the base-(n+1)
-    codes of enumerate_quantum_classes, the multiplier image of s has code
+    codes of class_columns, the multiplier image of s has code
     sum_p s_p * (n+1)^(n-1 - u*p mod n) and its reversal maps p to
     n-1 - u*p; each code rotation then adds -1 to the shift a.  keys[i] is
     the least image code of row i, and shifts[i] is a mod n for one affine

@@ -44,7 +44,7 @@ verify runs brute-force oracles and takes n <= BRUTE_FORCE_LIMIT (9); the
 other row commands take n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses
 a too large --n-max before it builds any n.  ck is left to the check in
 scattering.ck_decomposition.  Each subcommand reads the parsed arguments.
-An --output file that cannot be written is an invalid argument.
+An --output file or a stdout that cannot be written is an invalid argument.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -205,10 +205,6 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 # class rows
 
 
-def _rows_to_payload(table: stats.ClassTable) -> dict:
-    return {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z}
-
-
 def _payload_to_rows(payload: dict, n: int, nonzero: bool):
     """The ClassTable of a payload of columns, and its rows decoded as ClassTable.rows does.
 
@@ -261,7 +257,7 @@ def class_rows_cached(n: int, cache_dir: Path | None, nonzero: bool = True):
                 print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
     table = stats.class_table(n)
     if cache_dir is not None:
-        cache_store(cache_dir, key, _rows_to_payload(table))
+        cache_store(cache_dir, key, {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z})
     return table, table.rows(nonzero)
 
 
@@ -277,9 +273,18 @@ def certified_rows(args: argparse.Namespace, nonzero: bool = True):
 
 
 def _emit(args: argparse.Namespace, write: Callable[[TextIOBase], object]) -> None:
-    """Call write on stdout, or on args.output opened for writing; OutputError if that fails."""
+    """Call write on stdout, or on args.output opened for writing; OutputError if that fails.
+
+    A stdout that fails, such as a closed pipe, is then pointed at
+    os.devnull, so that the flush at exit does not fail again.
+    """
     if args.output is None:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
         with args.output.open("w", encoding="utf-8") as f:

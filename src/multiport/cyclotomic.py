@@ -31,37 +31,33 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Divide two integer polynomials known to divide exactly (monic divisor)."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coeff = num[shift + len(den) - 1]
-        out[shift] = coeff
+def _divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of two integer polynomials, constant term first; den is monic.
+
+    The remainder has len(den) - 1 coefficients, or len(num) if fewer.
+    """
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(rem) - deg, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        coeff = quot[shift] = rem[shift + deg]
         if coeff:
             for i, d in enumerate(den):
-                num[shift + i] -= coeff * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
+                rem[shift + i] -= coeff * d
+    return quot, rem[:deg]
 
 
 def poly_mod(coeffs: Sequence[int], modulus: Sequence[int]) -> tuple[int, ...]:
     """Remainder of an integer polynomial modulo a monic integer polynomial."""
     if not modulus or modulus[-1] != 1:
         raise ValueError("modulus must be monic")
-    rem = list(coeffs)
-    deg_m = len(modulus) - 1
-    for shift in range(len(rem) - deg_m - 1, -1, -1):
-        coeff = rem[shift + deg_m]
-        if coeff:
-            for i in range(deg_m + 1):
-                rem[shift + i] -= coeff * modulus[i]
-    rem = rem[:deg_m]
+    rem = _divmod(coeffs, modulus)[1]
     while rem and rem[-1] == 0:
         rem.pop()
     return tuple(rem)

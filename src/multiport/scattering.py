@@ -121,7 +121,7 @@ def suppression_Q(s: Sequence[int]) -> int:
     """Sum of the port assignment modulo n.
 
     A nonzero value certifies that the quantum amplitude vanishes; zero is
-    inconclusive (see is_suppressed_exact for the authoritative test).
+    inconclusive (exact_integer_amplitude(s) == 0 is the authoritative test).
     """
     t = validate_arrangement(s)
     n = len(t)
@@ -338,11 +338,6 @@ def exact_integer_amplitudes(arrangements: Iterable[Sequence[int]]) -> list[int]
 def exact_integer_amplitude(s: Sequence[int]) -> int:
     """z of one arrangement: exact_integer_amplitudes([s])[0]."""
     return exact_integer_amplitudes([s])[0]
-
-
-def is_suppressed_exact(s: Sequence[int]) -> bool:
-    """Tolerance-free suppression verdict: is the exact amplitude zero?"""
-    return exact_integer_amplitude(s) == 0
 
 
 def exact_quantum_probability(s: Sequence[int]) -> Fraction:

@@ -12,9 +12,8 @@ become tuples.  A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
 other column is derived from z.  The census counts from the columns; the
 distributions' quantum columns and check_normalization, which certifies
-the table, read only the rows with z != 0 (430 of 4,752 at n = 10).
-class_probability_table is the view with every row decoded.  Every float
-a table reports is one exact rational rounded once.
+the table, read only the rows with z != 0 (430 of 4,752 at n = 10).  Every
+float a table reports is one exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -182,11 +181,6 @@ def class_table(n: int) -> ClassTable:
     return ClassTable(n, listed, sizes.tolist(), q0, q0_amplitudes(n, codes[q0]))
 
 
-def class_probability_table(n: int) -> list[ClassProbabilityRow]:
-    """One row per quantum class, in enumeration order: class_table(n).rows()."""
-    return class_table(n).rows()
-
-
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
     """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows, one integer sum.
 
@@ -239,11 +233,6 @@ def census_row(table: ClassTable, rows: Iterable[ClassProbabilityRow] | None = N
         law_suppressed=count - len(table.q0),
         anomalous_suppressed=table.z.count(0),
     )
-
-
-def table1(n_max: int) -> list[Table1Row]:
-    """Census rows for n = 2..n_max; see census_row."""
-    return [census_row(class_table(n)) for n in range(2, n_max + 1)]
 
 
 class DistributionTable(namedtuple("DistributionTable", "kind n rows")):
@@ -361,14 +350,14 @@ def distribution(
     kind is one of DISTRIBUTION_KINDS, as the module docstring defines them.
     By cyclic invariance the port-occupancy "marginal" is the occupancy law
     of any single port; the "at-least-one" columns do not sum to one.  rows
-    default to class_probability_table(n); either way they must pass
+    default to class_table(n).rows(nonzero=True); either way they must pass
     check_normalization (ArithmeticError otherwise).  With m = n!/prod(s_j!),
     the quantum column sums orbit * m * z^2 * w over n^n * n! * scale.  Each
     cell of the three columns is one correctly rounded int / int division.
     """
     categories, classical, approx, scale, weights = closed_forms(kind, n, variant)
     if rows is None:
-        rows = class_probability_table(n)
+        rows = class_table(n).rows(nonzero=True)
     check_normalization(n, rows)
     quantum = dict.fromkeys(categories, 0)
     for r in rows:

@@ -1,5 +1,7 @@
 import pytest
 
+from multiport.arrangements import class_columns, decode_codes
+
 # Published census used as ground truth across the suite:
 # n -> (N_total, N_class, N_quantum, N_law, N_supp)
 CENSUS = {
@@ -23,3 +25,15 @@ CENSUS = {
 @pytest.fixture
 def census():
     return CENSUS
+
+
+@pytest.fixture
+def quantum_classes():
+    """n -> (representative, orbit size) of each quantum class, in code order:
+    class_columns(n) decoded by decode_codes."""
+
+    def classes(n):
+        codes, sizes = class_columns(n)
+        return list(zip(decode_codes(n, codes.tolist()), sizes.tolist()))
+
+    return classes

@@ -21,16 +21,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiport.arrangements import (
-    dihedral_orbit,
-    enumerate_arrangements,
-    enumerate_quantum_classes,
-)
+from multiport.arrangements import dihedral_orbit, enumerate_arrangements
 from multiport.scattering import (
     ck_decomposition,
     exact_integer_amplitude,
     exact_quantum_probability,
-    is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
     quantum_probability,
@@ -146,7 +141,7 @@ def report(criterion: str, ok: bool = True):
 class TestCriterion1Table1:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_census_rows_exact(self, n):
-        row = st.table1(n)[-1]
+        row = st.census_row(st.class_table(n))
         got = (
             row.total,
             row.classical_classes,
@@ -160,7 +155,7 @@ class TestCriterion1Table1:
     @pytest.mark.skipif(not RUN_LARGE, reason="set MULTIPORT_ACCEPT_LARGE=1")
     @pytest.mark.parametrize("n", [11, 12, 13, 14])
     def test_census_rows_large(self, n):
-        row = st.table1(n)[-1]
+        row = st.census_row(st.class_table(n))
         got = (
             row.total,
             row.classical_classes,
@@ -175,7 +170,7 @@ class TestCriterion1Table1:
 class TestCriterion2Table2:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_nonsuppressed_classes_and_values(self, n):
-        rows = st.class_probability_table(n)
+        rows = st.class_table(n).rows()
         alive = {r.representative: r.enhancement for r in rows if not r.suppressed_exact}
         assert set(alive) == TABLE2_CLASSES[n], (
             f"nonsuppressed class set differs from the published list at n={n}"
@@ -211,21 +206,15 @@ class TestCriterion3HomLimit:
 
 class TestCriterion4Normalization:
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_total_probability(self, n):
-        total = sum(
-            c.orbit_size * exact_quantum_probability(c.representative)
-            for c in enumerate_quantum_classes(n)
-        )
+    def test_total_probability(self, n, quantum_classes):
+        total = sum(orbit * exact_quantum_probability(rep) for rep, orbit in quantum_classes(n))
         assert total == 1, f"sum of probabilities at n={n} is {total}"
         report(f"4 normalization n={n}")
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_float_oracle_total(self, n):
+    def test_float_oracle_total(self, n, quantum_classes):
         # the Gray-code Ryser permanent, independent of the exact kernel
-        total = sum(
-            c.orbit_size * quantum_probability(c.representative)
-            for c in enumerate_quantum_classes(n)
-        )
+        total = sum(orbit * quantum_probability(rep) for rep, orbit in quantum_classes(n))
         assert abs(total - 1.0) < 1e-9, f"float sum of probabilities at n={n} is {total}"
         report(f"4 float normalization n={n}")
 
@@ -236,18 +225,17 @@ class TestCriterion5LawSoundness:
         checked = 0
         for s in enumerate_arrangements(n):
             if suppression_Q(s) != 0:
-                assert is_suppressed_exact(s), f"law violated by {s}"
+                assert exact_integer_amplitude(s) == 0, f"law violated by {s}"
                 checked += 1
         report(f"5 law soundness n={n} ({checked} arrangements)")
 
 
 class TestCriterion6AnomalousSuppressions:
-    def test_exactly_two_at_n6(self):
+    def test_exactly_two_at_n6(self, quantum_classes):
         anomalous = [
-            c.representative
-            for c in enumerate_quantum_classes(6)
-            if suppression_Q(c.representative) == 0
-            and is_suppressed_exact(c.representative)
+            rep
+            for rep, _ in quantum_classes(6)
+            if suppression_Q(rep) == 0 and exact_integer_amplitude(rep) == 0
         ]
         assert sorted(anomalous) == [(0, 1, 1, 2, 1, 1), (0, 1, 2, 1, 0, 2)]
         report("6 anomalous pair")
@@ -273,13 +261,13 @@ class TestCriterion7OracleEquivalence:
         report("7 permanent oracles (100 unitaries)")
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_exact_equals_brute_force(self, n):
+    def test_exact_equals_brute_force(self, n, quantum_classes):
         # every arrangement up to n = 8; at n = 9 the Q = 0 class
         # representatives, the only ones the law does not settle
         if n < 9:
             events = list(enumerate_arrangements(n))
         else:
-            reps = (c.representative for c in enumerate_quantum_classes(n))
+            reps = (rep for rep, _ in quantum_classes(n))
             events = [s for s in reps if suppression_Q(s) == 0]
         for s in events:
             assert exact_integer_amplitude(s) == ck_decomposition(s).as_integer(), s
@@ -288,10 +276,10 @@ class TestCriterion7OracleEquivalence:
 
 class TestCriterion8StructuralProperties:
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_dihedral_invariance(self, n):
-        for c in enumerate_quantum_classes(n):
-            p0 = exact_quantum_probability(c.representative)
-            for member in dihedral_orbit(c.representative):
+    def test_dihedral_invariance(self, n, quantum_classes):
+        for rep, _ in quantum_classes(n):
+            p0 = exact_quantum_probability(rep)
+            for member in dihedral_orbit(rep):
                 assert exact_quantum_probability(member) == p0, member
         report(f"8 dihedral invariance n={n}")
 
@@ -309,7 +297,7 @@ class TestCriterion8StructuralProperties:
                 s = [0] * n
                 s[a] = n - 1
                 s[b] = 1
-                assert is_suppressed_exact(tuple(s))
+                assert exact_integer_amplitude(tuple(s)) == 0
         report(f"8 (n-1,1) suppression n={n}")
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -8,11 +8,11 @@ import numpy as np
 import multiport.arrangements as arrangements_module
 from multiport.arrangements import (
     affine_keys,
+    class_columns,
     count_arrangements,
     dihedral_class_count,
     dihedral_orbit,
     enumerate_arrangements,
-    enumerate_quantum_classes,
     multiplier_image,
     multiplier_units,
     partition_count,
@@ -21,7 +21,7 @@ from multiport.arrangements import (
     validate_arrangement,
 )
 from multiport.errors import InvalidArrangementError, ResourceLimitError
-from multiport.statistics import class_probability_table
+from multiport.statistics import class_table
 
 
 def arrangements(max_n=7):
@@ -87,11 +87,12 @@ class TestEnumeration:
     def test_n2_explicit(self):
         assert list(enumerate_arrangements(2)) == [(2, 0), (1, 1), (0, 2)]
 
-    def test_descending_order_no_duplicates(self):
-        seen = list(enumerate_arrangements(5))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_descending_order_no_duplicates(self, n):
+        seen = list(enumerate_arrangements(n))
         assert seen == sorted(seen, reverse=True)
-        assert len(seen) == len(set(seen))
-        assert all(sum(s) == 5 and len(s) == 5 for s in seen)
+        assert len(seen) == len(set(seen)) == count_arrangements(n)
+        assert all(sum(s) == n and len(s) == n for s in seen)
 
     def test_rejects_zero(self):
         with pytest.raises(InvalidArrangementError):
@@ -124,33 +125,32 @@ class TestDihedralOrbits:
 
     @given(arrangements())
     def test_canonical_idempotent_across_orbit(self, s):
-        rep = quantum_class_of(s).representative
-        assert all(quantum_class_of(m).representative == rep for m in dihedral_orbit(s))
+        rep = quantum_class_of(s)[0]
+        assert all(quantum_class_of(m)[0] == rep for m in dihedral_orbit(s))
         assert rep in dihedral_orbit(s)
 
 
 class TestQuantumClasses:
-    def test_n2(self):
-        classes = enumerate_quantum_classes(2)
-        assert [(c.representative, c.orbit_size) for c in classes] == [
+    def test_n2(self, quantum_classes):
+        assert quantum_classes(2) == [
             ((0, 2), 2),
             ((1, 1), 1),
         ]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_counts_and_coverage(self, n, census):
-        classes = enumerate_quantum_classes(n)
-        assert len(classes) == census[n][2]
-        assert sum(c.orbit_size for c in classes) == count_arrangements(n)
+        codes, sizes = class_columns(n)
+        assert len(codes) == census[n][2]
+        assert int(sizes.sum()) == count_arrangements(n)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_matches_orbit_oracle(self, n):
+    def test_matches_orbit_oracle(self, n, quantum_classes):
         oracle = {quantum_class_of(s) for s in enumerate_arrangements(n)}
-        assert enumerate_quantum_classes(n) == sorted(oracle, key=lambda c: c.representative)
+        assert quantum_classes(n) == sorted(oracle)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 10])
-    def test_representatives_strictly_ascending(self, n):
-        reps = [c.representative for c in enumerate_quantum_classes(n)]
+    def test_representatives_strictly_ascending(self, n, quantum_classes):
+        reps = [rep for rep, _ in quantum_classes(n)]
         assert all(a < b for a, b in zip(reps, reps[1:]))
 
     @pytest.mark.parametrize("n", range(1, 15))
@@ -158,12 +158,11 @@ class TestQuantumClasses:
         assert dihedral_class_count(n) == census[n][2]
 
     def test_orbit_size_matches_set(self):
-        qc = quantum_class_of((2, 1, 2, 1, 0, 0))
-        assert qc.orbit_size == len(dihedral_orbit((2, 1, 2, 1, 0, 0)))
+        assert quantum_class_of((2, 1, 2, 1, 0, 0))[1] == len(dihedral_orbit((2, 1, 2, 1, 0, 0)))
 
     def test_enumeration_cap(self):
         # the class table has no cap of its own: enumeration refuses for it
-        for build in (enumerate_quantum_classes, class_probability_table):
+        for build in (class_columns, class_table):
             with pytest.raises(ResourceLimitError):
                 build(15)
 
@@ -181,7 +180,7 @@ class TestQuantumClasses:
 
         monkeypatch.setattr(arrangements_module, "_candidate_blocks", lossy)
         with pytest.raises(AssertionError, match="orbit bookkeeping"):
-            enumerate_quantum_classes(7)
+            class_columns(7)
 
 
 def _code(s):
@@ -209,13 +208,13 @@ class TestAffineKeys:
             multiplier_image((2, 1, 0, 1), 2)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_keys_are_least_affine_images(self, n):
+    def test_keys_are_least_affine_images(self, n, quantum_classes):
         """Brute force over p -> u*p + a for every unit u and shift a."""
-        reps = [c.representative for c in enumerate_quantum_classes(n)]
+        reps = [rep for rep, _ in quantum_classes(n)]
         keys, shifts = affine_keys(np.array(reps, dtype=np.int64).reshape(-1, n))
         units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
         for s, key, a in zip(reps, keys.tolist(), shifts.tolist()):
             least = min(_shift(multiplier_image(s, u), b) for u in units for b in range(n))
             assert key == _code(least), s
             assert least in {_shift(multiplier_image(s, u), a) for u in units}, s
-            assert least == quantum_class_of(least).representative
+            assert least == quantum_class_of(least)[0]

@@ -170,7 +170,7 @@ class TestClassCells:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cells_equal_row_properties(self, capsys, monkeypatch, n):
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
-        rows = sorted(st.class_probability_table(n), key=lambda r: (r.p_classical, r.representative))
+        rows = sorted(st.class_table(n).rows(), key=lambda r: (r.p_classical, r.representative))
         code, csv_out, _ = run(capsys, "classes", "--n", str(n))
         assert code == 0
         code, json_out, _ = run(capsys, "classes", "--n", str(n), "--format", "json")
@@ -501,6 +501,21 @@ class TestFormats:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_stdout_exits_2(self, fmt):
+        # the reader leaves after the first bytes, as `| head -c 64` does;
+        # the 4,752 rows of n = 10 overflow the pipe buffer, so a write fails
+        env = dict(os.environ, PYTHONPATH=str(Path(multiport.__file__).parents[1]))
+        env.pop("MULTIPORT_CACHE_DIR", None)
+        argv = [sys.executable, "-m", "multiport.cli", "classes", "--n", "10", "--format", fmt]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+            assert len(p.stdout.read(64)) == 64
+            p.stdout.close()
+            err = p.stderr.read().decode()
+            assert p.wait(timeout=300) == 2
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 def _exit_code(argv):
     try:
@@ -585,7 +600,7 @@ class TestCache:
         payload = cache_load(cache, "v1_columns_n5_exact-glynn-crt")
         table = st.class_table(5)
         assert payload == {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z}
-        rows = st.class_probability_table(5)
+        rows = table.rows()
         assert [sum(x * 6 ** (4 - p) for p, x in enumerate(r.representative)) for r in rows] == table.codes
         assert [r.orbit_size for r in rows] == table.orbit_sizes
         assert table.q0 == [i for i, r in enumerate(rows) if r.Q == 0]
@@ -595,7 +610,7 @@ class TestCache:
         # an entry in the layout of the triples, one per class, under its old
         # key, checksummed, with every z zeroed so that reading it would show
         cache = tmp_path / "cache"
-        old = [[list(r.representative), r.orbit_size, 0] for r in st.class_probability_table(5)]
+        old = [[list(r.representative), r.orbit_size, 0] for r in st.class_table(5).rows()]
         cache_store(cache, "v1_rows_n5_exact-glynn-crt", old)
         entry = cache / "v1_rows_n5_exact-glynn-crt.json"
         before = entry.read_bytes()

@@ -19,7 +19,6 @@ from multiport.scattering import (
     exact_integer_amplitudes,
     exact_quantum_probability,
     fourier_unitary,
-    is_suppressed_exact,
     permanent_naive,
     permanent_ryser,
     quantum_amplitude,
@@ -249,7 +248,7 @@ class TestExactAmplitude:
             return [0] * len(calls[-1])
 
         monkeypatch.setattr(statistics, "exact_integer_amplitudes", record)
-        statistics.class_probability_table(n)
+        statistics.class_table(n)
         assert (n, [len(keys) for keys in calls]) == (9, [70])
         keys = calls[0]
         assert any(min(x for x in s if x) >= 2 for s in keys)
@@ -296,7 +295,6 @@ class TestKernelChecks:
     @pytest.mark.parametrize("s", list(PINNED_N14))
     def test_pinned_n14_values(self, s):
         assert exact_integer_amplitude(s) == PINNED_N14[s]
-        assert is_suppressed_exact(s) == (PINNED_N14[s] == 0)
 
     @pytest.mark.parametrize("s", [s for s, z in PINNED_N14.items() if z])
     def test_float_path_agrees_at_n14(self, s):
@@ -414,18 +412,18 @@ class TestBatchedKernel:
 
 class TestSuppressedExact:
     def test_anomalous_pair(self):
-        assert is_suppressed_exact((0, 1, 2, 1, 0, 2))
+        assert exact_integer_amplitude((0, 1, 2, 1, 0, 2)) == 0
         assert suppression_Q((0, 1, 2, 1, 0, 2)) == 0
-        assert is_suppressed_exact((0, 1, 1, 2, 1, 1))
+        assert exact_integer_amplitude((0, 1, 1, 2, 1, 1)) == 0
 
     def test_enhanced_event_not_suppressed(self):
-        assert not is_suppressed_exact((0, 1, 2, 0, 2, 1))
+        assert exact_integer_amplitude((0, 1, 2, 0, 2, 1)) != 0
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_law_sound_for_small_n(self, n):
         for s in enumerate_arrangements(n):
             if suppression_Q(s) != 0:
-                assert is_suppressed_exact(s), s
+                assert exact_integer_amplitude(s) == 0, s
 
 
 class TestExactQuantumProbability:
@@ -455,7 +453,6 @@ class TestInputValidation:
             suppression_Q,
             ck_decomposition,
             exact_integer_amplitude,
-            is_suppressed_exact,
         ):
             with pytest.raises(InvalidArrangementError):
                 fn((1, 2))

@@ -5,7 +5,6 @@ import pytest
 
 from multiport.arrangements import (
     enumerate_arrangements,
-    enumerate_quantum_classes,
     multiplier_image,
     q0_positions,
 )
@@ -121,7 +120,7 @@ class TestNonzeroRows:
     @pytest.mark.parametrize("kind,variant", KINDS)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_unchanged_without_zero_rows(self, n, kind, variant):
-        rows = st.class_probability_table(n)
+        rows = st.class_table(n).rows()
         alive = [r for r in rows if r.z]
         assert len(alive) < len(rows) or n < 3
         assert st.distribution(kind, n, rows=alive, variant=variant) == st.distribution(
@@ -133,7 +132,7 @@ class TestDistributionCertifiesRows:
     @staticmethod
     def _bumped(n):
         # every nonzero z raised by 1: the n = 6 rows then carry probability 0.994
-        return [r._replace(z=r.z + 1) if r.z else r for r in st.class_probability_table(n)]
+        return [r._replace(z=r.z + 1) if r.z else r for r in st.class_table(n).rows()]
 
     @pytest.mark.parametrize("kind,variant", KINDS)
     def test_rows_that_fail_normalization_raise(self, kind, variant):
@@ -141,8 +140,9 @@ class TestDistributionCertifiesRows:
             st.distribution(kind, 6, rows=self._bumped(6), variant=variant)
 
     def test_default_rows_are_checked_too(self, monkeypatch):
-        bumped = self._bumped(6)
-        monkeypatch.setattr(st, "class_probability_table", lambda n: bumped)
+        table = st.class_table(6)
+        bumped = table._replace(z=[zi + 1 if zi else 0 for zi in table.z])
+        monkeypatch.setattr(st, "class_table", lambda n: bumped)
         with pytest.raises(ArithmeticError, match="not 1"):
             st.distribution("occupied-ports", 6)
 
@@ -192,7 +192,7 @@ class TestEnhancement:
 
 class TestClassProbabilityTable:
     def test_n6_exact_structure(self, census):
-        rows = st.class_probability_table(6)
+        rows = st.class_table(6).rows()
         assert len(rows) == census[6][2]
         assert sum(1 for r in rows if r.Q != 0) == census[6][3]
         anomalous = [r for r in rows if r.Q == 0 and r.suppressed_exact]
@@ -210,7 +210,7 @@ class TestClassProbabilityTable:
             return real(calls[-1])
 
         monkeypatch.setattr(st, "exact_integer_amplitudes", counting)
-        rows = st.class_probability_table(8)
+        rows = st.class_table(8).rows()
         # one call, with one class per affine orbit of the 69 Q = 0 classes
         assert [len(c) for c in calls] == [49]
         assert all(suppression_Q(s) == 0 for s in calls[0])
@@ -228,7 +228,7 @@ class TestClassProbabilityTable:
             assert type(r.enhancement) is Fraction
 
     def test_n3_enhancements(self):
-        rows = st.class_probability_table(3)
+        rows = st.class_table(3).rows()
         table = {r.representative: r.enhancement for r in rows}
         assert table == {
             (0, 0, 3): Fraction(6),
@@ -237,7 +237,7 @@ class TestClassProbabilityTable:
         }
 
     def test_n2_rows(self):
-        rows = st.class_probability_table(2)
+        rows = st.class_table(2).rows()
         assert len(rows) == 2
         by_rep = {r.representative: r for r in rows}
         assert by_rep[(0, 2)].p_quantum == 0.5
@@ -245,7 +245,7 @@ class TestClassProbabilityTable:
         assert by_rep[(1, 1)].suppressed_exact
 
     def test_exact_probabilities_sum_to_one(self):
-        rows = st.class_probability_table(7)
+        rows = st.class_table(7).rows()
         total = sum(
             r.orbit_size * Fraction(r.enhancement) * r.p_classical for r in rows
         )
@@ -254,7 +254,7 @@ class TestClassProbabilityTable:
     def test_full_n6_enhancement_census(self):
         # Nonsuppressed classes and their exact ratios; one class at 720,
         # three at 144/5, six at 36/5.
-        rows = st.class_probability_table(6)
+        rows = st.class_table(6).rows()
         alive = sorted(
             (r.representative, r.enhancement) for r in rows if not r.suppressed_exact
         )
@@ -280,7 +280,7 @@ class TestQ0Rows:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_multiplier_invariance_brute_force(self, n):
         """z(u*s) is the row's z for every Q = 0 class s and every unit u."""
-        rows = st.class_probability_table(n)
+        rows = st.class_table(n).rows()
         units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
         for r in rows:
             if r.Q == 0:
@@ -288,8 +288,8 @@ class TestQ0Rows:
                     assert exact_integer_amplitude(multiplier_image(r.representative, u)) == r.z
 
     @pytest.mark.parametrize("n", sorted(Q0_ORBITS))
-    def test_orbit_counts(self, n, monkeypatch):
-        classes = enumerate_quantum_classes(n)
+    def test_orbit_counts(self, n, monkeypatch, quantum_classes):
+        reps = [rep for rep, _ in quantum_classes(n)]
         calls = []
 
         def record(ts):
@@ -300,8 +300,8 @@ class TestQ0Rows:
         table = st.class_table(n)
         assert len(calls) == 1
         assert (len(table.z), len(calls[0])) == Q0_ORBITS[n]
-        assert table.q0 == [i for i, c in enumerate(classes) if suppression_Q(c.representative) == 0]
-        assert set(calls[0]) <= {classes[i].representative for i in table.q0}
+        assert table.q0 == [i for i, rep in enumerate(reps) if suppression_Q(rep) == 0]
+        assert set(calls[0]) <= {reps[i] for i in table.q0}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_q0_positions_from_codes(self, n):
@@ -313,8 +313,7 @@ class TestQ0Rows:
 
 class TestTable1:
     def test_matches_census_through_n8(self, census):
-        rows = st.table1(8)
-        for row in rows:
+        for row in (st.census_row(st.class_table(n)) for n in range(2, 9)):
             assert (
                 row.total,
                 row.classical_classes,
@@ -323,11 +322,11 @@ class TestTable1:
                 row.anomalous_suppressed,
             ) == census[row.n]
 
-    def test_census_row_requires_the_certificate(self):
+    def test_census_row_requires_the_certificate(self, census):
         table = st.class_table(6)
-        assert st.census_row(table) == st.table1(6)[-1]
+        assert st.census_row(table) == (6, *census[6])
         rows = table.rows(nonzero=True)
-        assert st.census_row(table, rows) == st.table1(6)[-1]
+        assert st.census_row(table, rows) == (6, *census[6])
         with pytest.raises(ArithmeticError, match="n=6"):
             st.census_row(table, rows[1:])
         z = list(table.z)
@@ -339,7 +338,7 @@ class TestTable1:
 class TestTotalProbability:
     @pytest.mark.parametrize("mutation", ["drop", "orbit", "z"])
     def test_certificate_catches_mutations(self, mutation):
-        rows = [r for r in st.class_probability_table(8) if r.Q == 0]
+        rows = [r for r in st.class_table(8).rows() if r.Q == 0]
         assert st.total_probability(8, rows) == 1
         r = rows[-1]
         if mutation == "drop":
