@@ -32,7 +32,7 @@ for name, table in tables.items():
         writer = csv.writer(fh)
         writer.writerow(["category", "classical", "quantum", "approx"])
         writer.writerows(table.rows)
-    print(f"wrote {path}")
+    print(f"wrote {path.relative_to(HERE.parent)}")
 
 occ = tables["occupied_ports"]
 print(f"\nOccupied ports, n = {N}:")

@@ -48,8 +48,8 @@ for r in class_table(6).rows():
     if r.Q == 0 and r.z == 0:
         c = ck_decomposition(rep)
         print(f"  {rep}: orbit of {r.orbit_size}, c_k = {c.coefficients}")
-        print(f"    sum c_k = {sum(c.coefficients)} = 6!, barycenter = "
-              f"{abs(c.to_complex()):.2e}")
+        print(f"    sum c_k = {sum(c.coefficients)} = 6!, "
+              f"sum c_k w^k exactly zero: {c.is_zero()}")
 
 # The c_k histogram places 6! = 720 permutation terms on the sixth roots of
 # unity; for these events the weighted points balance exactly even though

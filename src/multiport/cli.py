@@ -32,18 +32,21 @@ properties are the reference the tests hold them to.  _emit_table writes
 each row as it is rendered, in CSV and JSON alike, so no table is held
 as text; the rows are certified before the first byte is written.
 
-Each subcommand takes only the options it reads (_build_parser).  Floats
-are exact values rounded once, so --mode, on classes and table1, only
-sets the mode label of JSON output; --jobs, on the same two, is checked
-to be >= 1 and changes nothing.  The other commands label their JSON
-"exact".  dist takes a non-default --variant with --kind port-occupancy
-only.
+Each subcommand takes only the options it reads (_build_parser), and each
+argument rule sits with its option: --n >= 1, table1's --n-max >= 2 and
+--jobs >= 1 are argparse types, as is the --arrangement of ck, fields of
+ASCII digits.  Every result is exact, so every JSON document is labeled
+"exact"; --mode and --jobs, on classes and table1, are validated and
+change no byte.  dist takes a non-default --variant with --kind
+port-occupancy only; main checks that rule before any rows are built.
 
-main checks the size argument once, up front, against the caps in errors:
-verify runs brute-force oracles and takes n <= BRUTE_FORCE_LIMIT (9); the
-other row commands take n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses
-a too large --n-max before it builds any n.  ck is left to the check in
-scattering.ck_decomposition.  Each subcommand reads the parsed arguments.
+Each subcommand's size cap is a parser default (cap), which main checks
+against n before any rows are built: verify runs brute-force oracles and
+takes n <= BRUTE_FORCE_LIMIT (9); the other row commands take
+n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses a too large --n-max
+before it builds any n.  ck is left to the check in
+scattering.ck_decomposition.  verify evaluates the exact kernel once, over
+every arrangement of n, and looks z up for each of its invariant checks.
 An --output file or a stdout that cannot be written is an invalid argument.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
@@ -323,13 +326,14 @@ def _cells(fmt: str, values):
 _JSON_CHUNK = 1024
 
 
-def _emit_table(args: argparse.Namespace, header, rows, kind: str, n: int, mode: str, **extra) -> None:
+def _emit_table(args: argparse.Namespace, header, rows, kind: str, n: int, **extra) -> None:
     """Write rows, iterables of cells rendered for args.format, as rows yields them.
 
     Neither format holds the table: CSV goes through csv.writer, and JSON
     is the bytes of json.dumps of the whole document, written as its head,
     then the rows, _JSON_CHUNK at a time, and the tail.  json.dumps joins
     list items with ", " at any level, so the pieces join to the same text.
+    Every result is exact, so every JSON document is labeled "exact".
     """
     if args.format == "csv":
 
@@ -339,7 +343,7 @@ def _emit_table(args: argparse.Namespace, header, rows, kind: str, n: int, mode:
             writer.writerows(rows)
 
     else:
-        doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": mode, "kind": kind, **extra}
+        doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": "exact", "kind": kind, **extra}
         head = json.dumps(doc)[:-1] + ', "rows": ['
 
         def write(f):
@@ -416,18 +420,14 @@ def cmd_classes(args: argparse.Namespace) -> int:
     """
     rows = certified_rows(args, nonzero=False)
     rows.sort(key=lambda r: math.prod(map(math.factorial, r.representative)), reverse=True)
-    _emit_table(args, CLASS_COLUMNS, _class_cells(args.n, rows, args.format), "classes", args.n, args.mode)
+    _emit_table(args, CLASS_COLUMNS, _class_cells(args.n, rows, args.format), "classes", args.n)
     return EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
-    census = [stats.census_row(*class_rows_cached(n, args.cache_dir)) for n in range(2, args.n_max + 1)]
-    values = [
-        (r.n, r.total, r.classical_classes, r.quantum_classes, r.law_suppressed, r.anomalous_suppressed)
-        for r in census
-    ]
-    _emit_table(args, header, _cells(args.format, values), "table1", args.n_max, args.mode)
+    census = [stats.census_row(*class_rows_cached(n, args.cache_dir)) for n in range(2, args.n + 1)]
+    _emit_table(args, header, _cells(args.format, census), "table1", args.n)
     return EXIT_OK
 
 
@@ -436,7 +436,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     alive = sorted(certified_rows(args), key=lambda r: (-r.z * r.z, r.representative))
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
-    _emit_table(args, header, _cells(args.format, values), "table2", args.n, "exact")
+    _emit_table(args, header, _cells(args.format, values), "table2", args.n)
     return EXIT_OK
 
 
@@ -445,7 +445,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
     cells = _cells(args.format, table.rows)
-    _emit_table(args, header, cells, table.kind, args.n, "exact", variant=args.variant)
+    _emit_table(args, header, cells, table.kind, args.n, variant=args.variant)
     return EXIT_OK
 
 
@@ -453,23 +453,18 @@ def cmd_ck(args: argparse.Namespace) -> int:
     s = validate_arrangement(args.arrangement)
     vec = ck_decomposition(s)
     barycenter = vec.to_complex()
-    values = list(enumerate(vec.coefficients))
     extra = {"arrangement": list(s), "barycenter": [barycenter.real, barycenter.imag]}
-    _emit_table(args, ["k", "c_k"], _cells(args.format, values), "ck", len(s), "exact", **extra)
+    _emit_table(args, ["k", "c_k"], _cells(args.format, enumerate(vec.coefficients)), "ck", len(s), **extra)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the oracle suite; print one PASS/FAIL line per property."""
     n = args.n
-    failures = []
     lines = []
 
-    def record(name: str, ok: bool, detail: str = ""):
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name}" + (f": {detail}" if detail else ""))
-        if not ok:
-            failures.append(name)
+    def record(name: str, ok: bool, detail: str):
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
     rng = np.random.default_rng(20100615)
     worst = 0.0
@@ -488,57 +483,77 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
-    members = [(m, r.z) for r in rows for m in dihedral_orbit(r.representative)]
-    found = exact_integer_amplitudes([m for m, _ in members])
-    bad = next((m for (m, z), y in zip(members, found) if abs(y) != abs(z)), None)
-    record("dihedral-invariance", bad is None, f"violated by {bad}" if bad else "all orbits agree")
-
-    # The rows share one kernel evaluation per affine orbit of Q = 0 classes;
-    # recompute z on the image p -> u*p of each of them, for every unit u.
+    # One kernel pass over every arrangement; the checks below look z up.
+    # The rows share one evaluation per affine orbit of Q = 0 classes, so
+    # multiplier-invariance compares z on the image p -> u*p of each of
+    # them, for every unit u.
+    arrangements = list(enumerate_arrangements(n))
+    z_of = dict(zip(arrangements, exact_integer_amplitudes(arrangements)))
     units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
-    images = [(multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units]
-    found = exact_integer_amplitudes([image for image, _ in images])
-    bad = next((image for (image, z), y in zip(images, found) if y != z), None)
-    detail = f"violated by {bad}" if bad else "z(u*s) = z(s) for every unit u"
-    record("multiplier-invariance", bad is None, detail)
-
-    law = [r.representative for r in rows if r.Q != 0]
-    bad = next((s for s, y in zip(law, exact_integer_amplitudes(law)) if y), None)
-    record("law-soundness", bad is None, f"violated by {bad}" if bad else "Q != 0 implies exact zero")
-
-    bad = next((s for s in enumerate_arrangements(n) if not verify_gamma_shift(s)), None)
-    record("gamma-shift", bad is None, f"violated by {bad}" if bad else "c_k periodic under Q shift")
+    images = ((multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units)
+    checks = [
+        ("dihedral-invariance", "all orbits agree",
+         ((m, abs(z_of[m]) == abs(r.z)) for r in rows for m in dihedral_orbit(r.representative))),
+        ("multiplier-invariance", "z(u*s) = z(s) for every unit u", ((t, z_of[t] == z) for t, z in images)),
+        ("law-soundness", "Q != 0 implies exact zero",
+         ((r.representative, not z_of[r.representative]) for r in rows if r.Q != 0)),
+        ("gamma-shift", "c_k periodic under Q shift", ((s, verify_gamma_shift(s)) for s in arrangements)),
+    ]
+    for name, passed, cases in checks:
+        bad = next((s for s, ok in cases if not ok), None)
+        record(name, bad is None, f"violated by {bad}" if bad else passed)
 
     anomalous = sorted(r.representative for r in rows if r.Q == 0 and r.suppressed_exact)
-    if anomalous:
-        lines.append(
-            "INFO anomalous-suppressions: " + "; ".join(_fmt_arrangement(a) for a in anomalous)
-        )
-    else:
-        lines.append("INFO anomalous-suppressions: none")
+    lines.append("INFO anomalous-suppressions: " + ("; ".join(map(_fmt_arrangement, anomalous)) or "none"))
 
     text = "\n".join(lines) + "\n"
     _emit(args, lambda f: f.write(text))
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
+    return EXIT_VERIFY_FAILED if any(line.startswith("FAIL") for line in lines) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an int option that must be at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _arrangement(text: str) -> list[int]:
+    """The argparse type of --arrangement: comma-separated ASCII digits, spaces around them allowed."""
+    fields = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in fields):
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+    return [int(x) for x in fields]
+
+
 # The options several subcommands share; each subcommand takes those it reads.
 _SHARED_OPTIONS = {
-    "--n": dict(type=int, required=True, help="number of ports / particles"),
+    "--n": dict(type=_at_least(1), required=True, help="number of ports / particles"),
     "--mode": dict(
         choices=("float", "exact"),
-        default="float",
-        help="label of JSON output only; every result is computed exactly",
+        default="exact",
+        help="accepted for compatibility; every result is exact and labeled so",
     ),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--output": dict(type=Path, default=None, help="write here instead of stdout"),
-    "--jobs": dict(type=int, default=1, help="accepted for compatibility; runs are serial"),
+    "--jobs": dict(type=_at_least(1), default=1, help="accepted for compatibility; runs are serial"),
     "--cache-dir": dict(type=str, default=None),
 }
+
+# The size cap of a subcommand's n, as check_size's what and limit.
+_EXACT_CAP = ("exact amplitudes", EXACT_AMPLITUDE_LIMIT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -548,9 +563,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, run, help, *flags):
+    def add(name, run, help, *flags, cap=_EXACT_CAP):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, cap=cap)
         for flag in flags:
             p.add_argument(flag, **_SHARED_OPTIONS[flag])
         return p
@@ -560,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p1 = add("table1", cmd_table1, "event census for n = 2..n_max",
              "--mode", "--format", "--output", "--jobs", "--cache-dir")
-    p1.add_argument("--n-max", type=int, required=True)
+    p1.add_argument("--n-max", dest="n", metavar="N_MAX", type=_at_least(2), required=True)
 
     add("table2", cmd_table2, "nonsuppressed classes with exact enhancements",
         "--n", "--format", "--output", "--cache-dir")
@@ -578,11 +593,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     add("verify", cmd_verify, f"oracle and invariant sweep, n <= {BRUTE_FORCE_LIMIT}",
-        "--n", "--output", "--cache-dir")
+        "--n", "--output", "--cache-dir", cap=("verify (brute-force oracles)", BRUTE_FORCE_LIMIT))
 
-    pc = add("ck", cmd_ck, "phase-class histogram of one arrangement", "--format", "--output")
+    # ck_decomposition checks the size of the arrangement itself
+    pc = add("ck", cmd_ck, "phase-class histogram of one arrangement", "--format", "--output", cap=None)
     pc.add_argument(
         "--arrangement",
+        type=_arrangement,
         required=True,
         help="comma-separated occupancies, e.g. 0,1,2,1,0,2",
     )
@@ -590,38 +607,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_caps(parser, args: argparse.Namespace) -> None:
-    """Check the size argument against the caps in errors, before any rows are built."""
-    n = args.n_max if args.command == "table1" else args.n
-    if n < 1:
-        parser.error(f"--n must be >= 1, got {n}")
-    if args.command == "verify":
-        check_size("verify (brute-force oracles)", n, BRUTE_FORCE_LIMIT)
-    else:
-        check_size("exact amplitudes", n, EXACT_AMPLITUDE_LIMIT)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "table1" and args.n_max < 2:
-            parser.error(f"--n-max must be >= 2, got {args.n_max}")
-        if args.command == "ck":
-            fields = [x.strip() for x in args.arrangement.split(",")]
-            if not all(x.isascii() and x.isdigit() for x in fields):
-                parser.error(f"--arrangement must be comma-separated integers, got {args.arrangement!r}")
-            args.arrangement = [int(x) for x in fields]
         if args.command == "dist":
             try:  # the variant rule of closed_forms, before any rows are built
                 stats.closed_forms(args.kind, 1, args.variant)
             except ValueError as exc:
                 parser.error(f"--variant: {exc}")
-        if "jobs" in args and args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        if args.command != "ck":
-            _check_caps(parser, args)
+        if args.cap:  # before any rows are built, so table1 builds no n if n_max is too large
+            check_size(args.cap[0], args.n, args.cap[1])
         if "cache_dir" in args:
             args.cache_dir = _resolve_cache_dir(args.cache_dir)
         return args.run(args)

@@ -53,16 +53,6 @@ def _divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int
     return quot, rem[:deg]
 
 
-def poly_mod(coeffs: Sequence[int], modulus: Sequence[int]) -> tuple[int, ...]:
-    """Remainder of an integer polynomial modulo a monic integer polynomial."""
-    if not modulus or modulus[-1] != 1:
-        raise ValueError("modulus must be monic")
-    rem = _divmod(coeffs, modulus)[1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(rem)
-
-
 class CyclotomicVector:
     """An element of Z[w], w = exp(2*pi*i/n), as an n-entry coefficient vector."""
 
@@ -73,16 +63,15 @@ class CyclotomicVector:
             raise ValueError("need at least one coefficient")
         self.coefficients = tuple(int(c) for c in coefficients)
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
     def reduce(self) -> tuple[int, ...]:
         """Canonical form: remainder modulo the n-th cyclotomic polynomial.
 
         The result has fewer than phi(n) entries; the empty tuple is zero.
         """
-        return poly_mod(self.coefficients, cyclotomic_polynomial(self.order))
+        rem = _divmod(self.coefficients, cyclotomic_polynomial(len(self.coefficients)))[1]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return tuple(rem)
 
     def is_zero(self) -> bool:
         return self.reduce() == ()
@@ -98,20 +87,12 @@ class CyclotomicVector:
 
     def to_complex(self) -> complex:
         """Floating-point value sum(c_k * w**k)."""
-        n = self.order
+        n = len(self.coefficients)
         return sum(
             c * cmath.exp(2j * cmath.pi * (k % n) / n)
             for k, c in enumerate(self.coefficients)
             if c
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclotomicVector):
-            return NotImplemented
-        return self.order == other.order and self.reduce() == other.reduce()
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.reduce()))
 
     def __repr__(self) -> str:
         return f"CyclotomicVector({list(self.coefficients)!r})"

@@ -208,7 +208,7 @@ class TestClassCells:
         "argv,digest",
         [
             ([], "ce4a94cc13f1d8021b58fb9d9ec79bf79c7104a9d44a6468211589cda25790f7"),
-            (["--format", "json"], "574b06ca2963fd2064b5a5f7c901bb9095d5dfd726c8cdbecc8c466b05e93749"),
+            (["--format", "json"], "7d9a4b4fb59f33edf004f7dec0f23cbf9f0c346376d87dcb01ab9d7271957307"),
         ],
     )
     def test_n10_bytes_unchanged(self, capsys, monkeypatch, argv, digest):
@@ -243,7 +243,7 @@ class TestTable1:
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--n-max", n_max])
         assert exc.value.code == 2
-        assert "--n-max must be >= 2" in capsys.readouterr().err
+        assert "argument --n-max: must be >= 2" in capsys.readouterr().err
 
     def test_float_mode_prints_exact_census(self, capsys, monkeypatch):
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
@@ -357,7 +357,7 @@ class TestCk:
         with pytest.raises(SystemExit) as exc:
             main(["ck", "--arrangement", text])
         assert exc.value.code == 2
-        assert "--arrangement must be comma-separated integers" in capsys.readouterr().err
+        assert "argument --arrangement: must be comma-separated integers" in capsys.readouterr().err
 
     def test_spaces_around_fields_allowed(self, capsys):
         spaced = run(capsys, "ck", "--arrangement", " 0, 1,2 ,1,0,2")
@@ -434,7 +434,7 @@ class TestVerify:
         assert code == 1
         assert "PASS normalization" in out
         assert "FAIL law-soundness: violated by (1, 1, 1, 1, 1, 1)\n" in out
-        assert len(calls) == 3  # dihedral, multiplier and law lines: one batched call each
+        assert len(calls) == 1  # one batched call over every arrangement serves every line
 
 
 class TestFormats:
@@ -479,10 +479,18 @@ class TestFormats:
         target = tmp_path / "out.json"
         args = argparse.Namespace(format="json", output=target)
         rows = [(k, k / 3, [k, -k]) for k in range(count)]
-        _emit_table(args, ["k", "x", "pair"], iter(rows), "test", 3, "exact", extra=[1.5])
+        _emit_table(args, ["k", "x", "pair"], iter(rows), "test", 3, extra=[1.5])
         doc = {"schema_version": SCHEMA_VERSION, "n": 3, "mode": "exact", "kind": "test", "extra": [1.5]}
         doc["rows"] = [{"k": k, "x": x, "pair": pair} for k, x, pair in rows]
         assert target.read_text() == json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize("argv", [["classes", "--n", "5"], ["table1", "--n-max", "5"]], ids=" ".join)
+    def test_mode_changes_no_byte(self, capsys, monkeypatch, argv):
+        # every result is exact, so --mode is validated but changes no byte
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        runs = [run(capsys, *argv, "--format", "json", *mode) for mode in ([], ["--mode", "float"], ["--mode", "exact"])]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == 0 and json.loads(runs[0][1])["mode"] == "exact"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
@@ -551,6 +559,15 @@ class TestOptions:
     def test_exit_code(self, capsys, monkeypatch, argv, code):
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
         assert _exit_code(argv) == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classes", "--n", "x"], ["table1", "--n-max", "x"], ["classes", "--n", "3", "--jobs", "x"]],
+        ids=" ".join,
+    )
+    def test_non_integer_exits_2(self, capsys, argv):
+        assert _exit_code(argv) == 2
+        assert f"argument {argv[-2]}: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -838,8 +855,9 @@ class TestCache:
         z = payload["z"]
         z[next(i for i, zi in enumerate(z) if zi)] += 1
         cache_store(cache, key, payload)  # a valid checksum over the changed z
-        for argv in (["classes"], ["table2"], ["dist", "--kind", "occupied-ports"]):
-            code, out, err = run(capsys, *argv, "--n", "6", "--cache-dir", str(cache))
+        for argv in (["classes", "--n"], ["table2", "--n"], ["dist", "--kind", "occupied-ports", "--n"],
+                     ["table1", "--n-max"]):
+            code, out, err = run(capsys, *argv, "6", "--cache-dir", str(cache))
             assert (code, out) == (3, ""), argv
             assert err.startswith("error: ") and "n=6" in err
         code, out, _ = run(capsys, "verify", "--n", "6", "--cache-dir", str(cache))
