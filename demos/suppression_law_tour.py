@@ -45,7 +45,7 @@ print("  survives: only cyclic and mirror relabelings preserve the amplitude.")
 print("\nAnomalous zeros at n = 6 (Q = 0 but exact amplitude 0):")
 for r in class_table(6).rows():
     rep = r.representative
-    if r.Q == 0 and r.z == 0:
+    if suppression_Q(rep) == 0 and r.z == 0:
         c = ck_decomposition(rep)
         print(f"  {rep}: orbit of {r.orbit_size}, c_k = {c.coefficients}")
         print(f"    sum c_k = {sum(c.coefficients)} = 6!, "

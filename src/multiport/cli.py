@@ -15,22 +15,26 @@ columns: {"codes": [...], "orbit_sizes": [...], "z": [...]}, the
 base-(n+1) codes and orbit sizes of every class, and z of each class with
 Q = 0, in code order; Q = 0 is read off the codes.  Every other column is
 derived from z.
-class_rows_cached decodes only the rows a command reads: those with
-z != 0 for dist, table2, table1 and the certificate, every row for
-classes and verify.  table1 counts from the columns of each
-n = 2..n_max.  classes, table2, dist and table1 first check that the rows
-carry total probability exactly 1 (statistics.check_normalization; dist
-through statistics.distribution); verify reports that check as one of its
+class_rows_cached decodes only what a command reads: the rows with
+z != 0 for dist, table2, table1 and every certificate, every row for
+verify, and for classes the columns of ClassTable.by_weight, with no row
+object.  table1 counts from the columns of each n = 2..n_max.  classes,
+table2, dist and table1 first check that the rows with z != 0 carry total
+probability exactly 1 (statistics.check_normalization; dist through
+statistics.distribution); verify reports that check as one of its
 properties.  cache_load serves an entry only in the one byte layout
 cache_store writes, under a matching sha256; anything else, or columns
 that _payload_to_rows rejects, is a warning, a recompute and an
 overwrite.  Only the cache imports hashlib.
 
-classes derives the cells of each row in _class_cells, in integer
-arithmetic from its representative and z; the ClassProbabilityRow
-properties are the reference the tests hold them to.  _emit_table writes
-each row as it is rendered, in CSV and JSON alike, so no table is held
-as text; the rows are certified before the first byte is written.
+classes renders its table in _class_cells, straight from the columns:
+ClassTable.by_weight reads the digits of each code once, sorts by
+descending prod s_j! and builds each representative as it is written,
+and the other cells depend only on prod s_j! and z, so they are derived
+once for each distinct pair; the ClassProbabilityRow properties are the
+reference the tests hold them to.  _emit_table writes each row as it is
+rendered, in CSV and JSON alike, so no table is held as text; the rows
+are certified before the first byte is written.
 
 Each subcommand takes only the options it reads (_build_parser), and each
 argument rule sits with its option: --n >= 1, table1's --n-max >= 2 and
@@ -38,7 +42,8 @@ argument rule sits with its option: --n >= 1, table1's --n-max >= 2 and
 ASCII digits.  Every result is exact, so every JSON document is labeled
 "exact"; --mode and --jobs, on classes and table1, are validated and
 change no byte.  dist takes a non-default --variant with --kind
-port-occupancy only; main checks that rule before any rows are built.
+port-occupancy only; main checks that rule before any rows are built and
+reports a breach through the dist parser, like any argument error.
 
 Each subcommand's size cap is a parser default (cap), which main checks
 against n before any rows are built: verify runs brute-force oracles and
@@ -58,6 +63,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -66,7 +72,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from io import TextIOBase
 from itertools import chain, islice
-from operator import lt, mul
+from operator import add, lt
 from pathlib import Path
 
 from . import statistics as stats
@@ -208,14 +214,15 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 # class rows
 
 
-def _payload_to_rows(payload: dict, n: int, nonzero: bool):
-    """The ClassTable of a payload of columns, and its rows decoded as ClassTable.rows does.
+def _payload_to_rows(payload: dict, n: int, decode: Callable[[stats.ClassTable], object]):
+    """The ClassTable of a payload of columns, and decode of it.
 
     ValueError unless the payload holds exactly the three columns as lists
     of ints: dihedral_class_count(n) strictly ascending codes of n digits in
     base n + 1, as many positive orbit sizes summing to C(2n-1, n), and one
-    z per code with Q = 0 (arrangements.q0_positions).  Decoding checks
-    that each code it reads is an arrangement of n.  The checks map over
+    z per code with Q = 0 (arrangements.q0_positions).  decode raises
+    ValueError for a code it reads that is not an arrangement of n.  The
+    checks map over
     whole columns, so a hit pays little for them; wrong values that pass
     them are left to the certificate.
     """
@@ -237,38 +244,33 @@ def _payload_to_rows(payload: dict, n: int, nonzero: bool):
     if len(z) != len(q0):
         raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
     table = stats.ClassTable(n, codes, orbits, q0, z)
-    return table, table.rows(nonzero)
+    return table, decode(table)
 
 
-def class_rows_cached(n: int, cache_dir: Path | None, nonzero: bool = True):
-    """The ClassTable of n, through cache_dir when one is set, and its decoded rows.
+def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table.rows(nonzero=True)):
+    """The ClassTable of n, through cache_dir when one is set, and decode of it.
 
-    The rows are those with z != 0, which every command reads, or with
-    nonzero=False every row; a hit decodes no others.  Every command reads
-    the same exact table, so one entry per n serves them all.  An entry
-    that _payload_to_rows rejects is unreadable, like one that is not
-    JSON: a warning, then a recompute and an overwrite.
+    decode maps the table to what the command reads: by default the rows
+    with z != 0, which every command reads; ClassTable.rows for every row
+    (verify); _class_cells for the cells of classes.  A hit decodes only
+    what decode reads.  Every command reads the same exact table, so one
+    entry per n serves them all.  An entry that _payload_to_rows or decode
+    rejects is unreadable, like one that is not JSON: a warning, then a
+    recompute and an overwrite.
     """
     key = cache_key(n)
     if cache_dir is not None:
         payload = cache_load(cache_dir, key)
         if payload is not None:
             try:
-                return _payload_to_rows(payload, n, nonzero)
+                return _payload_to_rows(payload, n, decode)
             except ValueError as exc:
                 path = _cache_path(cache_dir, key)
                 print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
     table = stats.class_table(n)
     if cache_dir is not None:
         cache_store(cache_dir, key, {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z})
-    return table, table.rows(nonzero)
-
-
-def certified_rows(args: argparse.Namespace, nonzero: bool = True):
-    """The rows of class_rows_cached for args.n, after statistics.check_normalization (exit 3 on failure)."""
-    _, rows = class_rows_cached(args.n, args.cache_dir, nonzero)
-    stats.check_normalization(args.n, rows)
-    return rows
+    return table, decode(table)
 
 
 # ---------------------------------------------------------------------------
@@ -373,54 +375,46 @@ CLASS_COLUMNS = (
 )
 
 
-def _class_cells(n: int, rows, fmt: str):
-    """The CLASS_COLUMNS cells of each row, in integer arithmetic, rendered for fmt.
+def _class_cells(table: stats.ClassTable, fmt: str):
+    """The CLASS_COLUMNS cells of every class, rendered for fmt, as one iterator in table order.
 
-    With m = n!/prod s_j!, p_classical is m/n^n reduced by gcd(m, n^n),
-    p_quantum is z^2/(n^n * prod s_j!) as one int/int division, rounded
-    once, and enhancement is z^2/n! reduced by gcd(z^2, n!).  A row with
-    z = 0 takes constant suppressed, p_quantum and enhancement cells.  The
-    ClassProbabilityRow properties define the values; the tests compare.
+    table.by_weight orders and decodes the classes here, so a code that is
+    not an arrangement raises ValueError before any cell is read; the
+    cells are then mapped over its columns as they are written, with no
+    row object and no loop over the classes.  The representative is its
+    digits comma-joined in CSV, built from comma-joined groups, and a tuple
+    in JSON; orbit size and Q are read as they are.  The other five cells
+    depend only on prod s_j! and z, so they are derived and rendered by
+    _csv_cell or _json_cell once for each distinct pair, exactly as the
+    ClassProbabilityRow properties define them; p_classical is reduced
+    once for each prod s_j!, and the z = 0 classes share one set of cells
+    for each prod s_j!.
     """
-    n_fact, n_pow, ports = math.factorial(n), n**n, range(1, n + 1)
-    if fmt == "csv":
-        digits = list(map(str, range(n + 1))).__getitem__
-        suppressed = ("true", 0, 0)
+    n_fact, n_pow = math.factorial(table.n), table.n**table.n
+    cell, columns = _csv_cell if fmt == "csv" else _json_cell, table.by_weight(text=fmt == "csv")
+    classical = functools.cache(lambda w: Fraction(n_fact // w, n_pow))
 
-        def rep(t):
-            return ",".join(map(digits, t))
+    @functools.cache
+    def cells(w, z):
+        p = classical(w)
+        values = (z == 0, p.numerator, p.denominator, z * z / (n_pow * w), Fraction(z * z, n_fact))
+        return tuple(map(cell, values))
 
-        def alive(p, num, den):
-            return "false", _fmt_float(p), f"{num}/{den}" if den != 1 else num
-
-    else:
-        rep, suppressed = tuple, (True, 0.0, {"num": 0, "den": 1})
-
-        def alive(p, num, den):
-            return False, p, {"num": num, "den": den}
-
-    for t, orbit_size, z in rows:
-        s_fact = math.prod(map(math.factorial, t))
-        m = n_fact // s_fact
-        g = math.gcd(m, n_pow)
-        if z:
-            z2 = z * z
-            e = math.gcd(z2, n_fact)
-            flag, p, enhancement = alive(z2 / (n_pow * s_fact), z2 // e, n_fact // e)
-        else:
-            flag, p, enhancement = suppressed
-        yield rep(t), orbit_size, sum(map(mul, t, ports)) % n, flag, m // g, n_pow // g, p, enhancement
+    reps, orbit_sizes, q, weights, z = columns
+    return map(add, zip(reps, orbit_sizes, q), map(cells, weights, z))
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
     """Rows by ascending classical probability, n!/prod s_j! over n^n; ties by representative.
 
-    That is descending prod s_j!; the rows come in code order, which is
-    representative order, and a stable sort keeps it among ties.
+    The cells come from _class_cells, through class_rows_cached, so a hit
+    whose codes do not decode is recomputed.  Only the rows with z != 0
+    are decoded for the certificate, and every byte waits for it.
     """
-    rows = certified_rows(args, nonzero=False)
-    rows.sort(key=lambda r: math.prod(map(math.factorial, r.representative)), reverse=True)
-    _emit_table(args, CLASS_COLUMNS, _class_cells(args.n, rows, args.format), "classes", args.n)
+    render = functools.partial(_class_cells, fmt=args.format)
+    table, cells = class_rows_cached(args.n, args.cache_dir, render)
+    stats.check_normalization(args.n, table.rows(nonzero=True))
+    _emit_table(args, CLASS_COLUMNS, cells, "classes", args.n)
     return EXIT_OK
 
 
@@ -433,7 +427,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
-    alive = sorted(certified_rows(args), key=lambda r: (-r.z * r.z, r.representative))
+    _, rows = class_rows_cached(args.n, args.cache_dir)
+    stats.check_normalization(args.n, rows)
+    alive = sorted(rows, key=lambda r: (-r.z * r.z, r.representative))
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
     _emit_table(args, header, _cells(args.format, values), "table2", args.n)
@@ -479,7 +475,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
     # proves each skipped class an exact zero (statistics.check_normalization,
     # reported here as a FAIL line rather than an exit code 3).
-    _, rows = class_rows_cached(n, args.cache_dir, nonzero=False)
+    table, rows = class_rows_cached(n, args.cache_dir, stats.ClassTable.rows)
+    q0 = dict.fromkeys(rows[i] for i in table.q0)  # the rows with Q = 0, in code order
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 
@@ -490,20 +487,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     arrangements = list(enumerate_arrangements(n))
     z_of = dict(zip(arrangements, exact_integer_amplitudes(arrangements)))
     units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
-    images = ((multiplier_image(r.representative, u), r.z) for r in rows if r.Q == 0 for u in units)
+    images = ((multiplier_image(r.representative, u), r.z) for r in q0 for u in units)
     checks = [
         ("dihedral-invariance", "all orbits agree",
          ((m, abs(z_of[m]) == abs(r.z)) for r in rows for m in dihedral_orbit(r.representative))),
         ("multiplier-invariance", "z(u*s) = z(s) for every unit u", ((t, z_of[t] == z) for t, z in images)),
         ("law-soundness", "Q != 0 implies exact zero",
-         ((r.representative, not z_of[r.representative]) for r in rows if r.Q != 0)),
+         ((r.representative, not z_of[r.representative]) for r in rows if r not in q0)),
         ("gamma-shift", "c_k periodic under Q shift", ((s, verify_gamma_shift(s)) for s in arrangements)),
     ]
     for name, passed, cases in checks:
         bad = next((s for s, ok in cases if not ok), None)
         record(name, bad is None, f"violated by {bad}" if bad else passed)
 
-    anomalous = sorted(r.representative for r in rows if r.Q == 0 and r.suppressed_exact)
+    anomalous = sorted(r.representative for r in q0 if r.suppressed_exact)
     lines.append("INFO anomalous-suppressions: " + ("; ".join(map(_fmt_arrangement, anomalous)) or "none"))
 
     text = "\n".join(lines) + "\n"
@@ -565,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, run, help, *flags, cap=_EXACT_CAP):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, cap=cap)
+        p.set_defaults(run=run, cap=cap, error=p.error)
         for flag in flags:
             p.add_argument(flag, **_SHARED_OPTIONS[flag])
         return p
@@ -616,7 +613,7 @@ def main(argv=None) -> int:
             try:  # the variant rule of closed_forms, before any rows are built
                 stats.closed_forms(args.kind, 1, args.variant)
             except ValueError as exc:
-                parser.error(f"--variant: {exc}")
+                args.error(f"argument --variant: {exc}")
         if args.cap:  # before any rows are built, so table1 builds no n if n_max is too large
             check_size(args.cap[0], args.n, args.cap[1])
         if "cache_dir" in args:

@@ -10,7 +10,9 @@ runs on the Q = 0 classes only, in one batched call per n on the first
 member of each of their affine orbits (q0_amplitudes), and only those
 become tuples.  A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
-other column is derived from z.  The census counts from the columns; the
+other column is derived from z.  The classes table reads the columns
+themselves, in its order (ClassTable.by_weight), with no row object.
+The census counts from the columns; the
 distributions' quantum columns and check_normalization, which certifies
 the table, read only the rows with z != 0 (430 of 4,752 at n = 10).  Every
 float a table reports is one exact rational rounded once.
@@ -52,6 +54,9 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cache, partial, reduce
+from itertools import product, repeat
+from operator import add, floordiv, mod, mul
 
 from ._numpy import np
 from .arrangements import (
@@ -93,12 +98,6 @@ class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbi
     """
 
     __slots__ = ()
-
-    @property
-    def Q(self) -> int:
-        """Port-assignment sum mod n; nonzero certifies z = 0 (the law)."""
-        t = self.representative
-        return sum(j * x for j, x in enumerate(t, start=1)) % len(t)
 
     @property
     def suppressed_exact(self) -> bool:
@@ -148,6 +147,61 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
             for i, zi in zip(self.q0, self.z):
                 z[i] = zi
         return list(map(ClassProbabilityRow, decode_codes(self.n, codes), orbits, z))
+
+    def by_weight(self, text: bool = False) -> tuple[Iterator, ...]:
+        """Every class by descending prod s_j!, ties in code order: the order of the classes table.
+
+        That is ascending classical probability n!/prod s_j! over n^n, ties
+        by representative.  Returns five iterators over the classes in that
+        order, to be read once and in step: the representatives, orbit
+        sizes, Q, prod s_j! and z (0 off the q0 positions).  A
+        representative is a tuple, or with text=True its digits
+        comma-joined.
+
+        The digits of each code are read once, in groups of up to three
+        from the left as arrangements.decode_codes reads them, and kept as
+        one small int per group.  prod s_j!, the digit sum and the piece of
+        the representative come from tables over the group values, built
+        once per group width.  ValueError is raised here, before any class
+        is read, unless the digits of every code sum to n.  The
+        representatives are joined from their pieces as they are read, so
+        no more than one of them is held at a time.  Q is read off the code
+        as arrangements.q0_positions reads it: the code is n * (1 - Q) mod n^2.
+        """
+        from array import array  # imported here, so commands that do not list the classes skip it
+
+        n, b, codes = self.n, self.n + 1, self.codes
+        symbols, join, sep = (list(map(str, range(b))), ",".join, ",") if text else (range(b), tuple, ())
+        factorials = list(map(math.factorial, range(b)))
+
+        @cache
+        def tables(width):  # the piece, prod s_j! and digit sum of each group value
+            pieces = list(map(join, product(symbols, repeat=width)))
+            weight = list(map(math.prod, product(factorials, repeat=width)))
+            return pieces, weight, list(map(sum, product(range(b), repeat=width)))
+
+        first = n - 3 * ((n - 1) // 3)
+        groups, weights, sums = [], [1] * len(codes), [0] * len(codes)
+        for end in range(first, n + 1, 3):  # the group of digits end-width+1..end
+            width = min(end, 3)
+            pieces, weight, total = tables(width)
+            values = array("I", map(mod, map(floordiv, codes, repeat(b ** (n - end))), repeat(b**width)))
+            weights = list(map(mul, weights, map(weight.__getitem__, values)))
+            sums = list(map(add, sums, map(total.__getitem__, values)))
+            groups.append((pieces if end == first else [sep + p for p in pieces], values))
+        if set(sums) - {n}:
+            raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
+        # a stable sort, so ties stay in code order
+        order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)
+        reps = [map(pieces.__getitem__, map(values.__getitem__, order)) for pieces, values in groups]
+        m, z = n * n, dict(zip(self.q0, self.z))
+        return (
+            reduce(partial(map, add), reps),
+            map(self.orbit_sizes.__getitem__, order),
+            ((1 - c % m // n) % n for c in map(codes.__getitem__, order)),
+            map(weights.__getitem__, order),
+            map(z.get, order, repeat(0)),
+        )
 
 
 def q0_amplitudes(n: int, codes: np.ndarray) -> list[int]:

@@ -184,7 +184,7 @@ class TestClassCells:
             assert csv_row == [
                 ",".join(map(str, r.representative)),
                 str(r.orbit_size),
-                str(r.Q),
+                str(scattering.suppression_Q(r.representative)),
                 str(r.suppressed_exact).lower(),
                 str(p.numerator),
                 str(p.denominator),
@@ -194,7 +194,7 @@ class TestClassCells:
             json_cells = [
                 list(r.representative),
                 r.orbit_size,
-                r.Q,
+                scattering.suppression_Q(r.representative),
                 r.suppressed_exact,
                 p.numerator,
                 p.denominator,
@@ -323,7 +323,9 @@ class TestDist:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--variant", "at-least-one"])
         assert exc.value.code == 2
-        assert "--variant" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multiport dist ")  # the usage of dist, like every argument error
+        assert "\nmultiport dist: error: argument --variant: variant 'at-least-one' of " in err
         code, out, _ = run(capsys, *argv, "--variant", "marginal", "--format", "json")
         assert code == 0
         assert json.loads(out)["variant"] == "marginal"
@@ -620,7 +622,7 @@ class TestCache:
         rows = table.rows()
         assert [sum(x * 6 ** (4 - p) for p, x in enumerate(r.representative)) for r in rows] == table.codes
         assert [r.orbit_size for r in rows] == table.orbit_sizes
-        assert table.q0 == [i for i, r in enumerate(rows) if r.Q == 0]
+        assert table.q0 == [i for i, r in enumerate(rows) if scattering.suppression_Q(r.representative) == 0]
         assert table.z == [rows[i].z for i in table.q0]
 
     def test_old_rows_entry_neither_read_nor_rewritten(self, capsys, tmp_path):
@@ -781,6 +783,7 @@ class TestCache:
         hits = [
             ["dist", "--n", "6", "--kind", "classical-classes"],
             ["classes", "--n", "6", "--format", "json"],
+            ["classes", "--n", "6"],
             table1,
             ["table2", "--n", "6"],
         ]
@@ -809,6 +812,35 @@ class TestCache:
         assert run(capsys, *dist, *cache) == (0, clean, "")
         table = st.class_table(10)
         assert decoded == [430] == [len(table.z) - table.z.count(0)]
+
+    def test_classes_hit_builds_only_nonzero_rows(self, capsys, tmp_path, monkeypatch):
+        # classes renders from the columns; only the certificate builds rows
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        classes = ["classes", "--n", "10"]
+        code, clean, _ = run(capsys, *classes, *cache)
+        assert code == 0
+        real, built = st.ClassProbabilityRow, []
+        monkeypatch.setattr(st, "ClassProbabilityRow", lambda *cells: built.append(cells) or real(*cells))
+        assert run(capsys, *classes, *cache) == (0, clean, "")
+        table = st.class_table(10)
+        assert 0 < len(built) <= len(table.z) - table.z.count(0) == 430
+        assert all(z for _, _, z in built)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_code_whose_digits_miss_n_recomputed(self, capsys, tmp_path, fmt):
+        # 29 is (0, 1, 0, 4) in base 5, in place of the 28 of (0, 1, 0, 3): still
+        # ascending, with Q != 0 (29 mod 16 != 4), so only classes decodes it
+        cache = tmp_path / "cache"
+        args = ["classes", "--n", "4", "--format", fmt]
+        _, clean, _ = run(capsys, *args)
+        run(capsys, *args, "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        good = entry.read_bytes()
+        cache_store(cache, entry.stem, {**_N4, "codes": [4, 8, 12, 29, 32, 36, 52, 156]})  # a valid checksum
+        code, out, err = run(capsys, *args, "--cache-dir", str(cache))
+        assert (code, out) == (0, clean)
+        assert f"warning: unreadable cache entry {entry}: expected codes of arrangements of 4" in err
+        assert entry.read_bytes() == good
 
     def test_schema_version_mismatch_invalidates(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -194,8 +194,8 @@ class TestClassProbabilityTable:
     def test_n6_exact_structure(self, census):
         rows = st.class_table(6).rows()
         assert len(rows) == census[6][2]
-        assert sum(1 for r in rows if r.Q != 0) == census[6][3]
-        anomalous = [r for r in rows if r.Q == 0 and r.suppressed_exact]
+        assert sum(1 for r in rows if suppression_Q(r.representative) != 0) == census[6][3]
+        anomalous = [r for r in rows if suppression_Q(r.representative) == 0 and r.suppressed_exact]
         assert sorted(r.representative for r in anomalous) == [
             (0, 1, 1, 2, 1, 1),
             (0, 1, 2, 1, 0, 2),
@@ -221,7 +221,7 @@ class TestClassProbabilityTable:
         assert rows == everything_through_kernel
         for r in rows:
             p = exact_quantum_probability(r.representative)
-            assert (r.Q, r.suppressed_exact) == (suppression_Q(r.representative), p == 0)
+            assert r.suppressed_exact == (p == 0)
             assert r.p_classical == classical_probability(r.representative)
             assert r.p_quantum == float(p)
             assert r.enhancement == p / r.p_classical
@@ -283,7 +283,7 @@ class TestQ0Rows:
         rows = st.class_table(n).rows()
         units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
         for r in rows:
-            if r.Q == 0:
+            if suppression_Q(r.representative) == 0:
                 for u in units:
                     assert exact_integer_amplitude(multiplier_image(r.representative, u)) == r.z
 
@@ -338,7 +338,7 @@ class TestTable1:
 class TestTotalProbability:
     @pytest.mark.parametrize("mutation", ["drop", "orbit", "z"])
     def test_certificate_catches_mutations(self, mutation):
-        rows = [r for r in st.class_table(8).rows() if r.Q == 0]
+        rows = [r for r in st.class_table(8).rows() if suppression_Q(r.representative) == 0]
         assert st.total_probability(8, rows) == 1
         r = rows[-1]
         if mutation == "drop":
