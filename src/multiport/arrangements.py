@@ -11,33 +11,39 @@ equivalence are used throughout:
 
 class_columns enumerates the classes in numpy on base-(n+1) integer codes
 (the code of s is sum_p s_p * (n+1)^(n-1-p), so code order is
-lexicographic order), in ascending blocks, of the only arrangements that
-can be canonical: (1, ..., 1) and those with s_1 = 0 and s_n >= 1,
-C(2n-3, n-1) + 1 of the C(2n-1, n).  A code is canonical iff it is the
-least of its 2n dihedral images, and the images equal to it give the orbit
-size (orbit-stabilizer).  The orbit sizes must cover all C(2n-1, n)
-arrangements, and the class count must equal Burnside's
-(dihedral_class_count).  The classes stay columns: int64 codes and orbit
-sizes.  q0_positions reads Q = 0 off the codes, and decode_codes turns
-codes back into tuples, both in pure Python, for only the classes a caller
-reads.  dihedral_orbit and quantum_class_of are the per-arrangement
-reference.
+lexicographic order), in blocks, of the only arrangements that can be
+canonical: (1, ..., 1) and those with s_1 = 0 and s_n >= 1,
+C(2n-3, n-1) + 1 of the C(2n-1, n).  Their codes are outer sums of two
+memoized tables of composition codes (_candidate_blocks).  A code is
+canonical iff it is the least of its 2n dihedral images, and the images
+equal to it give the orbit size (orbit-stabilizer).  The kept codes are
+sorted once.  The orbit sizes must cover all C(2n-1, n) arrangements, and
+the class count must equal Burnside's (dihedral_class_count).  The classes
+stay columns: int64 codes and orbit sizes.
+
+No other module makes a code or reads its digits.  digit_groups is the
+one digit reader, decode_codes turns codes into tuples with it, and code_Q
+reads Q off a code with no digit decoded; all run in pure Python.
+dihedral_orbit and quantum_class_of are the per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
 p -> u*p permutes the columns k -> u*k of the Fourier matrix, whose
 entries are w^(p*k), so it leaves the exact amplitude z unchanged.  A
 shift p -> p + a multiplies column k by w^(a*k), hence z by
-w^(a*n*(n-1)/2) = (-1)^(a*(n-1)).  affine_keys groups the dihedral classes
-into affine orbits, so that one kernel call serves a whole orbit.
+w^(a*n*(n-1)/2) = (-1)^(a*(n-1)).  affine_keys groups the codes of the
+dihedral classes into affine orbits, so that one kernel call serves a whole
+orbit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._numpy import np
 from .errors import EXACT_AMPLITUDE_LIMIT, InvalidArrangementError, check_size
@@ -165,53 +171,6 @@ def dihedral_class_count(n: int) -> int:
 _BLOCK = 4096
 
 
-def _code_blocks(total: int, digits: int, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (codes, reversed codes) of the compositions of total into digits
-    parts, in ascending code order.
-
-    The code of c is its base-b value with c_1 as the most significant
-    digit, so code order is lexicographic order; the reversed code is the
-    code of c[::-1].  A prefix with more than _BLOCK suffixes is split by
-    its next digit, and runs of sibling prefixes with at most _BLOCK
-    suffixes in total are completed together, digit by digit, with
-    np.repeat.
-    """
-
-    def suffixes(rem, left):
-        return [math.comb(r + left - 1, left - 1) for r in rem.tolist()]
-
-    def extend(codes, rcodes, rem, j):
-        fan = rem + 1
-        digit = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
-        return (
-            np.repeat(codes, fan) * b + digit,
-            np.repeat(rcodes, fan) + digit * b**j,
-            np.repeat(rem, fan) - digit,
-        )
-
-    # (prefix codes, their reversed-code parts, units left, digits set)
-    start = np.zeros(1, dtype=np.int64)
-    stack = [(start, start, start + total, 0)]
-    while stack:
-        codes, rcodes, rem, j = stack.pop()
-        if sum(suffixes(rem, digits - j)) <= _BLOCK:
-            for k in range(j, digits - 1):
-                codes, rcodes, rem = extend(codes, rcodes, rem, k)
-            yield codes * b + rem, rcodes + rem * b ** (digits - 1)
-            continue
-        # one prefix with too many suffixes: split it by its next digit
-        codes, rcodes, rem = extend(codes, rcodes, rem, j)
-        runs, first, size = [], 0, 0
-        for i, count in enumerate(suffixes(rem, digits - j - 1)):
-            if size + count > _BLOCK and i > first:
-                runs.append((first, i))
-                first, size = i, 0
-            size += count
-        runs.append((first, len(rem)))
-        for lo, hi in reversed(runs):
-            stack.append((codes[lo:hi], rcodes[lo:hi], rem[lo:hi], j + 1))
-
-
 def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (codes, reversed codes) of the arrangements that can be canonical.
 
@@ -220,13 +179,38 @@ def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     moves that 0 to the front would be smaller.  The candidates are thus
     (1, ..., 1), the only arrangement without an empty port, and the
     arrangements with s_1 = 0 and s_n >= 1, s = (0, c_1, ..., c_(n-1) + 1)
-    for the compositions c of n - 1 into n - 1 parts.  In base b = n + 1,
-    s has code code(c) + 1 and reversed code (rcode(c) + b^(n-2)) * b.
-    (1, ..., 1) comes last, so codes ascend.
+    for the compositions c of n - 1 into d = n - 1 parts.  In base b = n + 1,
+    s has code code(c) + 1 and reversed code (rcode(c) + b^(n-2)) * b, where
+    the code of c is its base-b value with c_1 as the most significant digit
+    and the reversed code is the code of c[::-1].
+
+    c is a prefix of d - k parts and a suffix of k = d // 2 parts, so for
+    each prefix sum t the codes are the outer sum of two tables of
+    compositions, code(prefix) * b^k + code(suffix), and the reversed codes
+    rcode(suffix) * b^(d-k) + rcode(prefix).  A table is built from its
+    first part x: (x, c') has code x * b^(p-1) + code(c') and reversed code
+    x + b * rcode(c').  A block holds at most _BLOCK codes, or one row of
+    suffixes.  Blocks of different t interleave in code order.
     """
-    b = n + 1
-    if n > 1:
-        for codes, rcodes in _code_blocks(n - 1, n - 1, b):
+    b, d = n + 1, n - 1
+    k = d // 2
+
+    @functools.cache
+    def table(total, parts):  # (codes, reversed codes) of the compositions of total into parts
+        if parts == 0:
+            return (np.zeros(int(total == 0), dtype=np.int64),) * 2
+        rests = [table(total - x, parts - 1) for x in range(total + 1)]
+        return (
+            np.concatenate([x * b ** (parts - 1) + codes for x, (codes, _) in enumerate(rests)]),
+            np.concatenate([x + b * rcodes for x, (_, rcodes) in enumerate(rests)]),
+        )
+
+    for t in range(n if n > 1 else 0):
+        (head, rhead), (tail, rtail) = table(t, d - k), table(d - t, k)
+        rows = max(_BLOCK // max(len(tail), 1), 1)
+        for lo in range(0, len(head), rows):
+            codes = (head[lo : lo + rows, None] * b**k + tail).ravel()
+            rcodes = (rtail * b ** (d - k) + rhead[lo : lo + rows, None]).ravel()
             yield codes + 1, (rcodes + b ** (n - 2)) * b
     ones = np.array([(b**n - 1) // n], dtype=np.int64)
     yield ones, ones
@@ -241,11 +225,11 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     the code and of the reversed code give the 2n dihedral images.  A
     candidate is kept iff its code is the minimum of its images, and its
     orbit size is 2n over the number of images equal to its code
-    (orbit-stabilizer).  Codes ascend, so the classes are ordered by
-    representative.  The orbit sizes must cover every arrangement, so no
-    canonical code was left out of the candidates, and the class count
-    must equal the Burnside count dihedral_class_count(n); otherwise
-    AssertionError.
+    (orbit-stabilizer).  The kept codes are sorted once, so the classes
+    are ordered by representative.  The orbit sizes must cover every
+    arrangement, so no canonical code was left out of the candidates, and
+    the class count must equal the Burnside count dihedral_class_count(n);
+    otherwise AssertionError.
     """
     check_size("class enumeration", n, EXACT_AMPLITUDE_LIMIT)
     b = n + 1
@@ -263,6 +247,8 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
         keep = least == codes
         blocks.append((codes[keep], 2 * n // stabilizer[keep]))
     codes, sizes = (np.concatenate(column) for column in zip(*blocks))
+    order = np.argsort(codes)
+    codes, sizes = codes[order], sizes[order]
     covered, total = int(sizes.sum()), count_arrangements(n)
     if covered != total:
         raise AssertionError(
@@ -276,38 +262,55 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, sizes
 
 
-def q0_positions(n: int, codes: Sequence[int]) -> list[int]:
-    """Positions of the codes of arrangements with Q = sum_p p * s_p = 0 (mod n), in pure Python.
+def code_Q(n: int, codes: Iterable[int]) -> Iterator[int]:
+    """Q = sum_p p * s_p mod n of the arrangement of each code, read off the code, in pure Python.
 
     With b = n + 1 = 1 (mod n), b^k = 1 + k*n (mod n^2), so the base-b code
     of an arrangement s, whose occupancies sum to n, is n * (1 - Q) mod n^2
     for Q over the 0-based ports (the same Q as over 1-based ports, since
-    the s_p sum to n): Q = 0 iff code = n (mod n^2).  No digit is decoded.
+    the s_p sum to n): Q = (1 - (code mod n^2) / n) mod n.  No digit is
+    decoded.  scattering.suppression_Q is the reference on tuples.
     """
     m = n * n
-    return [i for i, c in enumerate(codes) if c % m == n % m]
+    return ((1 - c % m // n) % n for c in codes)
+
+
+def q0_positions(n: int, codes: Iterable[int]) -> list[int]:
+    """Positions of the codes of arrangements with Q = 0, by code_Q."""
+    return [i for i, q in enumerate(code_Q(n, codes)) if not q]
+
+
+def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...]], array]]:
+    """The digits of base-(n+1) codes in [0, (n+1)^n), read in groups of up to three, in pure Python.
+
+    Returns one (digits, values) pair per group, from the left: values[i]
+    is the base-(n+1) value of the group's digits in codes[i], and
+    digits[v] the tuple of the digits of group value v.  The leading group
+    holds the one to three digits left over, so a code costs about n/3
+    divisions.  The values are one array('I') per group, and groups of one
+    width share one digits table.  ValueError unless the digits of every
+    code sum to n.  This is the one reader of the digits of a code;
+    decode_codes and statistics.ClassTable.by_weight build on it.
+    """
+    b, first = n + 1, n - 3 * ((n - 1) // 3)
+    digits = {width: list(itertools.product(range(b), repeat=width)) for width in {first, 3}}
+    totals = {width: list(map(sum, table)) for width, table in digits.items()}
+    sums, groups = itertools.repeat(0), []
+    for end in range(first, n + 1, 3):  # the digits end-width+1..end
+        width = min(end, 3)
+        place, size = itertools.repeat(b ** (n - end)), itertools.repeat(b**width)
+        values = array("I", map(operator.mod, map(operator.floordiv, codes, place), size))
+        sums = list(map(operator.add, sums, map(totals[width].__getitem__, values)))
+        groups.append((digits[width], values))
+    if set(sums) - {n}:
+        raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
+    return groups
 
 
 def decode_codes(n: int, codes: Sequence[int]) -> list[Arrangement]:
-    """The arrangements of base-(n+1) codes in [0, (n+1)^n), in pure Python (no numpy).
-
-    The digits are read for all codes at once, a group of three at a time
-    (the leading group holds the other one to three) through a table of the
-    digit tuples of each group value, so a code costs about n/3 divisions.
-    ValueError unless the digits of every code sum to n.
-    """
-    b, reps = n + 1, itertools.repeat(())
-    first = n - 3 * ((n - 1) // 3)
-    tables = {width: list(itertools.product(range(b), repeat=width)) for width in {first, 3}}
-    for end in range(first, n + 1, 3):  # the group of digits end-width+1..end, from the left
-        width = min(end, 3)
-        values = map(operator.floordiv, codes, itertools.repeat(b ** (n - end)))
-        groups = map(tables[width].__getitem__, map(operator.mod, values, itertools.repeat(b**width)))
-        reps = map(operator.add, reps, groups)
-    reps = list(reps)  # one pass: the partial tuples live one code at a time
-    if set(map(sum, reps)) - {n}:
-        raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
-    return reps
+    """The arrangements of base-(n+1) codes, joined from their digit_groups (ValueError there), without numpy."""
+    groups = (map(digits.__getitem__, values) for digits, values in digit_groups(n, codes))
+    return list(functools.reduce(functools.partial(map, operator.add), groups))
 
 
 def multiplier_units(n: int) -> list[int]:
@@ -327,26 +330,27 @@ def multiplier_image(s: Sequence[int], u: int) -> Arrangement:
     return tuple(image)
 
 
-def affine_keys(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine-canonical code of each arrangement, and the shift that reaches it.
+def affine_keys(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine-canonical code of each arrangement of n, and the shift that reaches it.
 
-    digits is an (m, n) array of occupancies.  The images of s under
-    p -> u*p + a, u a unit mod n, are the 2n dihedral images of
-    multiplier_image(s, u) for u in multiplier_units(n).  In the base-(n+1)
-    codes of class_columns, the multiplier image of s has code
+    codes is an int64 array of base-(n+1) codes, whose digits are read
+    here.  The images of s under p -> u*p + a, u a unit mod n, are the 2n
+    dihedral images of multiplier_image(s, u) for u in multiplier_units(n).
+    In the codes of class_columns, the multiplier image of s has code
     sum_p s_p * (n+1)^(n-1 - u*p mod n) and its reversal maps p to
     n-1 - u*p; each code rotation then adds -1 to the shift a.  keys[i] is
-    the least image code of row i, and shifts[i] is a mod n for one affine
-    map that attains it.  Rows with equal keys form one affine orbit, and
-    the key is the code of its least member, itself a dihedral
-    representative.
+    the least image code of codes[i], and shifts[i] is a mod n for one
+    affine map that attains it.  Codes with equal keys form one affine
+    orbit, and the key is the code of its least member, itself a dihedral
+    representative.  The identity is tried first, so that least member
+    has shift 0.
     """
-    n = digits.shape[1]
     b = n + 1
     high = b ** (n - 1)
     places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = np.full(len(digits), np.iinfo(np.int64).max)
-    shifts = np.zeros(len(digits), dtype=np.int64)
+    digits = codes[:, None] // places % b
+    keys = np.full(len(codes), np.iinfo(np.int64).max)
+    shifts = np.zeros(len(codes), dtype=np.int64)
     for u in multiplier_units(n):
         image = u * np.arange(n) % n
         code = digits @ places[image]

@@ -15,10 +15,10 @@ columns: {"codes": [...], "orbit_sizes": [...], "z": [...]}, the
 base-(n+1) codes and orbit sizes of every class, and z of each class with
 Q = 0, in code order; Q = 0 is read off the codes.  Every other column is
 derived from z.
-class_rows_cached decodes only what a command reads: the rows with
-z != 0 for dist, table2, table1 and every certificate, every row for
-verify, and for classes the columns of ClassTable.by_weight, with no row
-object.  table1 counts from the columns of each n = 2..n_max.  classes,
+class_rows_cached returns only what a command decodes from the table: the
+rows with z != 0 (dist, table2), the census row (table1), every row
+(verify) or the certified cells (classes); verify picks its Q = 0 rows
+with scattering.suppression_Q.  classes,
 table2, dist and table1 first check that the rows with z != 0 carry total
 probability exactly 1 (statistics.check_normalization; dist through
 statistics.distribution); verify reports that check as one of its
@@ -102,6 +102,7 @@ from .scattering import (
     permanent_naive,
     permanent_ryser,
     random_unitary,
+    suppression_Q,
     verify_gamma_shift,
 )
 
@@ -215,7 +216,7 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 
 
 def _payload_to_rows(payload: dict, n: int, decode: Callable[[stats.ClassTable], object]):
-    """The ClassTable of a payload of columns, and decode of it.
+    """decode of the ClassTable of a payload of columns.
 
     ValueError unless the payload holds exactly the three columns as lists
     of ints: dihedral_class_count(n) strictly ascending codes of n digits in
@@ -243,16 +244,15 @@ def _payload_to_rows(payload: dict, n: int, decode: Callable[[stats.ClassTable],
     q0 = q0_positions(n, codes)
     if len(z) != len(q0):
         raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
-    table = stats.ClassTable(n, codes, orbits, q0, z)
-    return table, decode(table)
+    return decode(stats.ClassTable(n, codes, orbits, q0, z))
 
 
 def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table.rows(nonzero=True)):
-    """The ClassTable of n, through cache_dir when one is set, and decode of it.
+    """decode of the ClassTable of n, read through cache_dir when one is set.
 
     decode maps the table to what the command reads: by default the rows
-    with z != 0, which every command reads; ClassTable.rows for every row
-    (verify); _class_cells for the cells of classes.  A hit decodes only
+    with z != 0; statistics.census_row (table1); ClassTable.rows for every
+    row (verify); the certified cells of _class_cells.  A hit decodes only
     what decode reads.  Every command reads the same exact table, so one
     entry per n serves them all.  An entry that _payload_to_rows or decode
     rejects is unreadable, like one that is not JSON: a warning, then a
@@ -270,7 +270,7 @@ def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table
     table = stats.class_table(n)
     if cache_dir is not None:
         cache_store(cache_dir, key, {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z})
-    return table, decode(table)
+    return decode(table)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,8 @@ def _emit(args: argparse.Namespace, write: Callable[[TextIOBase], object]) -> No
             write(sys.stdout)
             sys.stdout.flush()
         except OSError as exc:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
@@ -411,23 +412,26 @@ def cmd_classes(args: argparse.Namespace) -> int:
     whose codes do not decode is recomputed.  Only the rows with z != 0
     are decoded for the certificate, and every byte waits for it.
     """
-    render = functools.partial(_class_cells, fmt=args.format)
-    table, cells = class_rows_cached(args.n, args.cache_dir, render)
-    stats.check_normalization(args.n, table.rows(nonzero=True))
+
+    def render(table):
+        stats.check_normalization(table.n, table.rows(nonzero=True))
+        return _class_cells(table, args.format)
+
+    cells = class_rows_cached(args.n, args.cache_dir, render)
     _emit_table(args, CLASS_COLUMNS, cells, "classes", args.n)
     return EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
-    census = [stats.census_row(*class_rows_cached(n, args.cache_dir)) for n in range(2, args.n + 1)]
+    census = [class_rows_cached(n, args.cache_dir, stats.census_row) for n in range(2, args.n + 1)]
     _emit_table(args, header, _cells(args.format, census), "table1", args.n)
     return EXIT_OK
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
-    _, rows = class_rows_cached(args.n, args.cache_dir)
+    rows = class_rows_cached(args.n, args.cache_dir)
     stats.check_normalization(args.n, rows)
     alive = sorted(rows, key=lambda r: (-r.z * r.z, r.representative))
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
@@ -437,7 +441,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    _, rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
+    rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
     table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
     header = ["category", "classical", "quantum", "approx"]
     cells = _cells(args.format, table.rows)
@@ -475,8 +479,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
     # proves each skipped class an exact zero (statistics.check_normalization,
     # reported here as a FAIL line rather than an exit code 3).
-    table, rows = class_rows_cached(n, args.cache_dir, stats.ClassTable.rows)
-    q0 = dict.fromkeys(rows[i] for i in table.q0)  # the rows with Q = 0, in code order
+    rows = class_rows_cached(n, args.cache_dir, stats.ClassTable.rows)
+    q0 = dict.fromkeys(r for r in rows if suppression_Q(r.representative) == 0)  # in code order
     total = stats.total_probability(n, rows)
     record("normalization", total == 1, f"sum = {total}")
 

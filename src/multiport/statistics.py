@@ -6,13 +6,15 @@ the one place they are computed, serially: a ClassTable holds the classes
 as columns, enumeration's codes and orbit sizes (arrangements.class_columns)
 and the exact integer amplitude z at the Q = 0 positions only.  Classes
 with Q != 0 are exact zeros by the zero-transmission law; the exact kernel
-runs on the Q = 0 classes only, in one batched call per n on the first
-member of each of their affine orbits (q0_amplitudes), and only those
-become tuples.  A class row is a representative, orbit size and z, decoded
+runs on the Q = 0 classes only, in one batched call per n on the key of
+each of their affine orbits, its least member (q0_amplitudes), and only
+those keys become tuples.  Codes are made and read in arrangements only.
+A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
 other column is derived from z.  The classes table reads the columns
 themselves, in its order (ClassTable.by_weight), with no row object.
-The census counts from the columns; the
+The census (census_row) counts from the columns, once the rows with
+z != 0 pass check_normalization; the
 distributions' quantum columns and check_normalization, which certifies
 the table, read only the rows with z != 0 (430 of 4,752 at n = 10).  Every
 float a table reports is one exact rational rounded once.
@@ -22,7 +24,8 @@ the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
 Q = 0 classes to Q = 0 classes.  A shift p -> p + a multiplies z by
 (-1)^(a*(n-1)).  arrangements.affine_keys gives each Q = 0 class the least
 code over its images under p -> u*p + a and one shift a that reaches it;
-the classes sharing a key share z up to that sign.
+the classes sharing a key share z up to that sign, so z(s) is
+(-1)^(a*(n-1)) * z(key).
 
 distribution is the one entry point for the distributions, and
 closed_forms the one place their kinds are told apart.  A distribution's
@@ -54,18 +57,20 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, partial, reduce
-from itertools import product, repeat
-from operator import add, floordiv, mod, mul
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, mul
 
 from ._numpy import np
 from .arrangements import (
     Arrangement,
     affine_keys,
     class_columns,
+    code_Q,
     compositions,
     count_arrangements,
     decode_codes,
+    digit_groups,
     partition_count,
     q0_positions,
 )
@@ -154,51 +159,35 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         That is ascending classical probability n!/prod s_j! over n^n, ties
         by representative.  Returns five iterators over the classes in that
         order, to be read once and in step: the representatives, orbit
-        sizes, Q, prod s_j! and z (0 off the q0 positions).  A
-        representative is a tuple, or with text=True its digits
-        comma-joined.
+        sizes, Q (arrangements.code_Q), prod s_j! and z (0 off the q0
+        positions).  A representative is a tuple, or with text=True its
+        digits comma-joined.
 
-        The digits of each code are read once, in groups of up to three
-        from the left as arrangements.decode_codes reads them, and kept as
-        one small int per group.  prod s_j!, the digit sum and the piece of
-        the representative come from tables over the group values, built
-        once per group width.  ValueError is raised here, before any class
-        is read, unless the digits of every code sum to n.  The
-        representatives are joined from their pieces as they are read, so
-        no more than one of them is held at a time.  Q is read off the code
-        as arrangements.q0_positions reads it: the code is n * (1 - Q) mod n^2.
+        The digits of each code are read once, by arrangements.digit_groups
+        (ValueError there, before any class is read), and prod s_j! and the
+        piece of the representative come from tables over the group values,
+        built once per group width.  The representatives are joined from their pieces as they
+        are read, so no more than one of them is held at a time.
         """
-        from array import array  # imported here, so commands that do not list the classes skip it
-
-        n, b, codes = self.n, self.n + 1, self.codes
-        symbols, join, sep = (list(map(str, range(b))), ",".join, ",") if text else (range(b), tuple, ())
-        factorials = list(map(math.factorial, range(b)))
-
-        @cache
-        def tables(width):  # the piece, prod s_j! and digit sum of each group value
-            pieces = list(map(join, product(symbols, repeat=width)))
-            weight = list(map(math.prod, product(factorials, repeat=width)))
-            return pieces, weight, list(map(sum, product(range(b), repeat=width)))
-
-        first = n - 3 * ((n - 1) // 3)
-        groups, weights, sums = [], [1] * len(codes), [0] * len(codes)
-        for end in range(first, n + 1, 3):  # the group of digits end-width+1..end
-            width = min(end, 3)
-            pieces, weight, total = tables(width)
-            values = array("I", map(mod, map(floordiv, codes, repeat(b ** (n - end))), repeat(b**width)))
+        n, codes = self.n, self.codes
+        factorials = list(map(math.factorial, range(n + 1)))
+        weights, reps, tables = repeat(1), [], {}
+        for i, (digits, values) in enumerate(digit_groups(n, codes)):
+            lead = "," if text and i else ""  # before every group but the first
+            key = len(digits), lead  # the groups of one width share one digits table
+            if key not in tables:
+                pieces = [lead + ",".join(map(str, t)) for t in digits] if text else digits
+                tables[key] = [math.prod(map(factorials.__getitem__, t)) for t in digits], pieces
+            weight, pieces = tables[key]
             weights = list(map(mul, weights, map(weight.__getitem__, values)))
-            sums = list(map(add, sums, map(total.__getitem__, values)))
-            groups.append((pieces if end == first else [sep + p for p in pieces], values))
-        if set(sums) - {n}:
-            raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
+            reps.append((pieces, values))
         # a stable sort, so ties stay in code order
         order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)
-        reps = [map(pieces.__getitem__, map(values.__getitem__, order)) for pieces, values in groups]
-        m, z = n * n, dict(zip(self.q0, self.z))
+        z = dict(zip(self.q0, self.z))
         return (
-            reduce(partial(map, add), reps),
+            reduce(partial(map, add), [map(d.__getitem__, map(v.__getitem__, order)) for d, v in reps]),
             map(self.orbit_sizes.__getitem__, order),
-            ((1 - c % m // n) % n for c in map(codes.__getitem__, order)),
+            code_Q(n, map(codes.__getitem__, order)),
             map(weights.__getitem__, order),
             map(z.get, order, repeat(0)),
         )
@@ -208,18 +197,15 @@ def q0_amplitudes(n: int, codes: np.ndarray) -> list[int]:
     """z of the Q = 0 classes with these codes, from one batched exact-kernel call.
 
     affine_keys maps each class s to its orbit's key by some p -> u*p + a,
-    so z(s) = (-1)^(a*(n-1)) * z(key): members share the z of the first
-    member of their orbit up to the ratio of their signs.  The kernel runs
-    on those first members, all in one exact_integer_amplitudes call; only
-    they are turned into Python sequences.
+    so z(s) = (-1)^(a*(n-1)) * z(key).  The key is the least member of the
+    orbit, so the kernel runs on the decoded keys, all in one
+    exact_integer_amplitudes call; only they are turned into tuples.
     """
-    digits = codes[:, None] // (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64) % (n + 1)
-    keys, shifts = affine_keys(digits)
-    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
-    z = exact_integer_amplitudes(digits[first].tolist())
+    keys, shifts = affine_keys(n, codes)
+    unique, orbit = np.unique(keys, return_inverse=True)
+    z = exact_integer_amplitudes(decode_codes(n, unique.tolist()))
     sign = 1 - 2 * (shifts * (n - 1) % 2)
-    relative = (sign * sign[first][orbit]).tolist()
-    return [s * z[k] for s, k in zip(relative, orbit.tolist())]
+    return [s * z[k] for s, k in zip(sign.tolist(), orbit.tolist())]
 
 
 def class_table(n: int) -> ClassTable:
@@ -269,16 +255,14 @@ class Table1Row(
     __slots__ = ()
 
 
-def census_row(table: ClassTable, rows: Iterable[ClassProbabilityRow] | None = None) -> Table1Row:
-    """The census of table.n from its columns, once its rows pass check_normalization.
+def census_row(table: ClassTable) -> Table1Row:
+    """The census of table.n from its columns, once its rows with z != 0 pass check_normalization.
 
-    rows are the table's rows with z != 0, table.rows(nonzero=True) unless
-    the caller has decoded them already.  law_suppressed counts the
-    classes with Q != 0; anomalous_suppressed those with Q = 0 whose exact
-    amplitude is nevertheless zero.
+    law_suppressed counts the classes with Q != 0; anomalous_suppressed
+    those with Q = 0 whose exact amplitude is nevertheless zero.
     """
     n, count = table.n, len(table.codes)
-    check_normalization(n, table.rows(nonzero=True) if rows is None else rows)
+    check_normalization(n, table.rows(nonzero=True))
     return Table1Row(
         n=n,
         total=count_arrangements(n),

@@ -182,6 +182,18 @@ class TestQuantumClasses:
         with pytest.raises(AssertionError, match="orbit bookkeeping"):
             class_columns(7)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_candidates_are_each_possible_representative_once(self, n):
+        # (1, ..., 1) and the arrangements with s_1 = 0 and s_n >= 1, with the
+        # reversed code of each the code of its reversal
+        expected = [s for s in enumerate_arrangements(n) if s[0] == 0 and s[-1] >= 1] + [(1,) * n]
+        by_code = {_code(s): s for s in expected}
+        blocks = list(arrangements_module._candidate_blocks(n))
+        codes = np.concatenate([codes for codes, _ in blocks]).tolist()
+        rcodes = np.concatenate([rcodes for _, rcodes in blocks]).tolist()
+        assert sorted(codes) == sorted(by_code)
+        assert rcodes == [_code(by_code[c][::-1]) for c in codes]
+
 
 def _code(s):
     return sum(x * (len(s) + 1) ** (len(s) - 1 - p) for p, x in enumerate(s))
@@ -211,7 +223,7 @@ class TestAffineKeys:
     def test_keys_are_least_affine_images(self, n, quantum_classes):
         """Brute force over p -> u*p + a for every unit u and shift a."""
         reps = [rep for rep, _ in quantum_classes(n)]
-        keys, shifts = affine_keys(np.array(reps, dtype=np.int64).reshape(-1, n))
+        keys, shifts = affine_keys(n, np.array([_code(s) for s in reps], dtype=np.int64))
         units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
         for s, key, a in zip(reps, keys.tolist(), shifts.tolist()):
             least = min(_shift(multiplier_image(s, u), b) for u in units for b in range(n))

@@ -526,6 +526,19 @@ class TestFormats:
         assert err.startswith("error: cannot write stdout: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_closed_stdout_leaks_no_descriptor(self, capsys, monkeypatch):
+        # in process: the failed stdout is pointed at os.devnull, and the
+        # descriptor opened for that is closed again
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            assert main(["ck", "--arrangement", "0,1,2,1,0,2"]) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err.startswith("error: cannot write stdout: ")
+
 
 def _exit_code(argv):
     try:
@@ -802,6 +815,7 @@ class TestCache:
         dist = ["dist", "--n", "10", "--kind", "port-occupancy"]
         code, clean, _ = run(capsys, *dist, *cache)
         assert code == 0
+        table = st.class_table(10)
         real, decoded = st.decode_codes, []
 
         def counting(n, codes):
@@ -810,7 +824,6 @@ class TestCache:
 
         monkeypatch.setattr(st, "decode_codes", counting)
         assert run(capsys, *dist, *cache) == (0, clean, "")
-        table = st.class_table(10)
         assert decoded == [430] == [len(table.z) - table.z.count(0)]
 
     def test_classes_hit_builds_only_nonzero_rows(self, capsys, tmp_path, monkeypatch):

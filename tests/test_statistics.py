@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from multiport.arrangements import (
+    affine_keys,
+    code_Q,
     enumerate_arrangements,
     multiplier_image,
     q0_positions,
@@ -15,6 +19,11 @@ from multiport.scattering import (
     suppression_Q,
 )
 from multiport import statistics as st
+
+
+def _code(s):
+    """The base-(n+1) code of s, s_1 the most significant digit."""
+    return sum(x * (len(s) + 1) ** (len(s) - 1 - p) for p, x in enumerate(s))
 
 
 def _stirling2(n, k):
@@ -302,13 +311,18 @@ class TestQ0Rows:
         assert (len(table.z), len(calls[0])) == Q0_ORBITS[n]
         assert table.q0 == [i for i, rep in enumerate(reps) if suppression_Q(rep) == 0]
         assert set(calls[0]) <= {reps[i] for i in table.q0}
+        # each kernel input is the key of its affine orbit, reached by shift 0
+        codes = np.array([_code(s) for s in calls[0]], dtype=np.int64)
+        keys, shifts = affine_keys(n, codes)
+        assert keys.tolist() == codes.tolist() and not shifts.any()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_q0_positions_from_codes(self, n):
         # every arrangement, not only the class representatives
         events = list(enumerate_arrangements(n))
-        codes = [sum(x * (n + 1) ** (n - 1 - p) for p, x in enumerate(s)) for s in events]
+        codes = list(map(_code, events))
         assert q0_positions(n, codes) == [i for i, s in enumerate(events) if suppression_Q(s) == 0]
+        assert list(code_Q(n, codes)) == [suppression_Q(s) for s in events]
 
 
 class TestTable1:
@@ -325,10 +339,6 @@ class TestTable1:
     def test_census_row_requires_the_certificate(self, census):
         table = st.class_table(6)
         assert st.census_row(table) == (6, *census[6])
-        rows = table.rows(nonzero=True)
-        assert st.census_row(table, rows) == (6, *census[6])
-        with pytest.raises(ArithmeticError, match="n=6"):
-            st.census_row(table, rows[1:])
         z = list(table.z)
         z[next(i for i, zi in enumerate(z) if zi)] = 0
         with pytest.raises(ArithmeticError, match="n=6"):
