@@ -5,7 +5,8 @@ entry j is the number of particles found in output port j+1.  Two notions of
 equivalence are used throughout:
 
 * classical: arrangements related by an arbitrary permutation of the ports
-  (canonical form: occupancies sorted in non-increasing order, a partition),
+  (canonical form: occupancies sorted in non-increasing order, a partition,
+  from the one enumerator partitions),
 * quantum: arrangements related by a cyclic or anticyclic relabeling of the
   ports (canonical form: lexicographic minimum over the dihedral orbit).
 
@@ -117,13 +118,18 @@ def enumerate_arrangements(n: int) -> Iterator[Arrangement]:
         yield tuple(a)
 
 
+def partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most largest, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part, *rest)
+
+
 def partition_count(n: int) -> int:
-    """Number of partitions of n (equals the count of classical classes)."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
+    """Number of partitions of n (equals the count of classical classes), counted off partitions."""
+    return sum(1 for _ in partitions(n, n))
 
 
 def dihedral_orbit(s: Sequence[int]) -> frozenset[Arrangement]:
@@ -189,8 +195,9 @@ def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     compositions, code(prefix) * b^k + code(suffix), and the reversed codes
     rcode(suffix) * b^(d-k) + rcode(prefix).  A table is built from its
     first part x: (x, c') has code x * b^(p-1) + code(c') and reversed code
-    x + b * rcode(c').  A block holds at most _BLOCK codes, or one row of
-    suffixes.  Blocks of different t interleave in code order.
+    x + b * rcode(c').  A block gathers consecutive rows of suffixes, across
+    prefix sums, up to _BLOCK codes, or holds one row of more; (1, ..., 1)
+    joins the last block.  Blocks of different t interleave in code order.
     """
     b, d = n + 1, n - 1
     k = d // 2
@@ -205,15 +212,19 @@ def _candidate_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             np.concatenate([x + b * rcodes for x, (_, rcodes) in enumerate(rests)]),
         )
 
+    pieces = []
     for t in range(n if n > 1 else 0):
         (head, rhead), (tail, rtail) = table(t, d - k), table(d - t, k)
         rows = max(_BLOCK // max(len(tail), 1), 1)
         for lo in range(0, len(head), rows):
-            codes = (head[lo : lo + rows, None] * b**k + tail).ravel()
-            rcodes = (rtail * b ** (d - k) + rhead[lo : lo + rows, None]).ravel()
-            yield codes + 1, (rcodes + b ** (n - 2)) * b
+            codes = (head[lo : lo + rows, None] * b**k + tail).ravel() + 1
+            rcodes = ((rtail * b ** (d - k) + rhead[lo : lo + rows, None]).ravel() + b ** (n - 2)) * b
+            if pieces and sum(len(c) for c, _ in pieces) + len(codes) > _BLOCK:
+                yield tuple(map(np.concatenate, zip(*pieces)))
+                pieces = []
+            pieces.append((codes, rcodes))
     ones = np.array([(b**n - 1) // n], dtype=np.int64)
-    yield ones, ones
+    yield tuple(map(np.concatenate, zip(*pieces, (ones, ones))))
 
 
 def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +287,14 @@ def code_Q(n: int, codes: Iterable[int]) -> Iterator[int]:
 
 
 def q0_positions(n: int, codes: Iterable[int]) -> list[int]:
-    """Positions of the codes of arrangements with Q = 0, by code_Q."""
-    return [i for i, q in enumerate(code_Q(n, codes)) if not q]
+    """Positions of the codes of arrangements with Q = 0, with no Q computed.
+
+    By code_Q's derivation a code is n * (1 - Q) mod n^2, so Q = 0 (mod n)
+    exactly when code mod n^2 == n mod n^2.
+    """
+    m = n * n
+    r = n % m
+    return [i for i, c in enumerate(codes) if c % m == r]
 
 
 def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...]], array]]:

@@ -52,7 +52,8 @@ n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses a too large --n-max
 before it builds any n.  ck is left to the check in
 scattering.ck_decomposition.  verify evaluates the exact kernel once, over
 every arrangement of n, and looks z up for each of its invariant checks.
-An --output file or a stdout that cannot be written is an invalid argument.
+An --output file or a stdout that cannot be written is an invalid argument;
+a stderr that cannot be written drops its warning and error lines (_stderr).
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
 3 resource/exact-arithmetic limit, 4 unusable cache.
@@ -124,6 +125,20 @@ def _fmt_arrangement(s) -> str:
     return ",".join(str(x) for x in s)
 
 
+def _to_devnull(stream: TextIOBase) -> None:
+    """Point a failed standard stream, such as a closed pipe, at os.devnull, so the flush at exit cannot fail."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _stderr(line: str) -> None:
+    """Print one warning or error line to stderr; a stderr that fails drops it (_to_devnull)."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # result cache
 
@@ -173,11 +188,11 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
         if data != _ENTRY_HEAD + digest + _ENTRY_BODY + body + _ENTRY_TAIL:
             raise ValueError("not in the layout cache_store writes")
         if hashlib.sha256(body).hexdigest().encode() != digest:
-            print(f"warning: checksum mismatch in {path}, recomputing", file=sys.stderr)
+            _stderr(f"warning: checksum mismatch in {path}, recomputing")
             return None
         return json.loads(body)
     except (OSError, ValueError) as exc:
-        print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
+        _stderr(f"warning: unreadable cache entry {path}: {exc}")
         return None
 
 
@@ -266,7 +281,7 @@ def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table
                 return _payload_to_rows(payload, n, decode)
             except ValueError as exc:
                 path = _cache_path(cache_dir, key)
-                print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
+                _stderr(f"warning: unreadable cache entry {path}: {exc}")
     table = stats.class_table(n)
     if cache_dir is not None:
         cache_store(cache_dir, key, {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z})
@@ -281,22 +296,16 @@ def _emit(args: argparse.Namespace, write: Callable[[TextIOBase], object]) -> No
     """Call write on stdout, or on args.output opened for writing; OutputError if that fails.
 
     A stdout that fails, such as a closed pipe, is then pointed at
-    os.devnull, so that the flush at exit does not fail again.
+    os.devnull (_to_devnull).
     """
-    if args.output is None:
-        try:
-            write(sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
-        return
     try:
-        with args.output.open("w", encoding="utf-8") as f:
+        with args.output.open("w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as f:
             write(f)
+            f.flush()
     except OSError as exc:
-        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+        if not args.output:
+            _to_devnull(sys.stdout)
+        raise OutputError(f"cannot write {args.output or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _csv_cell(v) -> str:
@@ -614,8 +623,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "dist":
-            try:  # the variant rule of closed_forms, before any rows are built
-                stats.closed_forms(args.kind, 1, args.variant)
+            try:  # the variant rule of category_columns, before any rows are built
+                stats.category_columns(args.kind, 1, args.variant)
             except ValueError as exc:
                 args.error(f"argument --variant: {exc}")
         if args.cap:  # before any rows are built, so table1 builds no n if n_max is too large
@@ -624,14 +633,13 @@ def main(argv=None) -> int:
             args.cache_dir = _resolve_cache_dir(args.cache_dir)
         return args.run(args)
     except (InvalidArrangementError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
     except (ResourceLimitError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        error, code = exc, EXIT_RESOURCE
     except CacheCorruptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
+        error, code = exc, EXIT_CACHE
+    _stderr(f"error: {error}")
+    return code
 
 
 if __name__ == "__main__":

@@ -28,27 +28,27 @@ the classes sharing a key share z up to that sign, so z(s) is
 (-1)^(a*(n-1)) * z(key).
 
 distribution is the one entry point for the distributions, and
-closed_forms the one place their kinds are told apart.  A distribution's
-classical and approx columns have exact integer closed forms; only its
-quantum column is a reduction over the rows, and only over the rows with
-z != 0, once check_normalization has certified them.  Over maps of the n
-particles to the n ports (n^n of them, the classical column) and over
-arrangements (C(2n-1, n), the approx column), the numerators are:
+category_columns the one place their kinds are told apart: each kind is
+one category map, weights, from an arrangement to (category, w) pairs.
+A category depends only on the multiset of occupancies, so all three
+columns are one tally through that map.  The classical column counts the
+n^n maps of the n particles to the n ports and the approx column the
+C(2n-1, n) arrangements, both as exact integer sums over the partitions
+lambda of n (padded with zeros to n parts): lambda stands for n!/prod mult!
+arrangements, mult the multiplicities of its parts, each of
+n!/prod lambda_i! maps.  The partitions must cover all n^n maps and
+C(2n-1, n) arrangements.  The quantum column tallies orbit * z^2 times
+the maps of each row with z != 0, once check_normalization has certified
+them.  The closed forms of the columns (Stirling numbers, binomials and
+inclusion-exclusion for occupied ports and port occupancy) are the test
+oracles the tally is held to.  The kinds:
 
-* occupied-ports, exactly k ports occupied: C(n,k) * sum_i (-1)^i C(k,i) (k-i)^n
-  maps and C(n,k) * C(n-1,k-1) arrangements;
-* port-occupancy marginal, the ports holding exactly k summed over the
-  arrangements: n * C(n,k) * (n-1)^(n-k) and n * C(2n-k-2, n-2);
-* port-occupancy at-least-one, some port holding exactly k: inclusion-
-  exclusion over i ports that each hold exactly k,
-  sum_i (-1)^(i+1) C(n,i) * n!/(k!^i (n-ik)!) * (n-i)^(n-ik) and
-  sum_i (-1)^(i+1) C(n,i) * C(2n-i-ik-1, n-i-1);
-* classical-classes, one category per partition lambda of n (padded with
-  zeros to n parts): n!/prod mult! arrangements, mult the multiplicities of
-  its parts, each of n!/prod lambda_i! maps.
-
-Except at-least-one, whose columns do not sum to one, the numerators are
-checked to sum to n^n and C(2n-1, n) times the table's scale.
+* occupied-ports: the number of occupied ports;
+* port-occupancy marginal: the ports holding exactly k particles, each
+  counted with weight 1/n (scale n), the occupancy law of one port;
+* port-occupancy at-least-one: whether some port holds exactly k, so its
+  columns do not sum to one;
+* classical-classes: the partition itself.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ from .arrangements import (
     affine_keys,
     class_columns,
     code_Q,
-    compositions,
     count_arrangements,
     decode_codes,
     digit_groups,
     partition_count,
+    partitions,
     q0_positions,
 )
 from .scattering import _denominator, exact_integer_amplitudes
@@ -286,95 +286,66 @@ class DistributionTable(namedtuple("DistributionTable", "kind n rows")):
         return [row[index] for row in self.rows]
 
 
-def _surjections(n: int, k: int) -> int:
-    """Maps of n particles onto k ports that leave none of them empty."""
-    return sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+def _tally(weights, terms) -> Counter:
+    """Sum amount * w into category c, for each (rep, amount) of terms and each pair (c, w) of weights(rep)."""
+    sums = Counter()
+    for rep, amount in terms:
+        for c, w in weights(rep):
+            sums[c] += amount * w
+    return sums
 
 
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts of at most largest, as non-increasing tuples."""
-    if n == 0:
-        yield ()
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part, *rest)
-
-
-def _at_least_one(n: int, k: int) -> tuple[int, int]:
-    """Maps and arrangements with some port holding exactly k particles.
-
-    Inclusion-exclusion over i ports that each hold exactly k: their
-    particles are chosen in n!/(k!^i (n-ik)!) ways, and the other n - ik go
-    to the other n - i ports.
-    """
-    maps = arrangements = 0
-    for i in range(1, n // max(k, 1) + 1):
-        sign = (-1) ** (i + 1) * math.comb(n, i)
-        rest = n - i * k
-        ways = math.factorial(n) // (math.factorial(k) ** i * math.factorial(rest))
-        maps += sign * ways * (n - i) ** rest
-        arrangements += sign * compositions(rest, n - i)
-    return maps, arrangements
-
-
-def closed_forms(kind: str, n: int, variant: str = "marginal"):
+def category_columns(kind: str, n: int, variant: str = "marginal"):
     """A distribution's categories, its classical and approx numerators, and its category map.
 
     Returns (categories, classical, approx, scale, weights), categories in
-    table order.  classical[i] counts the maps of the n particles to the n
-    ports and approx[i] the arrangements, each weighted by scale times its
-    share of category i; the cells are classical[i] / (n^n * scale) and
-    approx[i] / (C(2n-1, n) * scale).  weights(rep) yields the (category, w)
-    pairs of an arrangement rep: it counts w / scale towards each.  The
-    formulas are in the module docstring.  classical-classes ascend in the
-    classical column, ties by category.  ValueError for an unknown kind or
-    variant; only port-occupancy has variants.  AssertionError unless there
-    are partition_count(n) classical classes and, except for at-least-one,
-    the numerators sum to n^n * scale and C(2n-1, n) * scale.
+    table order.  weights(rep) yields the (category, w) pairs of an
+    arrangement rep: it counts w / scale towards each; it is the one
+    definition of the kind.  classical[i] counts the maps of the n
+    particles to the n ports and approx[i] the arrangements, each weighted
+    by w, so the cells are classical[i] / (n^n * scale) and approx[i] /
+    (C(2n-1, n) * scale).  Both are one tally over the partitions of n
+    (arrangements.partitions): a partition stands for n!/prod mult!
+    arrangements, each of n!/prod lambda_i! maps, and shares their
+    categories.  classical-classes ascend in the classical column, ties by
+    category.  ValueError for an unknown kind or variant; only
+    port-occupancy has variants.  AssertionError unless the partitions
+    cover n^n maps and C(2n-1, n) arrangements.
     """
     variants = OCCUPANCY_VARIANTS if kind == "port-occupancy" else ("marginal",)
     if variant not in variants:
         raise ValueError(
             f"variant {variant!r} of {kind}: expected {variants}; others are port-occupancy only"
         )
-    comb, scale = math.comb, 1
+    parts = [p + (0,) * (n - len(p)) for p in partitions(n, n)]
+    members = [math.factorial(n) // math.prod(map(math.factorial, Counter(p).values())) for p in parts]
+    maps = list(map(mul, members, map(_multinomial, parts)))
+    if (sum(maps), sum(members)) != (n**n, count_arrangements(n)):
+        raise AssertionError(f"the partitions of {n} do not cover n^n maps and C(2n-1, n) arrangements")
+    scale = 1
     if kind == "occupied-ports":
         categories = [(k,) for k in range(1, n + 1)]
-        classical = [comb(n, k) * _surjections(n, k) for (k,) in categories]
-        approx = [comb(n, k) * comb(n - 1, k - 1) for (k,) in categories]
 
         def weights(rep):
             return [((n - rep.count(0),), 1)]
 
     elif kind == "port-occupancy":
         categories, marginal = [(k,) for k in range(n + 1)], variant == "marginal"
-        if marginal:
-            scale = n
-            classical = [n * comb(n, k) * (n - 1) ** (n - k) for (k,) in categories]
-            approx = [n * compositions(n - k, n - 1) for (k,) in categories]
-        else:
-            classical, approx = (list(col) for col in zip(*(_at_least_one(n, k) for (k,) in categories)))
+        scale = n if marginal else 1
 
         def weights(rep):
             return [((k,), m if marginal else 1) for k, m in Counter(rep).items()]
 
     elif kind == "classical-classes":
-        parts = [p + (0,) * (n - len(p)) for p in _partitions(n, n)]
-        if len(parts) != partition_count(n):
-            raise AssertionError(f"expected {partition_count(n)} classical classes, found {len(parts)}")
-        members = [math.factorial(n) // math.prod(map(math.factorial, Counter(p).values())) for p in parts]
-        table = sorted((m * _multinomial(p), p, m) for p, m in zip(parts, members))
-        classical, categories, approx = (list(col) for col in zip(*table))
+        categories = [p for _, p in sorted(zip(maps, parts))]  # each partition is its own category
 
         def weights(rep):
             return [(tuple(sorted(rep, reverse=True)), 1)]
 
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    totals = (n**n * scale, count_arrangements(n) * scale)
-    if variant == "marginal" and (sum(classical), sum(approx)) != totals:
-        raise AssertionError(f"{kind} closed forms at n={n} do not sum to n^n and C(2n-1, n)")
-    return categories, classical, approx, scale, weights
+    classical, approx = _tally(weights, zip(parts, maps)), _tally(weights, zip(parts, members))
+    return categories, [classical[c] for c in categories], [approx[c] for c in categories], scale, weights
 
 
 def distribution(
@@ -383,26 +354,23 @@ def distribution(
     rows: Sequence[ClassProbabilityRow] | None = None,
     variant: str = "marginal",
 ) -> DistributionTable:
-    """The table of closed_forms, with its quantum column summed over the rows with z != 0.
+    """The table of category_columns, with its quantum column tallied over the rows with z != 0.
 
     kind is one of DISTRIBUTION_KINDS, as the module docstring defines them.
     By cyclic invariance the port-occupancy "marginal" is the occupancy law
     of any single port; the "at-least-one" columns do not sum to one.  rows
     default to class_table(n).rows(nonzero=True); either way they must pass
     check_normalization (ArithmeticError otherwise).  With m = n!/prod(s_j!),
-    the quantum column sums orbit * m * z^2 * w over n^n * n! * scale.  Each
-    cell of the three columns is one correctly rounded int / int division.
+    the quantum column tallies orbit * m * z^2 by the same category map,
+    over n^n * n! * scale.  Each cell of the three columns is one correctly
+    rounded int / int division.
     """
-    categories, classical, approx, scale, weights = closed_forms(kind, n, variant)
+    categories, classical, approx, scale, weights = category_columns(kind, n, variant)
     if rows is None:
         rows = class_table(n).rows(nonzero=True)
     check_normalization(n, rows)
-    quantum = dict.fromkeys(categories, 0)
-    for r in rows:
-        if r.z:
-            weight = r.orbit_size * _multinomial(r.representative) * r.z * r.z
-            for cat, w in weights(r.representative):
-                quantum[cat] += weight * w
+    terms = ((r.representative, r.orbit_size * _multinomial(r.representative) * r.z * r.z) for r in rows if r.z)
+    quantum = _tally(weights, terms)
     c_den, a_den = n**n * scale, count_arrangements(n) * scale
     q_den = c_den * math.factorial(n)
     table_rows = tuple(

@@ -182,6 +182,11 @@ class TestQuantumClasses:
         with pytest.raises(AssertionError, match="orbit bookkeeping"):
             class_columns(7)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_small_candidates_in_one_block(self, n):
+        # all C(2n-3, n-1) + 1 candidates of n <= 8 fit in one _BLOCK
+        assert len(list(arrangements_module._candidate_blocks(n))) == 1
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_candidates_are_each_possible_representative_once(self, n):
         # (1, ..., 1) and the arrangements with s_1 = 0 and s_n >= 1, with the

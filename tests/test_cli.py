@@ -511,20 +511,26 @@ class TestFormats:
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_closed_stdout_exits_2(self, fmt):
+    @pytest.mark.parametrize(
+        "fmt,stderr",
+        [("csv", subprocess.PIPE), ("json", subprocess.PIPE), ("csv", subprocess.STDOUT)],
+        ids=["csv", "json", "csv-stderr-to-stdout"],
+    )
+    def test_closed_stdout_exits_2(self, fmt, stderr):
         # the reader leaves after the first bytes, as `| head -c 64` does;
-        # the 4,752 rows of n = 10 overflow the pipe buffer, so a write fails
+        # the 4,752 rows of n = 10 overflow the pipe buffer, so a write fails.
+        # With stderr on the same pipe, as `2>&1 | head`, the error line fails too.
         env = dict(os.environ, PYTHONPATH=str(Path(multiport.__file__).parents[1]))
         env.pop("MULTIPORT_CACHE_DIR", None)
         argv = [sys.executable, "-m", "multiport.cli", "classes", "--n", "10", "--format", fmt]
-        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=stderr) as p:
             assert len(p.stdout.read(64)) == 64
             p.stdout.close()
-            err = p.stderr.read().decode()
+            err = p.stderr.read().decode() if p.stderr else None
             assert p.wait(timeout=300) == 2
-        assert err.startswith("error: cannot write stdout: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        if err is not None:
+            assert err.startswith("error: cannot write stdout: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
     def test_closed_stdout_leaks_no_descriptor(self, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 from multiport.arrangements import (
     affine_keys,
     code_Q,
+    compositions,
     enumerate_arrangements,
     multiplier_image,
     q0_positions,
@@ -100,6 +101,42 @@ class TestClosedForms:
             math.comb(2 * n - k - 2, n - 2) / total for k in range(n + 1)
         ]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_at_least_one_inclusion_exclusion(self, n):
+        # some port holding exactly k: inclusion-exclusion over i ports that
+        # each hold exactly k; their particles are chosen in n!/(k!^i (n-ik)!)
+        # ways, and the other n - ik go to the other n - i ports
+        maps, arrangements = [], []
+        for k in range(n + 1):
+            m = a = 0
+            for i in range(1, n // max(k, 1) + 1):
+                sign, rest = (-1) ** (i + 1) * math.comb(n, i), n - i * k
+                ways = math.factorial(n) // (math.factorial(k) ** i * math.factorial(rest))
+                m += sign * ways * (n - i) ** rest
+                a += sign * compositions(rest, n - i)
+            maps.append(m)
+            arrangements.append(a)
+        _, classical, approx, scale, _ = st.category_columns("port-occupancy", n, "at-least-one")
+        assert (classical, approx, scale) == (maps, arrangements, 1)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_classical_classes_per_partition(self, n):
+        # a partition lambda holds n!/prod mult! arrangements, mult the
+        # multiplicities of its parts (zeros included), each of n!/prod lambda_i! maps
+        fact, expected = math.factorial, []
+        for p in {tuple(sorted(s, reverse=True)) for s in enumerate_arrangements(n)}:
+            members = fact(n) // math.prod(fact(p.count(x)) for x in set(p))
+            expected.append((members * fact(n) // math.prod(map(fact, p)), p, members))
+        categories, classical, approx, scale, _ = st.category_columns("classical-classes", n)
+        assert list(zip(classical, categories, approx)) == sorted(expected)
+        assert scale == 1
+
+    @pytest.mark.parametrize("kind,variant", KINDS)
+    def test_lost_partition_fails_coverage(self, kind, variant, monkeypatch):
+        real = st.partitions
+        monkeypatch.setattr(st, "partitions", lambda n, largest: list(real(n, largest))[1:])
+        with pytest.raises(AssertionError, match="do not cover"):
+            st.category_columns(kind, 6, variant)
 
     @pytest.mark.parametrize("kind,variant", KINDS)
     @pytest.mark.parametrize("n", range(1, 9))
@@ -108,7 +145,7 @@ class TestClosedForms:
         # arrangement, and approx counts arrangements, each weighted by
         # scale times the arrangement's share of the category, the share
         # weights(s) gives it too
-        categories, classical, approx, scale, weights = st.closed_forms(kind, n, variant)
+        categories, classical, approx, scale, weights = st.category_columns(kind, n, variant)
         expected = {}
         for s in enumerate_arrangements(n):
             maps = math.factorial(n) // math.prod(math.factorial(x) for x in s)
