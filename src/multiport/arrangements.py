@@ -18,9 +18,10 @@ C(2n-3, n-1) + 1 of the C(2n-1, n).  Their codes are outer sums of two
 memoized tables of composition codes (_candidate_blocks).  A code is
 canonical iff it is the least of its 2n dihedral images, and the images
 equal to it give the orbit size (orbit-stabilizer).  The kept codes are
-sorted once.  The orbit sizes must cover all C(2n-1, n) arrangements, and
-the class count must equal Burnside's (dihedral_class_count).  The classes
-stay columns: int64 codes and orbit sizes.
+sorted once.  The classes stay columns: int64 codes and orbit sizes,
+which statistics.ClassTable.from_columns checks, among other things
+against C(2n-1, n) arrangements and Burnside's class count
+(dihedral_class_count).
 
 No other module makes a code or reads its digits.  digit_groups is the
 one digit reader, decode_codes turns codes into tuples with it, and code_Q
@@ -237,10 +238,9 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     candidate is kept iff its code is the minimum of its images, and its
     orbit size is 2n over the number of images equal to its code
     (orbit-stabilizer).  The kept codes are sorted once, so the classes
-    are ordered by representative.  The orbit sizes must cover every
-    arrangement, so no canonical code was left out of the candidates, and
-    the class count must equal the Burnside count dihedral_class_count(n);
-    otherwise AssertionError.
+    are ordered by representative.  statistics.ClassTable.from_columns
+    checks the columns; its coverage and Burnside checks catch a canonical
+    code left out of the candidates.
     """
     check_size("class enumeration", n, EXACT_AMPLITUDE_LIMIT)
     b = n + 1
@@ -259,18 +259,7 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
         blocks.append((codes[keep], 2 * n // stabilizer[keep]))
     codes, sizes = (np.concatenate(column) for column in zip(*blocks))
     order = np.argsort(codes)
-    codes, sizes = codes[order], sizes[order]
-    covered, total = int(sizes.sum()), count_arrangements(n)
-    if covered != total:
-        raise AssertionError(
-            f"orbit bookkeeping mismatch for n={n}: {covered} != {total}"
-        )
-    expected = dihedral_class_count(n)
-    if len(codes) != expected:
-        raise AssertionError(
-            f"class count mismatch for n={n}: {len(codes)} != Burnside {expected}"
-        )
-    return codes, sizes
+    return codes[order], sizes[order]
 
 
 def code_Q(n: int, codes: Iterable[int]) -> Iterator[int]:

@@ -11,10 +11,9 @@ Subcommands
 
 Every command but ck reads one exact statistics.ClassTable per n, built
 serially by statistics.class_table and cached under one key as its
-columns: {"codes": [...], "orbit_sizes": [...], "z": [...]}, the
-base-(n+1) codes and orbit sizes of every class, and z of each class with
-Q = 0, in code order; Q = 0 is read off the codes.  Every other column is
-derived from z.
+columns (ClassTable.columns).  The cache moves only bytes: a hit is
+served through ClassTable.from_columns, which checks every table, built
+or read, the same way.
 class_rows_cached returns only what a command decodes from the table: the
 rows with z != 0 (dist, table2), the census row (table1), every row
 (verify) or the certified cells (classes); verify picks its Q = 0 rows
@@ -23,9 +22,9 @@ table2, dist and table1 first check that the rows with z != 0 carry total
 probability exactly 1 (statistics.check_normalization; dist through
 statistics.distribution); verify reports that check as one of its
 properties.  cache_load serves an entry only in the one byte layout
-cache_store writes, under a matching sha256; anything else, or columns
-that _payload_to_rows rejects, is a warning, a recompute and an
-overwrite.  Only the cache imports hashlib.
+cache_store writes, under a matching sha256; anything else, JSON nested
+too deep to parse, or columns that ClassTable.from_columns rejects, is a
+warning, a recompute and an overwrite.  Only the cache imports hashlib.
 
 classes renders its table in _class_cells, straight from the columns:
 ClassTable.by_weight reads the digits of each code once, sorts by
@@ -72,21 +71,13 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 from io import TextIOBase
-from itertools import chain, islice
-from operator import add, lt
+from itertools import islice
+from operator import add
 from pathlib import Path
 
 from . import statistics as stats
 from ._numpy import np
-from .arrangements import (
-    count_arrangements,
-    dihedral_class_count,
-    dihedral_orbit,
-    enumerate_arrangements,
-    multiplier_image,
-    q0_positions,
-    validate_arrangement,
-)
+from .arrangements import dihedral_orbit, enumerate_arrangements, multiplier_image, validate_arrangement
 from .errors import (
     BRUTE_FORCE_LIMIT,
     EXACT_AMPLITUDE_LIMIT,
@@ -173,7 +164,8 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
     when the sha256 of its payload bytes, as written, equals its checksum:
     those bytes are then the canonical JSON the checksum was taken over, so
     they need no re-encoding.  Any other entry (another layout or
-    schema_version, not JSON) is unreadable.  An unreadable entry or a bad
+    schema_version, not JSON, or JSON nested deeper than json.loads
+    recurses) is unreadable.  An unreadable entry or a bad
     checksum is reported on stderr and treated as a miss; the caller
     recomputes and overwrites.
     """
@@ -191,7 +183,7 @@ def cache_load(cache_dir: Path, key: str) -> dict | None:
             _stderr(f"warning: checksum mismatch in {path}, recomputing")
             return None
         return json.loads(body)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _stderr(f"warning: unreadable cache entry {path}: {exc}")
         return None
 
@@ -231,35 +223,8 @@ def _resolve_cache_dir(arg: str | None) -> Path | None:
 
 
 def _payload_to_rows(payload: dict, n: int, decode: Callable[[stats.ClassTable], object]):
-    """decode of the ClassTable of a payload of columns.
-
-    ValueError unless the payload holds exactly the three columns as lists
-    of ints: dihedral_class_count(n) strictly ascending codes of n digits in
-    base n + 1, as many positive orbit sizes summing to C(2n-1, n), and one
-    z per code with Q = 0 (arrangements.q0_positions).  decode raises
-    ValueError for a code it reads that is not an arrangement of n.  The
-    checks map over
-    whole columns, so a hit pays little for them; wrong values that pass
-    them are left to the certificate.
-    """
-    if type(payload) is not dict or sorted(payload) != ["codes", "orbit_sizes", "z"]:
-        raise ValueError("expected the columns codes, orbit_sizes and z")
-    codes, orbits, z = payload["codes"], payload["orbit_sizes"], payload["z"]
-    if {type(codes), type(orbits), type(z)} != {list}:
-        raise ValueError("expected each column to be a list")
-    if set(map(type, chain(codes, orbits, z))) - {int}:
-        raise ValueError("expected integers only")
-    count = dihedral_class_count(n)
-    if (len(codes), len(orbits)) != (count, count):
-        raise ValueError(f"expected {count} codes and orbit sizes")
-    if sum(orbits) != count_arrangements(n) or min(orbits) < 1:
-        raise ValueError(f"expected positive orbit sizes summing to {count_arrangements(n)}")
-    if not (all(map(lt, codes, islice(codes, 1, None))) and 0 <= codes[0] and codes[-1] < (n + 1) ** n):
-        raise ValueError(f"expected strictly ascending codes of {n} base-{n + 1} digits")
-    q0 = q0_positions(n, codes)
-    if len(z) != len(q0):
-        raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
-    return decode(stats.ClassTable(n, codes, orbits, q0, z))
+    """decode of the ClassTable of a payload of columns (ClassTable.from_columns, ValueError there)."""
+    return decode(stats.ClassTable.from_columns(n, payload))
 
 
 def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table.rows(nonzero=True)):
@@ -269,8 +234,8 @@ def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table
     with z != 0; statistics.census_row (table1); ClassTable.rows for every
     row (verify); the certified cells of _class_cells.  A hit decodes only
     what decode reads.  Every command reads the same exact table, so one
-    entry per n serves them all.  An entry that _payload_to_rows or decode
-    rejects is unreadable, like one that is not JSON: a warning, then a
+    entry per n serves them all.  An entry that ClassTable.from_columns or
+    decode rejects is unreadable, like one that is not JSON: a warning, then a
     recompute and an overwrite.
     """
     key = cache_key(n)
@@ -284,7 +249,7 @@ def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table
                 _stderr(f"warning: unreadable cache entry {path}: {exc}")
     table = stats.class_table(n)
     if cache_dir is not None:
-        cache_store(cache_dir, key, {"codes": table.codes, "orbit_sizes": table.orbit_sizes, "z": table.z})
+        cache_store(cache_dir, key, table.columns())
     return decode(table)
 
 

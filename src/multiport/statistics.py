@@ -4,7 +4,16 @@ Everything here is a deterministic reduction over the quantum equivalence
 classes: per-class probabilities weighted by orbit size.  class_table is
 the one place they are computed, serially: a ClassTable holds the classes
 as columns, enumeration's codes and orbit sizes (arrangements.class_columns)
-and the exact integer amplitude z at the Q = 0 positions only.  Classes
+and the exact integer amplitude z at the Q = 0 positions only.
+ClassTable.from_columns is its one constructor, for a table built here or
+read from a cache alike, and ClassTable.columns its inverse, the dict
+{"codes": [...], "orbit_sizes": [...], "z": [...]} of lists of ints.
+from_columns raises ValueError unless the columns are exactly those three
+lists of ints, dihedral_class_count(n) strictly ascending codes below
+(n+1)^n, as many positive orbit sizes summing to C(2n-1, n), and one z
+per Q = 0 code (arrangements.q0_positions).  The checks map over whole
+columns; the digits of a code are read only by what decodes it, and wrong
+values that pass are left to check_normalization.  Classes
 with Q != 0 are exact zeros by the zero-transmission law; the exact kernel
 runs on the Q = 0 classes only, in one batched call per n on the key of
 each of their affine orbits, its least member (q0_amplitudes), and only
@@ -58,8 +67,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
-from operator import add, mul
+from itertools import chain, islice, repeat
+from operator import add, lt, mul
 
 from ._numpy import np
 from .arrangements import (
@@ -70,6 +79,7 @@ from .arrangements import (
     count_arrangements,
     decode_codes,
     digit_groups,
+    dihedral_class_count,
     partition_count,
     partitions,
     q0_positions,
@@ -130,12 +140,42 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
     orbit_sizes their orbit sizes (arrangements.class_columns); q0 holds
     the ascending positions of the classes with Q = 0, read off the codes
     (arrangements.q0_positions), and z their exact amplitudes.  Every other
-    class is an exact zero by the law.  The columns are lists of ints, so a
-    cache hit builds a table without numpy, and rows decodes only the codes
-    a command reads.
+    class is an exact zero by the law.  from_columns builds every table and
+    checks its columns, lists of ints, so a cache hit builds one without
+    numpy, and rows decodes only the codes a command reads.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def from_columns(cls, n: int, columns: dict) -> ClassTable:
+        """The table of n with these columns, the one way to build one; ValueError unless they check.
+
+        columns must hold exactly the lists codes, orbit_sizes and z of
+        ints, as the module docstring says; q0 is read off the codes.
+        """
+        if type(columns) is not dict or sorted(columns) != ["codes", "orbit_sizes", "z"]:
+            raise ValueError("expected the columns codes, orbit_sizes and z")
+        codes, orbits, z = columns["codes"], columns["orbit_sizes"], columns["z"]
+        if {type(codes), type(orbits), type(z)} != {list}:
+            raise ValueError("expected each column to be a list")
+        if set(map(type, chain(codes, orbits, z))) - {int}:
+            raise ValueError("expected integers only")
+        count = dihedral_class_count(n)
+        if (len(codes), len(orbits)) != (count, count):
+            raise ValueError(f"expected {count} codes and orbit sizes")
+        if sum(orbits) != count_arrangements(n) or min(orbits) < 1:
+            raise ValueError(f"expected positive orbit sizes summing to {count_arrangements(n)}")
+        if not (all(map(lt, codes, islice(codes, 1, None))) and 0 <= codes[0] and codes[-1] < (n + 1) ** n):
+            raise ValueError(f"expected strictly ascending codes of {n} base-{n + 1} digits")
+        q0 = q0_positions(n, codes)
+        if len(z) != len(q0):
+            raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
+        return cls(n, codes, orbits, q0, z)
+
+    def columns(self) -> dict:
+        """The columns from_columns takes, as the cache stores them."""
+        return {"codes": self.codes, "orbit_sizes": self.orbit_sizes, "z": self.z}
 
     def rows(self, nonzero: bool = False) -> list[ClassProbabilityRow]:
         """The classes as rows in code order: every class, or only those with z != 0.
@@ -214,11 +254,13 @@ def class_table(n: int) -> ClassTable:
     The exact kernel runs through q0_amplitudes.  Q != 0 is an exact zero
     by the zero-transmission law (Tichy et al., PRL 104, 220405);
     check_normalization certifies it, and `verify` checks it class by class.
+    The table passes ClassTable.from_columns, like one read from a cache,
+    so a lost or repeated class raises ValueError.
     """
     codes, sizes = class_columns(n)
     listed = codes.tolist()
-    q0 = q0_positions(n, listed)
-    return ClassTable(n, listed, sizes.tolist(), q0, q0_amplitudes(n, codes[q0]))
+    z = q0_amplitudes(n, codes[q0_positions(n, listed)])
+    return ClassTable.from_columns(n, {"codes": listed, "orbit_sizes": sizes.tolist(), "z": z})
 
 
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:

@@ -179,8 +179,9 @@ class TestQuantumClasses:
             return iter(blocks)
 
         monkeypatch.setattr(arrangements_module, "_candidate_blocks", lossy)
-        with pytest.raises(AssertionError, match="orbit bookkeeping"):
-            class_columns(7)
+        # ClassTable.from_columns checks every build against Burnside's count
+        with pytest.raises(ValueError, match="expected 133 codes and orbit sizes"):
+            class_table(7)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_small_candidates_in_one_block(self, n):

@@ -762,6 +762,40 @@ class TestCache:
             assert "warning: unreadable cache entry" in err and "Traceback" not in err
             assert entry.read_bytes() == good
 
+    def test_deeply_nested_entry_recomputed(self, capsys, tmp_path):
+        # json.loads recurses once per level, so this checksummed entry is
+        # unreadable; cache_store cannot write it, since its encoder recurses too
+        cache = tmp_path / "cache"
+        entry = cache / f"{cli.cache_key(3)}.json"
+        run(capsys, "classes", "--n", "3", "--cache-dir", str(cache))
+        good = entry.read_bytes()
+        body = b"[" * 200000 + b"]" * 200000
+        digest = hashlib.sha256(body).hexdigest().encode()
+        nested = cli._ENTRY_HEAD + digest + cli._ENTRY_BODY + body + cli._ENTRY_TAIL
+        for argv in (["classes", "--n"], ["table1", "--n-max"], ["table2", "--n"],
+                     ["dist", "--kind", "occupied-ports", "--n"], ["verify", "--n"]):
+            _, clean, _ = run(capsys, *argv, "3")
+            entry.write_bytes(nested)
+            code, out, err = run(capsys, *argv, "3", "--cache-dir", str(cache))
+            assert (code, out) == (0, clean), argv
+            assert f"warning: unreadable cache entry {entry}: " in err and "Traceback" not in err
+            assert entry.read_bytes() == good and len(good) == 160
+
+    # sha256 of the n = 8 and n = 10 entries as cache_store writes them; caches
+    # filled earlier keep hitting only while these bytes stay the same
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "306a22c97943aa315ef533414456e224a14959bd36fc1b6a8eea5e67145eaf64"),
+            (10, "7cfe9a2b325283ec2e8783b997ac27f3daa04f989ea0628a0bd8456d2955459e"),
+        ],
+    )
+    def test_entry_bytes_pinned(self, capsys, tmp_path, n, digest):
+        cache = tmp_path / "cache"
+        assert run(capsys, "table2", "--n", str(n), "--cache-dir", str(cache))[0] == 0
+        assert [p.name for p in cache.iterdir()] == [f"{cli.cache_key(n)}.json"]
+        assert hashlib.sha256(next(cache.iterdir()).read_bytes()).hexdigest() == digest
+
     def test_entry_is_canonical_json(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         run(capsys, "classes", "--n", "5", "--cache-dir", str(cache))

@@ -362,6 +362,26 @@ class TestQ0Rows:
         assert list(code_Q(n, codes)) == [suppression_Q(s) for s in events]
 
 
+class TestFromColumns:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_columns_round_trip(self, n):
+        table = st.class_table(n)
+        assert st.ClassTable.from_columns(n, table.columns()) == table
+
+    def test_duplicate_code_on_build_raises(self, monkeypatch):
+        # a build is checked like a cache hit, so a repeated class is not returned
+        real = st.class_columns
+
+        def repeating(n):
+            codes, sizes = real(n)
+            codes[1] = codes[0]
+            return codes, sizes
+
+        monkeypatch.setattr(st, "class_columns", repeating)
+        with pytest.raises(ValueError, match="expected strictly ascending codes of 6 base-7 digits"):
+            st.class_table(6)
+
+
 class TestTable1:
     def test_matches_census_through_n8(self, census):
         for row in (st.census_row(st.class_table(n)) for n in range(2, 9)):
