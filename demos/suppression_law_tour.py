@@ -49,7 +49,7 @@ for r in class_table(6).rows():
         c = ck_decomposition(rep)
         print(f"  {rep}: orbit of {r.orbit_size}, c_k = {c.coefficients}")
         print(f"    sum c_k = {sum(c.coefficients)} = 6!, "
-              f"sum c_k w^k exactly zero: {c.is_zero()}")
+              f"sum c_k w^k exactly zero: {c.as_integer() == 0}")
 
 # The c_k histogram places 6! = 720 permutation terms on the sixth roots of
 # unity; for these events the weighted points balance exactly even though

@@ -37,20 +37,24 @@ are certified before the first byte is written.
 
 Each subcommand takes only the options it reads (_build_parser), and each
 argument rule sits with its option: --n >= 1, table1's --n-max >= 2 and
---jobs >= 1 are argparse types, as is the --arrangement of ck, fields of
-ASCII digits.  Every result is exact, so every JSON document is labeled
-"exact"; --mode and --jobs, on classes and table1, are validated and
-change no byte.  dist takes a non-default --variant with --kind
-port-occupancy only; main checks that rule before any rows are built and
-reports a breach through the dist parser, like any argument error.
+--jobs >= 1 are argparse types of ASCII digits after an optional -, as is
+the --arrangement of ck, fields of ASCII digits.  Every result is exact,
+so every JSON document is labeled "exact"; --mode and --jobs, on classes
+and table1, are validated and change no byte.  dist takes a non-default
+--variant with --kind port-occupancy only; main checks that rule before
+any rows are built and reports a breach through the dist parser, like any
+argument error.
 
 Each subcommand's size cap is a parser default (cap), which main checks
 against n before any rows are built: verify runs brute-force oracles and
 takes n <= BRUTE_FORCE_LIMIT (9); the other row commands take
 n <= EXACT_AMPLITUDE_LIMIT (14), so table1 refuses a too large --n-max
 before it builds any n.  ck is left to the check in
-scattering.ck_decomposition.  verify evaluates the exact kernel once, over
-every arrangement of n, and looks z up for each of its invariant checks.
+scattering.ck_decomposition, which also validates its arrangement.  ck's
+JSON barycenter is the exact sum(c_k w^k), CyclotomicVector.as_integer,
+written as [z, 0.0]; a sum that is not an integer exits 3.  verify
+evaluates the exact kernel once, over every arrangement of n, and looks z
+up for each of its invariant checks.
 An --output file or a stdout that cannot be written is an invalid argument;
 a stderr that cannot be written drops its warning and error lines (_stderr).
 
@@ -77,7 +81,7 @@ from pathlib import Path
 
 from . import statistics as stats
 from ._numpy import np
-from .arrangements import dihedral_orbit, enumerate_arrangements, multiplier_image, validate_arrangement
+from .arrangements import dihedral_orbit, enumerate_arrangements, multiplier_image
 from .errors import (
     BRUTE_FORCE_LIMIT,
     EXACT_AMPLITUDE_LIMIT,
@@ -424,10 +428,15 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_ck(args: argparse.Namespace) -> int:
-    s = validate_arrangement(args.arrangement)
-    vec = ck_decomposition(s)
-    barycenter = vec.to_complex()
-    extra = {"arrangement": list(s), "barycenter": [barycenter.real, barycenter.imag]}
+    """The histogram c_k of one arrangement; JSON adds the exact sum(c_k w^k) = z as "barycenter": [z, 0.0].
+
+    n <= BRUTE_FORCE_LIMIT keeps |z| below 2^23, so the float holds z exactly.
+    """
+    s = args.arrangement
+    vec = ck_decomposition(s)  # validates s
+    if (z := vec.as_integer()) is None:
+        raise ArithmeticError(f"sum c_k w^k of {vec!r} is not an integer")
+    extra = {"arrangement": s, "barycenter": [float(z), 0.0]}
     _emit_table(args, ["k", "c_k"], _cells(args.format, enumerate(vec.coefficients)), "ck", len(s), **extra)
     return EXIT_OK
 
@@ -491,13 +500,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _at_least(low: int) -> Callable[[str], int]:
-    """The argparse type of an int option that must be at least low."""
+    """The argparse type of an int option that must be at least low: ASCII digits after an optional -."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        digits = text.strip().removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

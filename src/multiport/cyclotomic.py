@@ -3,7 +3,8 @@
 Values are represented by an integer coefficient vector (c_0, ..., c_{n-1})
 standing for sum(c_k * w**k) with w = exp(2*pi*i/n).  The representation is
 redundant: the element is zero exactly when the coefficient polynomial is
-divisible by the n-th cyclotomic polynomial, which is what is_zero tests.
+divisible by the n-th cyclotomic polynomial, and an integer exactly when
+its remainder modulo that polynomial is a constant; as_integer reads both.
 All coefficients are Python integers, so no magnitude limit applies.  The
 brute-force phase histogram (scattering.ck_decomposition) is the only
 producer of these vectors; it needs their reduction, not ring arithmetic.
@@ -11,7 +12,6 @@ producer of these vectors; it needs their reduction, not ring arithmetic.
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -73,9 +73,6 @@ class CyclotomicVector:
             rem.pop()
         return tuple(rem)
 
-    def is_zero(self) -> bool:
-        return self.reduce() == ()
-
     def as_integer(self) -> int | None:
         """The value as a plain integer if it is one, else None."""
         rem = self.reduce()
@@ -84,15 +81,6 @@ class CyclotomicVector:
         if len(rem) == 1:
             return rem[0]
         return None
-
-    def to_complex(self) -> complex:
-        """Floating-point value sum(c_k * w**k)."""
-        n = len(self.coefficients)
-        return sum(
-            c * cmath.exp(2j * cmath.pi * (k % n) / n)
-            for k, c in enumerate(self.coefficients)
-            if c
-        )
 
     def __repr__(self) -> str:
         return f"CyclotomicVector({list(self.coefficients)!r})"

@@ -14,6 +14,7 @@ import pytest
 import multiport
 from multiport import cli, scattering
 from multiport import statistics as st
+from multiport.arrangements import enumerate_arrangements
 from multiport.cli import (
     _JSON_CHUNK,
     CLASS_COLUMNS,
@@ -24,6 +25,7 @@ from multiport.cli import (
     cache_store,
     main,
 )
+from multiport.cyclotomic import CyclotomicVector
 from multiport.errors import CacheCorruptionError
 
 
@@ -346,7 +348,24 @@ class TestCk:
         )
         doc = json.loads(out)
         assert doc["arrangement"] == [0, 1, 2, 1, 0, 2]
-        assert abs(complex(*doc["barycenter"])) < 1e-9
+        assert doc["barycenter"] == [0.0, 0.0]
+
+    # The barycenter is the reduction of the c_k histogram; z comes from the
+    # Glynn kernel, an independent path.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_barycenter_is_exact_amplitude(self, capsys, n):
+        for s in enumerate_arrangements(n):
+            code, out, _ = run(capsys, "ck", "--arrangement", ",".join(map(str, s)), "--format", "json")
+            assert code == 0
+            assert json.loads(out)["barycenter"] == [float(scattering.exact_integer_amplitude(s)), 0.0], s
+
+    def test_non_integer_sum_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ck_decomposition", lambda s: CyclotomicVector((1, 1, 0, 0, 0)))
+        code, out, err = run(capsys, "ck", "--arrangement", "1,1,1,1,1", "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bad_string_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -589,6 +608,15 @@ class TestOptions:
     def test_non_integer_exits_2(self, capsys, argv):
         assert _exit_code(argv) == 2
         assert f"argument {argv[-2]}: invalid int value: 'x'" in capsys.readouterr().err
+
+    # int() takes all of these; an option takes ASCII digits after an optional - only
+    @pytest.mark.parametrize("text", ["\u0663", "\uff13", "1_0", "+5"])
+    @pytest.mark.parametrize(
+        "argv", [["classes", "--n"], ["table1", "--n-max"], ["classes", "--n", "3", "--jobs"]], ids=" ".join
+    )
+    def test_int_options_take_ascii_digits_only(self, capsys, argv, text):
+        assert _exit_code([*argv, text]) == 2
+        assert f"argument {argv[-1]}: invalid int value: {text!r}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -65,11 +65,11 @@ class TestPolyMod:
 class TestCyclotomicVector:
     def test_sum_of_all_roots_vanishes(self):
         for n in range(2, 13):
-            assert CyclotomicVector((1,) * n).is_zero()
+            assert CyclotomicVector((1,) * n).as_integer() == 0
 
     def test_order_one_is_plain_integer(self):
         assert CyclotomicVector((5,)).as_integer() == 5
-        assert CyclotomicVector((0,)).is_zero()
+        assert CyclotomicVector((0,)).as_integer() == 0
 
     def test_equality_is_ring_equality(self):
         # 1 + w + w^2 == 0 for n = 3, so (2, 1, 1) == (1, 0, 0) == 1
@@ -79,9 +79,7 @@ class TestCyclotomicVector:
         # 3w + 3w^2 = -3 for n = 3
         v = CyclotomicVector((0, 3, 3))
         assert v.as_integer() == -3
-        assert abs(v.to_complex() - (-3)) < 1e-12
 
     def test_non_integer_reduction(self):
         v = CyclotomicVector((1, 1, 0, 0, 0))
         assert v.as_integer() is None
-        assert not v.is_zero()
