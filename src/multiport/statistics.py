@@ -20,13 +20,15 @@ each of their affine orbits, its least member (q0_amplitudes), and only
 those keys become tuples.  Codes are made and read in arrangements only.
 A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
-other column is derived from z.  The classes table reads the columns
-themselves, in its order (ClassTable.by_weight), with no row object.
-The census (census_row) counts from the columns, once the rows with
-z != 0 pass check_normalization; the
-distributions' quantum columns and check_normalization, which certifies
-the table, read only the rows with z != 0 (430 of 4,752 at n = 10).  Every
-float a table reports is one exact rational rounded once.
+other column is derived from z.  check_normalization, which certifies
+the table, sums one (orbit size, prod s_j!, z) term per class with
+z != 0 (430 of 4,752 at n = 10): the classes table reads the columns
+themselves, in its order, and certifies them from the prod s_j! it reads
+off the digits (ClassTable.by_weight), with no row object; the census
+(census_row) counts from the columns, and it and the distributions'
+quantum columns read the rows with z != 0, whose terms
+ClassProbabilityRow.term gives.  Every float a table reports is one
+exact rational rounded once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -64,11 +66,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import chain, islice, repeat
-from operator import add, lt, mul
+from operator import lt, mul
 
 from ._numpy import np
 from .arrangements import (
@@ -132,6 +133,11 @@ class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbi
     def enhancement(self) -> Fraction:
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
+    @property
+    def term(self) -> tuple[int, int, int]:
+        """(orbit size, prod s_j!, z), the class's term of check_normalization."""
+        return self.orbit_size, math.prod(map(math.factorial, self.representative)), self.z
+
 
 class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
     """The quantum classes of n as columns: the one form rows are built, cached and reduced in.
@@ -193,40 +199,44 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
                 z[i] = zi
         return list(map(ClassProbabilityRow, decode_codes(self.n, codes), orbits, z))
 
-    def by_weight(self, text: bool = False) -> tuple[Iterator, ...]:
-        """Every class by descending prod s_j!, ties in code order: the order of the classes table.
+    def by_weight(self, sep: str, head: str = "") -> tuple:
+        """Every class by descending prod s_j!, ties in code order, once the classes pass check_normalization.
 
-        That is ascending classical probability n!/prod s_j! over n^n, ties
-        by representative.  Returns five iterators over the classes in that
-        order, to be read once and in step: the representatives, orbit
-        sizes, Q (arrangements.code_Q), prod s_j! and z (0 off the q0
-        positions).  A representative is a tuple, or with text=True its
-        digits comma-joined.
+        That is the order of the classes table: ascending classical
+        probability n!/prod s_j! over n^n, ties by representative.  Returns
+        the pieces of the representatives, then four iterators, all over the
+        classes in that order, to be read once and in step: the orbit sizes,
+        Q (arrangements.code_Q), prod s_j! and z (0 off the q0 positions).
+        The pieces are one iterator per digit group, and a class's pieces
+        join ("".join) to its digits joined by sep, after head.
 
         The digits of each code are read once, by arrangements.digit_groups
         (ValueError there, before any class is read), and prod s_j! and the
         piece of the representative come from tables over the group values,
-        built once per group width.  The representatives are joined from their pieces as they
-        are read, so no more than one of them is held at a time.
+        built once per group width.  The certificate reads that prod s_j!
+        column in code order, so it decodes no row.  No representative is
+        built here, so the caller joins each as it is read.
         """
         n, codes = self.n, self.codes
         factorials = list(map(math.factorial, range(n + 1)))
         weights, reps, tables = repeat(1), [], {}
         for i, (digits, values) in enumerate(digit_groups(n, codes)):
-            lead = "," if text and i else ""  # before every group but the first
+            lead = sep if i else head  # before every group but the first
             key = len(digits), lead  # the groups of one width share one digits table
             if key not in tables:
-                pieces = [lead + ",".join(map(str, t)) for t in digits] if text else digits
+                pieces = [lead + sep.join(map(str, t)) for t in digits]
                 tables[key] = [math.prod(map(factorials.__getitem__, t)) for t in digits], pieces
             weight, pieces = tables[key]
             weights = list(map(mul, weights, map(weight.__getitem__, values)))
             reps.append((pieces, values))
+        q0, orbits = self.q0, self.orbit_sizes
+        check_normalization(n, zip(map(orbits.__getitem__, q0), map(weights.__getitem__, q0), self.z))
         # a stable sort, so ties stay in code order
         order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)
-        z = dict(zip(self.q0, self.z))
+        z = dict(zip(q0, self.z))
         return (
-            reduce(partial(map, add), [map(d.__getitem__, map(v.__getitem__, order)) for d, v in reps]),
-            map(self.orbit_sizes.__getitem__, order),
+            [map(d.__getitem__, map(v.__getitem__, order)) for d, v in reps],
+            map(orbits.__getitem__, order),
             code_Q(n, map(codes.__getitem__, order)),
             map(weights.__getitem__, order),
             map(z.get, order, repeat(0)),
@@ -264,24 +274,31 @@ def class_table(n: int) -> ClassTable:
 
 
 def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
-    """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows, one integer sum.
+    """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows: the probability of their terms (ClassProbabilityRow.term)."""
+    return _terms_probability(n, (r.term for r in rows if r.z))
 
-    Rows with z = 0 add nothing and are skipped, so the sum costs one term
-    per nonzero class.
+
+def _terms_probability(n: int, terms: Iterable[tuple[int, int, int]]) -> Fraction:
+    """Exact sum of orbit * z^2/(n^n * prod s_j!) over (orbit size, prod s_j!, z) terms, one integer sum.
+
+    A term with z = 0 adds nothing, so a caller may pass only the classes
+    with z != 0, one term per nonzero class.
     """
-    weight = sum(r.orbit_size * _multinomial(r.representative) * r.z * r.z for r in rows if r.z)
-    return Fraction(weight, n**n * math.factorial(n))
+    n_fact = math.factorial(n)
+    return Fraction(sum(orbit * (n_fact // w) * z * z for orbit, w, z in terms), n**n * n_fact)
 
 
-def check_normalization(n: int, rows: Iterable[ClassProbabilityRow]) -> None:
-    """Raise ArithmeticError unless the rows carry total probability exactly 1.
+def check_normalization(n: int, terms: Iterable[tuple[int, int, int]]) -> None:
+    """Raise ArithmeticError unless the (orbit size, prod s_j!, z) terms carry total probability exactly 1.
 
-    Probabilities are non-negative, so a total of 1 over the rows the
+    Probabilities are non-negative, so a total of 1 over the classes the
     kernel evaluated proves every class it skipped an exact zero (the law
     the skip rests on), and it catches a wrong z, a wrong orbit size or a
-    lost class, computed or read from a cache.
+    lost class, computed or read from a cache.  ClassTable.by_weight
+    passes the terms of its columns, every other caller the terms of its
+    rows (ClassProbabilityRow.term).
     """
-    total = total_probability(n, rows)
+    total = _terms_probability(n, terms)
     if total != 1:
         raise ArithmeticError(f"classes at n={n} carry probability {total}, not 1")
 
@@ -304,7 +321,7 @@ def census_row(table: ClassTable) -> Table1Row:
     those with Q = 0 whose exact amplitude is nevertheless zero.
     """
     n, count = table.n, len(table.codes)
-    check_normalization(n, table.rows(nonzero=True))
+    check_normalization(n, (r.term for r in table.rows(nonzero=True)))
     return Table1Row(
         n=n,
         total=count_arrangements(n),
@@ -410,7 +427,7 @@ def distribution(
     categories, classical, approx, scale, weights = category_columns(kind, n, variant)
     if rows is None:
         rows = class_table(n).rows(nonzero=True)
-    check_normalization(n, rows)
+    check_normalization(n, (r.term for r in rows))
     terms = ((r.representative, r.orbit_size * _multinomial(r.representative) * r.z * r.z) for r in rows if r.z)
     quantum = _tally(weights, terms)
     c_den, a_den = n**n * scale, count_arrangements(n) * scale

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,11 +17,11 @@ from multiport import cli, scattering
 from multiport import statistics as st
 from multiport.arrangements import enumerate_arrangements
 from multiport.cli import (
-    _JSON_CHUNK,
     CLASS_COLUMNS,
     SCHEMA_VERSION,
     _canonical_json,
     _emit_table,
+    _line,
     cache_load,
     cache_store,
     main,
@@ -495,12 +496,14 @@ class TestFormats:
         assert code == 0
         assert out == json.dumps(json.loads(out)) + "\n"
 
-    @pytest.mark.parametrize("count", [0, 1, _JSON_CHUNK, _JSON_CHUNK + 1, 2 * _JSON_CHUNK + 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 1024, 1025, 2051])
     def test_json_chunks_join_like_one_dumps(self, tmp_path, count):
+        # the head, the lines of _line, each after ", " but the first, and the tail
         target = tmp_path / "out.json"
         args = argparse.Namespace(format="json", output=target)
         rows = [(k, k / 3, [k, -k]) for k in range(count)]
-        _emit_table(args, ["k", "x", "pair"], iter(rows), "test", 3, extra=[1.5])
+        header = ["k", "x", "pair"]
+        _emit_table(args, header, map(_line("json", header), rows), "test", 3, extra=[1.5])
         doc = {"schema_version": SCHEMA_VERSION, "n": 3, "mode": "exact", "kind": "test", "extra": [1.5]}
         doc["rows"] = [{"k": k, "x": x, "pair": pair} for k, x, pair in rows]
         assert target.read_text() == json.dumps(doc) + "\n"
@@ -563,6 +566,104 @@ class TestFormats:
             assert main(["ck", "--arrangement", "0,1,2,1,0,2"]) == 2
             assert len(os.listdir("/proc/self/fd")) == before
         assert capsys.readouterr().err.startswith("error: cannot write stdout: ")
+
+
+def _retired_csv_cell(v):
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, tuple):
+        return ",".join(map(str, v))
+    return str(v)
+
+
+def _retired_json_cell(v):
+    return {"num": v.numerator, "den": v.denominator} if isinstance(v, Fraction) else v
+
+
+def _retired_writers(fmt, header, values, kind, n, **extra):
+    """The reference bytes of a table: csv.writer, or one json.dumps of the document with dict rows."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_retired_csv_cell, row) for row in values)
+        return out.getvalue()
+    doc = {"schema_version": SCHEMA_VERSION, "n": n, "mode": "exact", "kind": kind, **extra}
+    doc["rows"] = [dict(zip(header, map(_retired_json_cell, row))) for row in values]
+    return json.dumps(doc) + "\n"
+
+
+class TestRetiredWriters:
+    """Every command's bytes against csv.writer and json.dumps of dict rows, over the same cells."""
+
+    @staticmethod
+    def expected(argv, fmt):
+        command, n = argv[0], int(argv[2])
+        if command == "classes":
+            rows = sorted(st.class_table(n).rows(), key=lambda r: (r.p_classical, r.representative))
+            values = [
+                (r.representative, r.orbit_size, scattering.suppression_Q(r.representative), r.suppressed_exact,
+                 r.p_classical.numerator, r.p_classical.denominator, r.p_quantum, r.enhancement)
+                for r in rows
+            ]
+            return _retired_writers(fmt, CLASS_COLUMNS, values, "classes", n)
+        if command == "table1":
+            values = [st.census_row(st.class_table(m)) for m in range(2, n + 1)]
+            header = ["n", "n_total", "n_class", "n_quantum", "n_law", "n_supp"]
+            return _retired_writers(fmt, header, values, "table1", n)
+        if command == "table2":
+            rows = sorted(st.class_table(n).rows(nonzero=True), key=lambda r: (-r.z * r.z, r.representative))
+            values = [(r.representative, r.orbit_size, r.enhancement) for r in rows]
+            return _retired_writers(fmt, ["representative", "orbit_size", "enhancement"], values, "table2", n)
+        kind, variant = argv[4], argv[6] if len(argv) > 6 else "marginal"
+        values = st.distribution(kind, n, variant=variant).rows
+        header = ["category", "classical", "quantum", "approx"]
+        return _retired_writers(fmt, header, values, kind, n, variant=variant)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_row_commands(self, capsys, monkeypatch, n, fmt):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        dist = ["dist", "--n", str(n), "--kind"]
+        commands = [
+            ["classes", "--n", str(n)],
+            ["table2", "--n", str(n)],
+            [*dist, "occupied-ports"],
+            [*dist, "port-occupancy"],
+            [*dist, "port-occupancy", "--variant", "at-least-one"],
+            [*dist, "classical-classes"],
+        ] + ([["table1", "--n-max", str(n)]] if n >= 2 else [])
+        for argv in commands:
+            assert run(capsys, *argv, "--format", fmt) == (0, self.expected(argv, fmt), ""), argv
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_ck(self, capsys, n, fmt):
+        s = [0] * n
+        for p in range(n):
+            s[p * p % n] += 1  # one particle at each square mod n
+        vec = scattering.ck_decomposition(s)
+        extra = {"arrangement": s, "barycenter": [float(vec.as_integer()), 0.0]}
+        expected = _retired_writers(fmt, ["k", "c_k"], list(enumerate(vec.coefficients)), "ck", n, **extra)
+        assert run(capsys, "ck", "--arrangement", ",".join(map(str, s)), "--format", fmt) == (0, expected, "")
+
+    def test_edge_cells(self, capsys, monkeypatch):
+        # csv quotes a field only when it holds a comma: not the one digit of n = 1, but a partition label
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        assert run(capsys, "classes", "--n", "1")[1].splitlines()[1] == "1,1,0,false,1,1,1,1"
+        out = run(capsys, "dist", "--n", "3", "--kind", "classical-classes")[1]
+        labels = ['"3,0,0",', '"1,1,1",', '"2,1,0",']
+        assert [line[: len(label)] for line, label in zip(out.splitlines()[1:], labels)] == labels
+        assert out == self.expected(["dist", "--n", "3", "--kind", "classical-classes"], "csv")
+
+    def test_csv_quoting_is_quote_minimal(self):
+        cells = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", 1.5, (1, 2), True]
+        line = _line("csv", None)(cells)
+        assert line == 'plain,"a,b","say ""hi""","two\nlines","cr\rhere",,1.5,"1,2",true\n'
+        assert list(csv.reader([line[:-1]], strict=True)) == [["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere",
+                                                                "", "1.5", "1,2", "true"]]
 
 
 def _exit_code(argv):
@@ -895,17 +996,16 @@ class TestCache:
         assert decoded == [430] == [len(table.z) - table.z.count(0)]
 
     def test_classes_hit_builds_only_nonzero_rows(self, capsys, tmp_path, monkeypatch):
-        # classes renders from the columns; only the certificate builds rows
+        # classes renders and certifies from the columns, so neither a miss nor a hit builds a row
         cache = ["--cache-dir", str(tmp_path / "cache")]
         classes = ["classes", "--n", "10"]
-        code, clean, _ = run(capsys, *classes, *cache)
-        assert code == 0
+        clean = run(capsys, *classes)[1]
         real, built = st.ClassProbabilityRow, []
         monkeypatch.setattr(st, "ClassProbabilityRow", lambda *cells: built.append(cells) or real(*cells))
         assert run(capsys, *classes, *cache) == (0, clean, "")
-        table = st.class_table(10)
-        assert 0 < len(built) <= len(table.z) - table.z.count(0) == 430
-        assert all(z for _, _, z in built)
+        assert run(capsys, *classes, *cache) == (0, clean, "")
+        assert run(capsys, *classes, *cache, "--format", "json")[0] == 0
+        assert built == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_code_whose_digits_miss_n_recomputed(self, capsys, tmp_path, fmt):
@@ -976,6 +1076,27 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--n", "6", "--cache-dir", str(cache))
         assert code == 1
         assert "FAIL normalization" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classes", "--n"], ["classes", "--format", "json", "--n"], ["table2", "--n"],
+         ["dist", "--kind", "occupied-ports", "--n"], ["table1", "--n-max"]],
+        ids=" ".join,
+    )
+    def test_certificate_precedes_the_output_file(self, capsys, tmp_path, argv):
+        # the rows are rendered as they are written, but the certificate runs before --output is opened
+        cache = tmp_path / "cache"
+        assert run(capsys, "classes", "--n", "6", "--cache-dir", str(cache))[0] == 0
+        key = "v1_columns_n6_exact-glynn-crt"
+        payload = cache_load(cache, key)
+        z = payload["z"]
+        z[next(i for i, zi in enumerate(z) if zi)] += 1
+        cache_store(cache, key, payload)  # a valid checksum over the changed z
+        target = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "6", "--cache-dir", str(cache), "--output", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "n=6" in err
+        assert not target.exists()
 
     def test_unusable_cache_dir_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "not-a-dir"
