@@ -337,27 +337,29 @@ def multiplier_image(s: Sequence[int], u: int) -> Arrangement:
 
 
 def affine_keys(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine-canonical code of each arrangement of n, and the shift that reaches it.
+    """Affine-canonical code of each dihedral class of n, and the shift that reaches it.
 
-    codes is an int64 array of base-(n+1) codes, whose digits are read
+    codes is an int64 array of base-(n+1) codes of dihedral
+    representatives, as class_columns gives them, whose digits are read
     here.  The images of s under p -> u*p + a, u a unit mod n, are the 2n
     dihedral images of multiplier_image(s, u) for u in multiplier_units(n).
-    In the codes of class_columns, the multiplier image of s has code
-    sum_p s_p * (n+1)^(n-1 - u*p mod n) and its reversal maps p to
-    n-1 - u*p; each code rotation then adds -1 to the shift a.  keys[i] is
-    the least image code of codes[i], and shifts[i] is a mod n for one
-    affine map that attains it.  Codes with equal keys form one affine
-    orbit, and the key is the code of its least member, itself a dihedral
-    representative.  The identity is tried first, so that least member
-    has shift 0.
+    A representative is the least of its own dihedral images, those of
+    u = 1, so keys start as the codes themselves with shift 0, and only the
+    units u != 1 are tried.  In the codes of class_columns, the multiplier
+    image of s has code sum_p s_p * (n+1)^(n-1 - u*p mod n) and its reversal
+    maps p to n-1 - u*p; each code rotation then adds -1 to the shift a.
+    keys[i] is the least image code of codes[i], and shifts[i] is a mod n
+    for one affine map that attains it.  Codes with equal keys form one
+    affine orbit, and the key is the code of its least member, itself a
+    dihedral representative, which keeps shift 0.
     """
     b = n + 1
     high = b ** (n - 1)
     places = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = codes[:, None] // places % b
-    keys = np.full(len(codes), np.iinfo(np.int64).max)
+    keys = codes.copy()
     shifts = np.zeros(len(codes), dtype=np.int64)
-    for u in multiplier_units(n):
+    for u in multiplier_units(n)[1:]:
         image = u * np.arange(n) % n
         code = digits @ places[image]
         rcode = digits @ places[n - 1 - image]
@@ -369,4 +371,3 @@ def affine_keys(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             code = code % high * b + code // high
             rcode = rcode % high * b + rcode // high
     return keys, shifts
-

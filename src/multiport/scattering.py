@@ -12,10 +12,13 @@ formula (D. G. Glynn, Eur. J. Combin. 31, 1887 (2010)), grouped by how many
 copies of each repeated row a sign vector negates, writes 2^(n-1) z as a
 signed sum of resultants Res(y(t), t^n - 1).  So z is an integer.
 exact_integer_amplitudes, the one exact kernel, evaluates that sum modulo
-primes q = 1 (mod n), divides by 2^(n-1) there, and rebuilds z by the
-Chinese remainder theorem; a redundant prime guards the reconstruction.
-The arrangements of one occupancy profile, sorted(s), share the primes and
-the Glynn grid, so it evaluates them in one numpy pipeline.  Every
+one set of primes for every n, q = 1 (mod 360360), 360360 being
+lcm(1..EXACT_AMPLITUDE_LIMIT), divides by 2^(n-1) there, and rebuilds z
+by the Chinese remainder theorem; a redundant prime guards the
+reconstruction.  The arrangements of one occupancy profile, sorted(s),
+share the Glynn grid and its coefficients, into which the factor at
+t = 1, the same for all of them, is folded, so it evaluates them in one
+numpy pipeline.  Every
 probability the package reports is z^2 / (n^n * prod s_j!), exactly or
 rounded once to float, so suppression verdicts (z == 0) carry no
 tolerance.  The float permanents (permanent_naive, permanent_ryser and
@@ -208,43 +211,65 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
-    """Primes for the exact kernel of order n, their root-power tables and
-    the inverses of 2^(n-1) modulo them.
+# Every n the kernel takes divides _ORDER, so one set of primes q = 1
+# (mod _ORDER) holds a root of unity of order n for each of them.
+_ORDER = math.lcm(*range(1, EXACT_AMPLITUDE_LIMIT + 1))
 
-    The primes are the largest q = 1 (mod n) below 2^31, as many as the
-    bunched arrangement (n, 0, ..., 0), the largest bound, needs, plus one
-    spare.  powers[i, p, k] = w^(p*k) mod q_i, with w of exact order n in
-    F_{q_i}.  Residues below 2^31 keep a product of two inside int64.
+
+@lru_cache(maxsize=None)
+def _kernel_primes() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exact kernel's primes, and a root of exact order _ORDER modulo each.
+
+    The primes are the largest q = 1 (mod _ORDER) below 2^31, as many as
+    the bunched arrangement of n = EXACT_AMPLITUDE_LIMIT, the largest bound
+    of any n, needs, plus one spare.  The root is a product over the primes
+    f dividing _ORDER, those up to EXACT_AMPLITUDE_LIMIT: with f^e the
+    power of f in _ORDER and a the least non-f-th power mod q,
+    a^((q-1)/f^e) has exact order f^e, and factors of coprime orders
+    multiply to one of order _ORDER.
     """
+    n = EXACT_AMPLITUDE_LIMIT
     need = 2 * math.isqrt(n**n * math.factorial(n)) + 2
+    factors = [f for f in range(2, n + 1) if _is_prime(f)]
     primes: list[int] = []
-    powers = []
-    q = 2**31 - 1 - (2**31 - 2) % n
+    roots: list[int] = []
+    q = 2**31 - 1 - (2**31 - 2) % _ORDER
     while math.prod(primes[:-1]) <= need:
         if _is_prime(q):
-            for a in itertools.count(2):
-                table = [pow(a, (q - 1) // n * e, q) for e in range(n)]
-                if len(set(table)) == n:  # w = table[1] has exact order n
-                    break
+            r = 1
+            for f in factors:
+                a = next(a for a in itertools.count(2) if pow(a, (q - 1) // f, q) != 1)
+                r = r * pow(a, (q - 1) // math.gcd(_ORDER, f**n), q) % q
             primes.append(q)
-            powers.append(np.array(table, dtype=np.int64)[np.outer(np.arange(n), np.arange(n)) % n])
-        q -= n
-    tables = np.array(powers)
-    tables.setflags(write=False)
-    return tuple(primes), tables, tuple(pow(2, 1 - n, q) for q in primes)
+            roots.append(r)
+        q -= _ORDER
+    return tuple(primes), tuple(roots)
 
 
 @lru_cache(maxsize=None)
-def _glynn_weights(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For m = 0..n: the row sums m - 2j and the signed binomials
-    (-1)^j C(m, j), j = 0..m, of m copies of one row, j of them signed -1."""
-    return tuple(
-        (np.arange(m, -m - 1, -2, dtype=np.int64),
-         np.array([(-1) ** j * math.comb(m, j) for j in range(m + 1)], dtype=np.int64))
-        for m in range(n + 1)
-    )
+def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
+    """The exact kernel's primes, their root-power tables for order n and
+    the inverses of 2^(n-1) modulo them.
+
+    The primes are _kernel_primes', q = 1 (mod _ORDER), the same for every
+    n.  powers[i, p, k] = w^(p*k) mod q_i, with w = r^(_ORDER/n) of exact
+    order n in F_{q_i}.  Residues below 2^31 keep a product of two inside
+    int64.
+    """
+    primes, roots = _kernel_primes()
+    step = _ORDER // n
+    table = np.array([[pow(r, step * e, q) for e in range(n)] for q, r in zip(primes, roots)], dtype=np.int64)
+    tables = table[:, np.outer(np.arange(n), np.arange(n)) % n]
+    tables.setflags(write=False)
+    return primes, tables, tuple(pow(2, 1 - n, q) for q in primes)
+
+
+@lru_cache(maxsize=None)
+def _glynn_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums m - 2j and the signed binomials (-1)^j C(m, j), j = 0..m,
+    of m copies of one row, j of them signed -1."""
+    return (np.arange(m, -m - 1, -2, dtype=np.int64),
+            np.array([(-1) ** j * math.comb(m, j) for j in range(m + 1)], dtype=np.int64))
 
 
 def _glynn_residues(ts: Sequence[Arrangement], primes: Sequence[int], powers: np.ndarray,
@@ -259,34 +284,42 @@ def _glynn_residues(ts: Sequence[Arrangement], primes: Sequence[int], powers: np
         z = 2^(1-n) sum_j (-1)^|j| C(s_p0 - 1, j_p0) prod_{p != p0} C(s_p, j_p)
                                    prod_k y_j(w^k)
 
-    with y_j(w^k) = sum_p (s_p - 2 j_p) w^(p*k).  The grid of j spans the
-    occupied ports only, so a class costs s_p0 * prod_{p != p0} (s_p + 1) * n
-    operations per prime.  In that order the classes of one profile share
-    the grid and coefficients, and differ only in the rows of powers used.
+    with y_j(w^k) = sum_p (s_p - 2 j_p) w^(p*k).  The row k = 0 is
+    y_j(1) = n - 2|j| for every class of the profile, so it is folded into
+    the coefficients, built alongside them, and only the rows k = 1..n-1
+    are built and multiplied; for n = 1 none is left and their product is
+    1.  The grid of j spans the occupied ports only, so a class costs
+    s_p0 * prod_{p != p0} (s_p + 1) * (n - 1) operations per prime.  In
+    that order the classes of one profile share the grid and coefficients,
+    and differ only in the rows of powers used.
     """
     n = len(ts[0])
     q = np.array(primes, dtype=np.int64)[:, None]
     occupancies = sorted(x for x in ts[0] if x)
     ports = np.argsort(np.array(ts), axis=1, kind="stable")[:, n - len(occupancies):]
-    # y[i, c, k, g] = y(w^k) of class c at grid point g, |y| below n * 2^31 until reduced
-    values, coeffs = _glynn_weights(n)[occupancies[0] - 1]
-    y = powers[:, ports[:, 0], :, None] * (values + 1)  # the copy of p0 fixed to +1
+    # y[i, c, k - 1, g] = y(w^k) of class c at grid point g, |y| below n * 2^31 until reduced
+    values, coeffs = _glynn_weights(occupancies[0] - 1)
+    row0 = values + 1  # y(w^0) = n - 2|j| at each grid point; the copy of p0 fixed to +1
+    y = powers[:, ports[:, 0], 1:, None] * row0
     for port, sp in zip(ports[:, 1:].T, occupancies[1:]):
-        values, signed = _glynn_weights(n)[sp]
-        step = powers[:, port, :, None] * values
+        values, signed = _glynn_weights(sp)
+        step = powers[:, port, 1:, None] * values
         y = (step[..., None] + y[..., None, :]).reshape(*y.shape[:3], -1)
         coeffs = np.multiply.outer(signed, coeffs).ravel()
+        row0 = np.add.outer(values, row0).ravel()
     # fmod keeps the sign (|y| < q, products < 2^62) and beats % on negatives
     np.fmod(y, q[..., None, None], out=y)
     # prod_k, pairwise: rows k < m - h times rows k >= h, until one is left
-    m = n
+    m = n - 1
     while m > 1:
         h = (m + 1) // 2
         y[:, :, : m - h] *= y[:, :, h:m]
         np.fmod(y[:, :, : m - h], q[..., None, None], out=y[:, :, : m - h])
         m = h
-    # sum |coeffs| = 2^(n-1), so the dot product stays below 2^(n + 30)
-    return y[:, :, 0] @ coeffs % q * np.array(inverses, dtype=np.int64)[:, None] % q
+    product = y[:, :, 0] if n > 1 else np.ones((len(primes), len(ts), len(coeffs)), dtype=np.int64)
+    # sum |coeffs * row0| <= n * 2^(n-1), so the dot product stays below
+    # n * 2^(n+30), 2^48 at n = 14
+    return product @ (coeffs * row0) % q * np.array(inverses, dtype=np.int64)[:, None] % q
 
 
 # The most grid cells (classes times Glynn grid points) of one profile that
@@ -299,11 +332,16 @@ def exact_integer_amplitudes(arrangements: Iterable[Sequence[int]]) -> list[int]
 
     Each Glynn term prod_k y(w^k) is the resultant of y(t) and t^n - 1, so
     2^(n-1) z is a sum of integers, and any w of exact order n gives it.
-    z is evaluated mod primes q = 1 (mod n) whose product exceeds 2|z| + 1
-    and rebuilt by the Chinese remainder theorem as a symmetric residue.
-    One spare prime guards the reconstruction: if its residue disagrees
-    with z, ArithmeticError is raised rather than a wrong z returned.
-    Classes of one profile are evaluated together, _CELLS grid cells at most.
+    z is evaluated mod the first of _kernel_primes' primes q = 1
+    (mod 360360) whose product exceeds 2|z| + 1, and rebuilt by the
+    Chinese remainder theorem as a symmetric residue.  One spare prime,
+    the next one, guards the reconstruction: if its residue disagrees with
+    z, ArithmeticError is raised rather than a wrong z returned.  Classes
+    of one profile are evaluated together, _CELLS grid cells at most.
+    Residues stay in int64: the rows of the grid below n * 2^31, their
+    products below 2^62, and the dot product with the coefficients, whose
+    absolute values sum to at most n * 2^(n-1) once the row t = 1 is
+    folded in, below n * 2^(n+30), 2^48 at n = 14.
     """
     ts = [validate_arrangement(s) for s in arrangements]
     n = len(ts[0]) if ts else 1

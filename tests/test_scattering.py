@@ -312,8 +312,13 @@ class TestKernelChecks:
         for f in range(2, 317):
             sieve[f * f :: f] = False
         assert [scattering._is_prime(q) for q in range(100_000)] == sieve.tolist()
+        shared = scattering._kernel_tables(1)[0]
+        assert all(q % 360360 == 1 for q in shared)
+        for n in (14, 15):  # all primes but the spare outgrow the largest bound, of (n, 0, ..., 0)
+            assert math.prod(shared[:-1]) > 2 * math.isqrt(n**n * math.factorial(n)) + 2
         for n in range(1, 15):
             primes, powers, inverses = scattering._kernel_tables(n)
+            assert primes == shared
             assert len(primes) == len(powers) == len(inverses)
             for q, table, inv in zip(primes, powers, inverses):
                 assert q < 2**31 and (q - 1) % n == 0
@@ -345,6 +350,25 @@ class TestKernelChecks:
             monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
             with pytest.raises(ArithmeticError):
                 exact_integer_amplitude(s)
+
+    def test_negated_residue_raises(self, monkeypatch):
+        # q - r turns z into -z, which z^2 and so every normalization sum
+        # cannot see; only the spare prime can.
+        s = (0, 1, 2, 0, 2, 1)
+        z = exact_integer_amplitude(s)
+        real = scattering._glynn_residues
+        used = []
+
+        def negated(ts, primes, powers, inverses):
+            residues = real(ts, primes, powers, inverses)
+            used.append(len(primes))
+            residues[0, 0] = primes[0] - residues[0, 0]
+            return residues
+
+        monkeypatch.setattr(scattering, "_glynn_residues", negated)
+        with pytest.raises(ArithmeticError, match="spare prime"):
+            exact_integer_amplitude(s)
+        assert z != 0 and used == [2]  # one working prime and the spare
 
 
 class TestBatchedKernel:
