@@ -12,13 +12,14 @@ formula (D. G. Glynn, Eur. J. Combin. 31, 1887 (2010)), grouped by how many
 copies of each repeated row a sign vector negates, writes 2^(n-1) z as a
 signed sum of resultants Res(y(t), t^n - 1).  So z is an integer.
 exact_integer_amplitudes, the one exact kernel, evaluates that sum modulo
-one set of primes for every n, q = 1 (mod 360360), 360360 being
-lcm(1..EXACT_AMPLITUDE_LIMIT), divides by 2^(n-1) there, and rebuilds z
-by the Chinese remainder theorem; a redundant prime guards the
-reconstruction.  The arrangements of one occupancy profile, sorted(s),
-share the Glynn grid and its coefficients, into which the factor at
-t = 1, the same for all of them, is folded, so it evaluates them in one
-numpy pipeline.  Every
+the constant primes _PRIMES, the same for every n, all q = 1
+(mod 360360), 360360 being lcm(1..EXACT_AMPLITUDE_LIMIT), with roots
+_ROOTS of order 360360 modulo them (test_kernel_primes checks both),
+divides by 2^(n-1) there, and rebuilds z by the Chinese remainder
+theorem; a redundant prime guards the reconstruction.  The arrangements
+of one occupancy profile, sorted(s), share the Glynn grid and its
+coefficients, into which the factor at t = 1, the same for all of them,
+is folded, so it evaluates them in one numpy pipeline.  Every
 probability the package reports is z^2 / (n^n * prod s_j!), exactly or
 rounded once to float, so suppression verdicts (z == 0) carry no
 tolerance.  The float permanents (permanent_naive, permanent_ryser and
@@ -191,59 +192,16 @@ def verify_gamma_shift(s: Sequence[int]) -> bool:
 EXACT_KERNEL_TAG = "glynn-crt"
 
 
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5 and 7, exact for q < 3,215,031,751."""
-    if q < 11 or q % 2 == 0:
-        return q in (2, 3, 5, 7)
-    d, r = q - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, q)
-        if x == 1:
-            continue
-        for _ in range(r):
-            if x == q - 1:
-                break
-            x = x * x % q
-        else:
-            return False
-    return True
-
-
-# Every n the kernel takes divides _ORDER, so one set of primes q = 1
-# (mod _ORDER) holds a root of unity of order n for each of them.
+# One set of primes serves every n.  Each n the kernel takes divides
+# _ORDER = lcm(1..EXACT_AMPLITUDE_LIMIT), so each prime of _PRIMES, the
+# largest q = 1 (mod _ORDER) below 2^31, holds a root of unity of every
+# order n: _ROOTS[i] has exact order _ORDER mod _PRIMES[i].  There are as
+# many primes as the bunched arrangement of n = EXACT_AMPLITUDE_LIMIT, the
+# largest bound of any n, needs, plus one spare.  test_kernel_primes
+# (tests/test_scattering.py) checks every property the kernel relies on.
 _ORDER = math.lcm(*range(1, EXACT_AMPLITUDE_LIMIT + 1))
-
-
-@lru_cache(maxsize=None)
-def _kernel_primes() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exact kernel's primes, and a root of exact order _ORDER modulo each.
-
-    The primes are the largest q = 1 (mod _ORDER) below 2^31, as many as
-    the bunched arrangement of n = EXACT_AMPLITUDE_LIMIT, the largest bound
-    of any n, needs, plus one spare.  The root is a product over the primes
-    f dividing _ORDER, those up to EXACT_AMPLITUDE_LIMIT: with f^e the
-    power of f in _ORDER and a the least non-f-th power mod q,
-    a^((q-1)/f^e) has exact order f^e, and factors of coprime orders
-    multiply to one of order _ORDER.
-    """
-    n = EXACT_AMPLITUDE_LIMIT
-    need = 2 * math.isqrt(n**n * math.factorial(n)) + 2
-    factors = [f for f in range(2, n + 1) if _is_prime(f)]
-    primes: list[int] = []
-    roots: list[int] = []
-    q = 2**31 - 1 - (2**31 - 2) % _ORDER
-    while math.prod(primes[:-1]) <= need:
-        if _is_prime(q):
-            r = 1
-            for f in factors:
-                a = next(a for a in itertools.count(2) if pow(a, (q - 1) // f, q) != 1)
-                r = r * pow(a, (q - 1) // math.gcd(_ORDER, f**n), q) % q
-            primes.append(q)
-            roots.append(r)
-        q -= _ORDER
-    return tuple(primes), tuple(roots)
+_PRIMES = (2147024881, 2146304161, 2145943801)
+_ROOTS = (952664204, 1293753973, 1989996470)
 
 
 @lru_cache(maxsize=None)
@@ -251,17 +209,15 @@ def _kernel_tables(n: int) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]
     """The exact kernel's primes, their root-power tables for order n and
     the inverses of 2^(n-1) modulo them.
 
-    The primes are _kernel_primes', q = 1 (mod _ORDER), the same for every
-    n.  powers[i, p, k] = w^(p*k) mod q_i, with w = r^(_ORDER/n) of exact
-    order n in F_{q_i}.  Residues below 2^31 keep a product of two inside
-    int64.
+    The primes are _PRIMES, the same for every n.  powers[i, p, k] =
+    w^(p*k) mod q_i, with w = _ROOTS[i]^(_ORDER/n) of exact order n in
+    F_{q_i}.  Residues below 2^31 keep a product of two inside int64.
     """
-    primes, roots = _kernel_primes()
     step = _ORDER // n
-    table = np.array([[pow(r, step * e, q) for e in range(n)] for q, r in zip(primes, roots)], dtype=np.int64)
+    table = np.array([[pow(r, step * e, q) for e in range(n)] for q, r in zip(_PRIMES, _ROOTS)], dtype=np.int64)
     tables = table[:, np.outer(np.arange(n), np.arange(n)) % n]
     tables.setflags(write=False)
-    return primes, tables, tuple(pow(2, 1 - n, q) for q in primes)
+    return _PRIMES, tables, tuple(pow(2, 1 - n, q) for q in _PRIMES)
 
 
 @lru_cache(maxsize=None)
@@ -332,12 +288,13 @@ def exact_integer_amplitudes(arrangements: Iterable[Sequence[int]]) -> list[int]
 
     Each Glynn term prod_k y(w^k) is the resultant of y(t) and t^n - 1, so
     2^(n-1) z is a sum of integers, and any w of exact order n gives it.
-    z is evaluated mod the first of _kernel_primes' primes q = 1
-    (mod 360360) whose product exceeds 2|z| + 1, and rebuilt by the
-    Chinese remainder theorem as a symmetric residue.  One spare prime,
-    the next one, guards the reconstruction: if its residue disagrees with
-    z, ArithmeticError is raised rather than a wrong z returned.  Classes
-    of one profile are evaluated together, _CELLS grid cells at most.
+    z is evaluated mod the first of the constant primes _PRIMES, q = 1
+    (mod 360360) as test_kernel_primes checks, whose product exceeds
+    2|z| + 1, and rebuilt by the Chinese remainder theorem as a symmetric
+    residue.  One spare prime, the next one, guards the reconstruction: if
+    its residue disagrees with z, ArithmeticError is raised rather than a
+    wrong z returned.  Classes of one profile are evaluated together,
+    _CELLS grid cells at most.
     Residues stay in int64: the rows of the grid below n * 2^31, their
     products below 2^62, and the dot product with the coefficients, whose
     absolute values sum to at most n * 2^(n-1) once the row t = 1 is

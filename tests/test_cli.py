@@ -402,6 +402,20 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 6
 
+    def test_n4_stdout_pinned(self, capsys):
+        # every line is exact: no float that depends on numpy or LAPACK
+        code, out, _ = run(capsys, "verify", "--n", "4")
+        assert code == 0
+        assert out == (
+            "PASS permanent-oracle-agreement: max relative deviation below 1e-10\n"
+            "PASS normalization: sum = 1\n"
+            "PASS dihedral-invariance: all orbits agree\n"
+            "PASS multiplier-invariance: z(u*s) = z(s) for every unit u\n"
+            "PASS law-soundness: Q != 0 implies exact zero\n"
+            "PASS gamma-shift: c_k periodic under Q shift\n"
+            "INFO anomalous-suppressions: none\n"
+        )
+
     def test_n6_lists_anomalous(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6")
         assert code == 0
@@ -444,6 +458,17 @@ class TestVerify:
         assert code == 1
         assert "PASS normalization" in out and "PASS dihedral-invariance" in out
         assert "FAIL multiplier-invariance: violated by" in out
+
+    def test_wrong_sign_fails_dihedral_invariance(self, capsys, monkeypatch):
+        # (1, 0, 0, 0, 1, 4) is (0, 0, 0, 1, 4, 1), z = -144, shifted by one port,
+        # so its z is +144; negated, it keeps every |z| and z^2, and no other line sees it
+        assert scattering.exact_integer_amplitude((1, 0, 0, 0, 1, 4)) == 144
+        monkeypatch.setattr(cli, "exact_integer_amplitudes", altered_kernel((1, 0, 0, 0, 1, 4), lambda z: -z))
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, _ = run(capsys, "verify", "--n", "6")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL dihedral-invariance: violated by (1, 0, 0, 0, 1, 4)"]
 
     def test_nonzero_law_class_fails_law_soundness(self, capsys, monkeypatch):
         # z = 1 on the last Q != 0 class, in the kernel that verify's own checks call

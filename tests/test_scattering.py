@@ -307,13 +307,13 @@ class TestKernelChecks:
         assert abs(quantum_probability(s) - float(exact)) <= tolerance * float(exact)
 
     def test_kernel_primes(self):
-        sieve = np.ones(100_000, dtype=bool)
-        sieve[:2] = False
-        for f in range(2, 317):
-            sieve[f * f :: f] = False
-        assert [scattering._is_prime(q) for q in range(100_000)] == sieve.tolist()
+        # every property of the constant primes and roots that the kernel relies on
         shared = scattering._kernel_tables(1)[0]
-        assert all(q % 360360 == 1 for q in shared)
+        assert shared == scattering._PRIMES and len(scattering._ROOTS) == len(shared)
+        assert all(q % scattering._ORDER == 1 for q in shared)
+        for q, r in zip(shared, scattering._ROOTS):  # exact order _ORDER = 2^3 * 3^2 * 5 * 7 * 11 * 13
+            assert pow(r, scattering._ORDER, q) == 1
+            assert all(pow(r, scattering._ORDER // f, q) != 1 for f in (2, 3, 5, 7, 11, 13))
         for n in (14, 15):  # all primes but the spare outgrow the largest bound, of (n, 0, ..., 0)
             assert math.prod(shared[:-1]) > 2 * math.isqrt(n**n * math.factorial(n)) + 2
         for n in range(1, 15):

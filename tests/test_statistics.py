@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -321,6 +322,22 @@ class TestClassProbabilityTable:
 # n -> (Q = 0 classes, affine orbits among them = classes in the one exact-kernel call)
 Q0_ORBITS = {8: (69, 49), 9: (186, 70), 10: (526, 268), 11: (1584, 320), 12: (4932, 2806)}
 
+# n -> sha256 of the signed z column of class_table(n), its entries joined by ","
+SIGNED_Z_SHA256 = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "cf3bae39dd692048a8bf961182e6a34dfd323eeb0748e162eaf055107f1cb873",
+    3: "798de0c8215f02542b7ab4552e7c16d47ae546bb26a2ade5aad1935773bdac80",
+    4: "0a88d4440f9ace9d81107ce81631d53dc5f6ef182edb42064bc05e86ef0a77b8",
+    5: "89076bad5e4c5f3ad7e1d4cc0b04f5a025cf1538d1eb5f28a4bb19a7e7d03231",
+    6: "a6972639af92f7b10b6d83403e9066f1e3a91b877495f3b9536f6e55a7e99455",
+    7: "667e446b038bf0d65c88d4861575fe22ba717a5bbd5a96d751325274206d6e90",
+    8: "098c34803cb473d23bd90ba1fb895d987181b9f9b95bd70921a73465a98cda43",
+    9: "6f1add23a3e76f2512b26fd27383743de9c42dd46360b8dc2b084f85c6bc48e2",
+    10: "3d046fcbaebc8a2d626b001e87cde24fa5f11b749b6cce63201813625b24390f",
+    11: "c0856cf48de0bc20fdcd6adeaaa300617b0951299a8e24ea41ea4eb79164355f",
+    12: "f0553bd7c4c949c0d1563e9fa44831dc45351e906cf00182cf8698479cc9a6b3",
+}
+
 
 class TestQ0Rows:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -352,6 +369,12 @@ class TestQ0Rows:
         codes = np.array([_code(s) for s in calls[0]], dtype=np.int64)
         keys, shifts = affine_keys(n, codes)
         assert keys.tolist() == codes.tolist() and not shifts.any()
+
+    @pytest.mark.parametrize("n", sorted(SIGNED_Z_SHA256))
+    def test_signed_z_pinned(self, n):
+        # z itself, sign included, in code order; the CI digests cover z^2 only
+        z = st.class_table(n).z
+        assert hashlib.sha256(",".join(map(str, z)).encode()).hexdigest() == SIGNED_Z_SHA256[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_q0_positions_from_codes(self, n):
