@@ -18,12 +18,12 @@ from multiport.statistics import occupied_ports_mean
 N = 8
 HERE = Path(__file__).resolve().parent
 
-rows = class_table(N).rows(nonzero=True)  # one exact class sweep shared by all three tables
+classes = class_table(N)  # one exact class sweep shared by all three tables
 
 tables = {
-    "occupied_ports": distribution("occupied-ports", N, rows=rows),
-    "port_occupancy": distribution("port-occupancy", N, rows=rows),
-    "classical_classes": distribution("classical-classes", N, rows=rows),
+    "occupied_ports": distribution("occupied-ports", classes),
+    "port_occupancy": distribution("port-occupancy", classes),
+    "classical_classes": distribution("classical-classes", classes),
 }
 
 for name, table in tables.items():

@@ -296,7 +296,8 @@ def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...
     divisions.  The values are one array('I') per group, and groups of one
     width share one digits table.  ValueError unless the digits of every
     code sum to n.  This is the one reader of the digits of a code;
-    decode_codes and statistics.ClassTable.by_weight build on it.
+    decode_codes and statistics.ClassTable (the certificate of
+    from_columns, and by_weight) build on it.
     """
     b, first = n + 1, n - 3 * ((n - 1) // 3)
     digits = {width: list(itertools.product(range(b), repeat=width)) for width in {first, 3}}
@@ -304,8 +305,11 @@ def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...
     sums, groups = itertools.repeat(0), []
     for end in range(first, n + 1, 3):  # the digits end-width+1..end
         width = min(end, 3)
-        place, size = itertools.repeat(b ** (n - end)), itertools.repeat(b**width)
-        values = array("I", map(operator.mod, map(operator.floordiv, codes, place), size))
+        # the last group needs no division, and the leading one no mod, since codes < (n+1)^n
+        values = map(operator.floordiv, codes, itertools.repeat(b ** (n - end))) if end < n else codes
+        if end > first:
+            values = map(operator.mod, values, itertools.repeat(b**width))
+        values = array("I", values)
         sums = list(map(operator.add, sums, map(totals[width].__getitem__, values)))
         groups.append((digits[width], values))
     if set(sums) - {n}:

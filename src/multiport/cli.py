@@ -12,34 +12,37 @@ Subcommands
 Every command but ck reads one exact statistics.ClassTable per n, built
 serially by statistics.class_table and cached under one key as its
 columns (ClassTable.columns).  The cache moves only bytes: a hit is
-served through ClassTable.from_columns, which checks every table, built
-or read, the same way.
+served through ClassTable.from_columns, which checks and certifies every
+table, built or read, the same way: the classes with Q = 0 must carry
+total probability exactly 1 (statistics.check_normalization), or
+errors.CertificateError, an ArithmeticError, exits 3.  A build that
+fails the certificate raises before class_rows_cached can store it, so
+it is never cached, and no command checks its table again.  verify
+reports the certificate as its normalization line: a table that fails
+it is a FAIL line and exit 1.
 class_rows_cached returns only what a command decodes from the table: the
-rows with z != 0 (dist, table2), the census row (table1), every row
-(verify) or the certified lines (classes); verify picks its Q = 0 rows
-with scattering.suppression_Q.  classes, table2, dist and table1 first
-check that the classes with z != 0 carry total probability exactly 1
-(statistics.check_normalization, over the (orbit size, prod s_j!, z)
-terms of the rows, or for classes of the columns; dist through
-statistics.distribution); verify reports that check as one of its
-properties.  cache_load serves an entry only in the one byte layout
-cache_store writes, under a matching sha256; anything else, JSON nested
-too deep to parse, or columns that ClassTable.from_columns rejects, is a
-warning, a recompute and an overwrite.  Only the cache imports hashlib.
+rows with z != 0 (table2), the distribution (dist), the census row
+(table1), every row (verify) or the lines (classes); verify picks its
+Q = 0 rows with scattering.suppression_Q.  cache_load serves an entry
+only in the one byte layout cache_store writes, under a matching sha256;
+anything else, JSON nested too deep to parse, or columns that
+ClassTable.from_columns rejects with ValueError (a Q = 0 code whose
+digits do not sum to n among them), is a warning, a recompute and an
+overwrite.  Only the cache imports hashlib.
 
 _emit_table is the one writer of every table: it writes a head, the
 rows as lines of text, and a tail, and the lines of every command but
 classes come from one renderer, _line, which renders each tuple of cells
 as csv.writer (QUOTE_MINIMAL) or json.dumps would.  classes renders its
 lines in _class_lines, straight from the columns: ClassTable.by_weight
-reads the digits of each code once, certifies the table from the prod
-s_j! it reads off them, sorts by descending prod s_j! and hands over the
-digit pieces each representative is joined from as it is written; the
-other cells depend only on orbit size, Q, prod s_j! and z, so their text
-is rendered once for each distinct tuple, and the ClassProbabilityRow
-properties are the reference the tests hold them to.  The lines are
-written as they are rendered, so no table is held as text, and no byte
-is written before the certificate.  As one process on a 2-vCPU Xeon, a
+reads the digits of each code once, sorts by descending prod s_j! it
+reads off them and hands over the digit pieces each representative is
+joined from as it is written; the other cells depend only on orbit
+size, Q, prod s_j! and z, so their text is rendered once for each
+distinct tuple, and the ClassProbabilityRow properties are the reference
+the tests hold them to.  The lines are written as they are rendered, so
+no table is held as text, and no byte is written before the certificate,
+which ran when the table was made.  As one process on a 2-vCPU Xeon, a
 classes hit at n = 14 (718,146 rows) takes about 1.6 s to os.devnull in
 CSV and JSON alike, 1.2 s of it in _class_lines.
 
@@ -93,6 +96,7 @@ from .errors import (
     BRUTE_FORCE_LIMIT,
     EXACT_AMPLITUDE_LIMIT,
     CacheCorruptionError,
+    CertificateError,
     InvalidArrangementError,
     OutputError,
     ResourceLimitError,
@@ -234,12 +238,15 @@ def class_rows_cached(n: int, cache_dir: Path | None, decode=lambda table: table
     """decode of the ClassTable of n, read through cache_dir when one is set.
 
     decode maps the table to what the command reads: by default the rows
-    with z != 0; statistics.census_row (table1); ClassTable.rows for every
-    row (verify); the certified lines of _class_lines.  A hit decodes only
-    what decode reads.  Every command reads the same exact table, so one
-    entry per n serves them all.  An entry that ClassTable.from_columns or
-    decode rejects is unreadable, like one that is not JSON: a warning, then a
-    recompute and an overwrite.
+    with z != 0; statistics.census_row (table1); statistics.distribution
+    (dist); ClassTable.rows for every row (verify); the lines of
+    _class_lines.  A hit decodes only what decode reads.  Every command
+    reads the same exact table, so one entry per n serves them all.  An
+    entry that ClassTable.from_columns or decode rejects with ValueError is
+    unreadable, like one that is not JSON: a warning, then a recompute and
+    an overwrite.  A table that fails the certificate raises
+    CertificateError from from_columns, on a hit or before a build is
+    stored.
     """
     key = cache_key(n)
     if cache_dir is not None:
@@ -365,16 +372,15 @@ CLASS_COLUMNS = (
 def _class_lines(table: stats.ClassTable, fmt: str) -> Iterator[str]:
     """The CLASS_COLUMNS lines of every class, as _line renders them for fmt, as one iterator in table order.
 
-    table.by_weight certifies, orders and decodes the classes here, so a
-    table that fails check_normalization raises ArithmeticError, and a code
-    that is not an arrangement ValueError, before any line is read.  A
-    line is its representative, by_weight's digit pieces joined by "," in
-    CSV and ", " in JSON, then the text of the other cells.  Those depend
-    only on orbit size, Q, prod s_j! and z, so they are derived, exactly
-    as the ClassProbabilityRow properties define them, and rendered once
-    for each distinct tuple: 4,817 for the 718,146 classes of n = 14.
-    That text is cut from the _line of the cells with () for the
-    representative, so _line is the one renderer of a cell.
+    table.by_weight orders and decodes the classes of the certified table
+    here, so a code that is not an arrangement raises ValueError before
+    any line is read.  A line is its representative, by_weight's digit
+    pieces joined by "," in CSV and ", " in JSON, then the text of the
+    other cells.  Those depend only on orbit size, Q, prod s_j! and z, so
+    they are derived, exactly as the ClassProbabilityRow properties define
+    them, and rendered once for each distinct tuple: 4,817 for the 718,146
+    classes of n = 14.  That text is cut from the _line of the cells with
+    () for the representative, so _line is the one renderer of a cell.
     """
     n_fact, n_pow = math.factorial(table.n), table.n**table.n
     # csv quotes a representative of more than one digit, since it holds commas
@@ -397,7 +403,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
     The lines come from _class_lines, through class_rows_cached, so a hit
     whose codes do not decode is recomputed; every byte waits for the
-    certificate, which _class_lines runs on the columns.
+    certificate, which ClassTable.from_columns runs on the columns.
     """
     lines = class_rows_cached(args.n, args.cache_dir, lambda table: _class_lines(table, args.format))
     _emit_table(args, CLASS_COLUMNS, lines, "classes", args.n)
@@ -413,9 +419,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
-    rows = class_rows_cached(args.n, args.cache_dir)
-    stats.check_normalization(args.n, (r.term for r in rows))
-    alive = sorted(rows, key=lambda r: (-r.z * r.z, r.representative))
+    alive = sorted(class_rows_cached(args.n, args.cache_dir), key=lambda r: (-r.z * r.z, r.representative))
     values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
     header = ["representative", "orbit_size", "enhancement"]
     _emit_table(args, header, map(_line(args.format, header), values), "table2", args.n)
@@ -423,8 +427,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    rows = class_rows_cached(args.n, args.cache_dir)  # distribution certifies them
-    table = stats.distribution(args.kind, args.n, rows=rows, variant=args.variant)
+    table = class_rows_cached(args.n, args.cache_dir, lambda t: stats.distribution(args.kind, t, args.variant))
     header = ["category", "classical", "quantum", "approx"]
     _emit_table(args, header, map(_line(args.format, header), table.rows), table.kind, args.n, variant=args.variant)
     return EXIT_OK
@@ -453,6 +456,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def record(name: str, ok: bool, detail: str):
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
+    def report() -> int:
+        text = "\n".join(lines) + "\n"
+        _emit(args, lambda f: f.write(text))
+        return EXIT_VERIFY_FAILED if any(line.startswith("FAIL") for line in lines) else EXIT_OK
+
     rng = np.random.default_rng(20100615)
     worst = 0.0
     for m in range(2, min(n, 7) + 1):
@@ -466,12 +474,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record("permanent-oracle-agreement", ok, "max relative deviation " + ("below 1e-10" if ok else f"{worst:.3g}"))
 
     # The rows skip the kernel on Q != 0 classes; an exact total of 1 also
-    # proves each skipped class an exact zero (statistics.check_normalization,
-    # reported here as a FAIL line rather than an exit code 3).
-    rows = class_rows_cached(n, args.cache_dir, stats.ClassTable.rows)
+    # proves each skipped class an exact zero.  ClassTable.from_columns
+    # certifies every table (statistics.check_normalization); a failure is
+    # reported here as a FAIL line and exit 1 rather than exit 3, and the
+    # lines that need the table are left out.
+    try:
+        rows = class_rows_cached(n, args.cache_dir, stats.ClassTable.rows)
+    except CertificateError as exc:
+        record("normalization", False, str(exc))
+        return report()
+    record("normalization", True, "sum = 1")
     q0 = dict.fromkeys(r for r in rows if suppression_Q(r.representative) == 0)  # in code order
-    total = stats.total_probability(n, rows)
-    record("normalization", total == 1, f"sum = {total}")
 
     # One kernel pass over every arrangement; the checks below look z up.
     # The rows share one evaluation per affine orbit of Q = 0 classes, so
@@ -500,10 +513,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     anomalous = sorted(r.representative for r in q0 if r.suppressed_exact)
     lines.append("INFO anomalous-suppressions: " + ("; ".join(",".join(map(str, s)) for s in anomalous) or "none"))
-
-    text = "\n".join(lines) + "\n"
-    _emit(args, lambda f: f.write(text))
-    return EXIT_VERIFY_FAILED if any(line.startswith("FAIL") for line in lines) else EXIT_OK
+    return report()
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ class CacheCorruptionError(RuntimeError):
     """A cache entry failed its integrity check and could not be replaced."""
 
 
+class CertificateError(ArithmeticError):
+    """A class table whose Q = 0 classes do not carry total probability exactly 1."""
+
+
 class OutputError(OSError):
     """The file named by --output cannot be written."""
 

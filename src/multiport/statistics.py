@@ -11,24 +11,26 @@ read from a cache alike, and ClassTable.columns its inverse, the dict
 from_columns raises ValueError unless the columns are exactly those three
 lists of ints, dihedral_class_count(n) strictly ascending codes below
 (n+1)^n, as many positive orbit sizes summing to C(2n-1, n), and one z
-per Q = 0 code (arrangements.q0_positions).  The checks map over whole
-columns; the digits of a code are read only by what decodes it, and wrong
-values that pass are left to check_normalization.  Classes
+per Q = 0 code (arrangements.q0_positions), and unless the digits of each
+Q = 0 code sum to n.  It then runs the one certificate,
+check_normalization, on the Q = 0 classes: their orbit-weighted
+z^2/(n^n * prod s_j!) must sum to exactly 1, prod s_j! read off the
+digits of their codes (arrangements.digit_groups), or CertificateError.
+So every table that exists has been certified before it is stored,
+counted, decoded or rendered, and no consumer checks it again.  The
+digits of the Q != 0 codes are read only by what decodes them.  Classes
 with Q != 0 are exact zeros by the zero-transmission law; the exact kernel
 runs on the Q = 0 classes only, in one batched call per n on the key of
 each of their affine orbits, its least member (q0_amplitudes), and only
 those keys become tuples.  Codes are made and read in arrangements only.
 A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
-other column is derived from z.  check_normalization, which certifies
-the table, sums one (orbit size, prod s_j!, z) term per class with
-z != 0 (430 of 4,752 at n = 10): the classes table reads the columns
-themselves, in its order, and certifies them from the prod s_j! it reads
-off the digits (ClassTable.by_weight), with no row object; the census
-(census_row) counts from the columns, and it and the distributions'
-quantum columns read the rows with z != 0, whose terms
-ClassProbabilityRow.term gives.  Every float a table reports is one
-exact rational rounded once.
+other column is derived from z.  The classes table reads the columns
+themselves, in its order (ClassTable.by_weight), with no row object; the
+census (census_row) counts from the columns and decodes nothing; the
+distributions' quantum columns read the rows with z != 0 (430 of 4,752
+at n = 10).  Every float a table reports is one exact rational rounded
+once.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -49,10 +51,10 @@ lambda of n (padded with zeros to n parts): lambda stands for n!/prod mult!
 arrangements, mult the multiplicities of its parts, each of
 n!/prod lambda_i! maps.  The partitions must cover all n^n maps and
 C(2n-1, n) arrangements.  The quantum column tallies orbit * z^2 times
-the maps of each row with z != 0, once check_normalization has certified
-them.  The closed forms of the columns (Stirling numbers, binomials and
-inclusion-exclusion for occupied ports and port occupancy) are the test
-oracles the tally is held to.  The kinds:
+the maps of each row with z != 0 of a certified table.  The closed forms
+of the columns (Stirling numbers, binomials and inclusion-exclusion for
+occupied ports and port occupancy) are the test oracles the tally is
+held to.  The kinds:
 
 * occupied-ports: the number of occupied ports;
 * port-occupancy marginal: the ports holding exactly k particles, each
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import lt, mul
@@ -85,6 +87,7 @@ from .arrangements import (
     partitions,
     q0_positions,
 )
+from .errors import CertificateError
 from .scattering import _denominator, exact_integer_amplitudes
 
 DISTRIBUTION_KINDS = ("occupied-ports", "port-occupancy", "classical-classes")
@@ -133,10 +136,15 @@ class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbi
     def enhancement(self) -> Fraction:
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
-    @property
-    def term(self) -> tuple[int, int, int]:
-        """(orbit size, prod s_j!, z), the class's term of check_normalization."""
-        return self.orbit_size, math.prod(map(math.factorial, self.representative)), self.z
+
+def _weights(groups) -> list[int]:
+    """prod s_j! of each code, from its arrangements.digit_groups groups and one table of products per group width."""
+    weights, tables = repeat(1), {}
+    for digits, values in groups:
+        if len(digits) not in tables:  # the groups of one width share one digits table
+            tables[len(digits)] = [math.prod(map(math.factorial, t)) for t in digits]
+        weights = list(map(mul, weights, map(tables[len(digits)].__getitem__, values)))
+    return weights
 
 
 class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
@@ -146,19 +154,24 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
     orbit_sizes their orbit sizes (arrangements.class_columns); q0 holds
     the ascending positions of the classes with Q = 0, read off the codes
     (arrangements.q0_positions), and z their exact amplitudes.  Every other
-    class is an exact zero by the law.  from_columns builds every table and
-    checks its columns, lists of ints, so a cache hit builds one without
-    numpy, and rows decodes only the codes a command reads.
+    class is an exact zero by the law.  from_columns builds every table,
+    checks its columns, lists of ints, and certifies it, so a cache hit
+    builds one without numpy, and rows decodes only the codes a command
+    reads.
     """
 
     __slots__ = ()
 
     @classmethod
     def from_columns(cls, n: int, columns: dict) -> ClassTable:
-        """The table of n with these columns, the one way to build one; ValueError unless they check.
+        """The table of n with these columns, the one way to build one and the one certificate site.
 
         columns must hold exactly the lists codes, orbit_sizes and z of
-        ints, as the module docstring says; q0 is read off the codes.
+        ints, as the module docstring says, or ValueError; q0 is read off
+        the codes.  The digits of the Q = 0 codes are then read once
+        (arrangements.digit_groups, ValueError unless they sum to n), and
+        their prod s_j! (_weights), orbit sizes and z must pass
+        check_normalization, or CertificateError.  No row is built.
         """
         if type(columns) is not dict or sorted(columns) != ["codes", "orbit_sizes", "z"]:
             raise ValueError("expected the columns codes, orbit_sizes and z")
@@ -177,6 +190,8 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         q0 = q0_positions(n, codes)
         if len(z) != len(q0):
             raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
+        weights = _weights(digit_groups(n, list(map(codes.__getitem__, q0))))
+        check_normalization(n, zip(map(orbits.__getitem__, q0), weights, z))
         return cls(n, codes, orbits, q0, z)
 
     def columns(self) -> dict:
@@ -200,7 +215,7 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         return list(map(ClassProbabilityRow, decode_codes(self.n, codes), orbits, z))
 
     def by_weight(self, sep: str, head: str = "") -> tuple:
-        """Every class by descending prod s_j!, ties in code order, once the classes pass check_normalization.
+        """Every class of the certified table by descending prod s_j!, ties in code order.
 
         That is the order of the classes table: ascending classical
         probability n!/prod s_j! over n^n, ties by representative.  Returns
@@ -211,32 +226,27 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         join ("".join) to its digits joined by sep, after head.
 
         The digits of each code are read once, by arrangements.digit_groups
-        (ValueError there, before any class is read), and prod s_j! and the
+        (ValueError there, before any class is read), and prod s_j!
+        (_weights, as from_columns reads it for the certificate) and the
         piece of the representative come from tables over the group values,
-        built once per group width.  The certificate reads that prod s_j!
-        column in code order, so it decodes no row.  No representative is
-        built here, so the caller joins each as it is read.
+        built once per group width.  No representative is built here, so
+        the caller joins each as it is read.
         """
         n, codes = self.n, self.codes
-        factorials = list(map(math.factorial, range(n + 1)))
-        weights, reps, tables = repeat(1), [], {}
-        for i, (digits, values) in enumerate(digit_groups(n, codes)):
+        groups = digit_groups(n, codes)
+        weights, reps, tables = _weights(groups), [], {}
+        for i, (digits, values) in enumerate(groups):
             lead = sep if i else head  # before every group but the first
             key = len(digits), lead  # the groups of one width share one digits table
             if key not in tables:
-                pieces = [lead + sep.join(map(str, t)) for t in digits]
-                tables[key] = [math.prod(map(factorials.__getitem__, t)) for t in digits], pieces
-            weight, pieces = tables[key]
-            weights = list(map(mul, weights, map(weight.__getitem__, values)))
-            reps.append((pieces, values))
-        q0, orbits = self.q0, self.orbit_sizes
-        check_normalization(n, zip(map(orbits.__getitem__, q0), map(weights.__getitem__, q0), self.z))
+                tables[key] = [lead + sep.join(map(str, t)) for t in digits]
+            reps.append((tables[key], values))
         # a stable sort, so ties stay in code order
         order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)
-        z = dict(zip(q0, self.z))
+        z = dict(zip(self.q0, self.z))
         return (
             [map(d.__getitem__, map(v.__getitem__, order)) for d, v in reps],
-            map(orbits.__getitem__, order),
+            map(self.orbit_sizes.__getitem__, order),
             code_Q(n, map(codes.__getitem__, order)),
             map(weights.__getitem__, order),
             map(z.get, order, repeat(0)),
@@ -265,7 +275,8 @@ def class_table(n: int) -> ClassTable:
     by the zero-transmission law (Tichy et al., PRL 104, 220405);
     check_normalization certifies it, and `verify` checks it class by class.
     The table passes ClassTable.from_columns, like one read from a cache,
-    so a lost or repeated class raises ValueError.
+    so a lost or repeated class raises ValueError and a table that fails
+    the certificate CertificateError, before any caller can store it.
     """
     codes, sizes = class_columns(n)
     listed = codes.tolist()
@@ -273,34 +284,21 @@ def class_table(n: int) -> ClassTable:
     return ClassTable.from_columns(n, {"codes": listed, "orbit_sizes": sizes.tolist(), "z": z})
 
 
-def total_probability(n: int, rows: Iterable[ClassProbabilityRow]) -> Fraction:
-    """Exact sum of orbit * z^2/(n^n * prod s_j!) over rows: the probability of their terms (ClassProbabilityRow.term)."""
-    return _terms_probability(n, (r.term for r in rows if r.z))
+def check_normalization(n: int, terms: Iterable[tuple[int, int, int]]) -> None:
+    """Raise CertificateError unless the (orbit size, prod s_j!, z) terms carry total probability exactly 1.
 
-
-def _terms_probability(n: int, terms: Iterable[tuple[int, int, int]]) -> Fraction:
-    """Exact sum of orbit * z^2/(n^n * prod s_j!) over (orbit size, prod s_j!, z) terms, one integer sum.
-
-    A term with z = 0 adds nothing, so a caller may pass only the classes
-    with z != 0, one term per nonzero class.
+    The total is the exact sum of orbit * z^2/(n^n * prod s_j!), one
+    integer sum over n^n * n!.  Probabilities are non-negative, so a total
+    of 1 over the classes the kernel evaluated proves every class it
+    skipped an exact zero (the law the skip rests on), and it catches a
+    wrong z, a wrong orbit size or a lost class, computed or read from a
+    cache.  ClassTable.from_columns, its one caller, passes the terms of
+    the Q = 0 classes of every table.
     """
     n_fact = math.factorial(n)
-    return Fraction(sum(orbit * (n_fact // w) * z * z for orbit, w, z in terms), n**n * n_fact)
-
-
-def check_normalization(n: int, terms: Iterable[tuple[int, int, int]]) -> None:
-    """Raise ArithmeticError unless the (orbit size, prod s_j!, z) terms carry total probability exactly 1.
-
-    Probabilities are non-negative, so a total of 1 over the classes the
-    kernel evaluated proves every class it skipped an exact zero (the law
-    the skip rests on), and it catches a wrong z, a wrong orbit size or a
-    lost class, computed or read from a cache.  ClassTable.by_weight
-    passes the terms of its columns, every other caller the terms of its
-    rows (ClassProbabilityRow.term).
-    """
-    total = _terms_probability(n, terms)
+    total = Fraction(sum(orbit * (n_fact // w) * z * z for orbit, w, z in terms), n**n * n_fact)
     if total != 1:
-        raise ArithmeticError(f"classes at n={n} carry probability {total}, not 1")
+        raise CertificateError(f"classes at n={n} carry probability {total}, not 1")
 
 
 class Table1Row(
@@ -315,21 +313,14 @@ class Table1Row(
 
 
 def census_row(table: ClassTable) -> Table1Row:
-    """The census of table.n from its columns, once its rows with z != 0 pass check_normalization.
+    """The census of table.n, counted from the columns of the certified table; no code is decoded.
 
     law_suppressed counts the classes with Q != 0; anomalous_suppressed
     those with Q = 0 whose exact amplitude is nevertheless zero.
     """
     n, count = table.n, len(table.codes)
-    check_normalization(n, (r.term for r in table.rows(nonzero=True)))
-    return Table1Row(
-        n=n,
-        total=count_arrangements(n),
-        classical_classes=partition_count(n),
-        quantum_classes=count,
-        law_suppressed=count - len(table.q0),
-        anomalous_suppressed=table.z.count(0),
-    )
+    law, anomalous = count - len(table.q0), table.z.count(0)
+    return Table1Row(n, count_arrangements(n), partition_count(n), count, law, anomalous)
 
 
 class DistributionTable(namedtuple("DistributionTable", "kind n rows")):
@@ -407,28 +398,21 @@ def category_columns(kind: str, n: int, variant: str = "marginal"):
     return categories, [classical[c] for c in categories], [approx[c] for c in categories], scale, weights
 
 
-def distribution(
-    kind: str,
-    n: int,
-    rows: Sequence[ClassProbabilityRow] | None = None,
-    variant: str = "marginal",
-) -> DistributionTable:
-    """The table of category_columns, with its quantum column tallied over the rows with z != 0.
+def distribution(kind: str, table: ClassTable, variant: str = "marginal") -> DistributionTable:
+    """The table of category_columns of table.n, with its quantum column tallied over table.rows(nonzero=True).
 
     kind is one of DISTRIBUTION_KINDS, as the module docstring defines them.
     By cyclic invariance the port-occupancy "marginal" is the occupancy law
-    of any single port; the "at-least-one" columns do not sum to one.  rows
-    default to class_table(n).rows(nonzero=True); either way they must pass
-    check_normalization (ArithmeticError otherwise).  With m = n!/prod(s_j!),
-    the quantum column tallies orbit * m * z^2 by the same category map,
-    over n^n * n! * scale.  Each cell of the three columns is one correctly
-    rounded int / int division.
+    of any single port; the "at-least-one" columns do not sum to one.  The
+    table was certified when ClassTable.from_columns built it, so it is not
+    checked again.  With m = n!/prod(s_j!), the quantum column tallies
+    orbit * m * z^2 by the same category map, over n^n * n! * scale.  Each
+    cell of the three columns is one correctly rounded int / int division.
     """
+    n = table.n
     categories, classical, approx, scale, weights = category_columns(kind, n, variant)
-    if rows is None:
-        rows = class_table(n).rows(nonzero=True)
-    check_normalization(n, (r.term for r in rows))
-    terms = ((r.representative, r.orbit_size * _multinomial(r.representative) * r.z * r.z) for r in rows if r.z)
+    terms = ((r.representative, r.orbit_size * _multinomial(r.representative) * r.z * r.z)
+             for r in table.rows(nonzero=True))
     quantum = _tally(weights, terms)
     c_den, a_den = n**n * scale, count_arrangements(n) * scale
     q_den = c_den * math.factorial(n)

@@ -314,7 +314,7 @@ class TestCriterion8StructuralProperties:
 
 class TestCriterion9Distributions:
     def test_n8_mean_and_approximation(self):
-        table = st.distribution("occupied-ports", 8)
+        table = st.distribution("occupied-ports", st.class_table(8))
         q_mean = st.occupied_ports_mean(table, "quantum")
         c_mean = st.occupied_ports_mean(table, "classical")
         assert q_mean < c_mean

@@ -449,6 +449,21 @@ class TestVerify:
         assert "FAIL normalization" in out
 
 
+    def test_kernel_failure_is_not_a_normalization_line(self, capsys, monkeypatch):
+        # the spare prime's ArithmeticError exits 3; only CertificateError is a FAIL line
+        real = scattering._glynn_residues
+
+        def corrupted(ts, primes, powers, inverses):
+            residues = real(ts, primes, powers, inverses)
+            residues[0] = (residues[0] + 1) % primes[0]  # every class, first prime
+            return residues
+
+        monkeypatch.setattr(scattering, "_glynn_residues", corrupted)
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        code, out, err = run(capsys, "verify", "--n", "6")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "spare prime" in err and "normalization" not in err
+
     def test_wrong_sign_fails_multiplier_invariance(self, capsys, monkeypatch):
         # -z keeps every |z| and z^2, so only the multiplier check sees it
         kernel = altered_kernel((0, 0, 0, 0, 1, 5, 1), lambda z: -z)
@@ -643,7 +658,7 @@ class TestRetiredWriters:
             values = [(r.representative, r.orbit_size, r.enhancement) for r in rows]
             return _retired_writers(fmt, ["representative", "orbit_size", "enhancement"], values, "table2", n)
         kind, variant = argv[4], argv[6] if len(argv) > 6 else "marginal"
-        values = st.distribution(kind, n, variant=variant).rows
+        values = st.distribution(kind, st.class_table(n), variant=variant).rows
         header = ["category", "classical", "quantum", "approx"]
         return _retired_writers(fmt, header, values, kind, n, variant=variant)
 
@@ -1101,6 +1116,52 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--n", "6", "--cache-dir", str(cache))
         assert code == 1
         assert "FAIL normalization" in out
+
+    def test_failed_build_never_cached(self, capsys, tmp_path, monkeypatch):
+        # a kernel that adds 1 to each z != 0: every build fails the certificate,
+        # which runs before the build can be stored
+        real = st.exact_integer_amplitudes
+        monkeypatch.setattr(st, "exact_integer_amplitudes", lambda ts: [z + 1 if z else 0 for z in real(ts)])
+        cache = tmp_path / "cache"
+
+        def entries():
+            return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+        for argv in (["classes", "--n"], ["table2", "--n"], ["dist", "--kind", "occupied-ports", "--n"],
+                     ["table1", "--n-max"]):
+            code, out, err = run(capsys, *argv, "6", "--cache-dir", str(cache))
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("error: classes at n=") and err.rstrip().endswith("not 1"), argv
+            assert entries() == [], argv
+        code, out, _ = run(capsys, "verify", "--n", "6", "--cache-dir", str(cache))
+        assert code == 1
+        oracle, normalization = out.splitlines()  # none of the lines that need the table
+        assert oracle == "PASS permanent-oracle-agreement: max relative deviation below 1e-10"
+        assert normalization.startswith("FAIL normalization: classes at n=6 carry probability ")
+        assert normalization.endswith(", not 1")
+        assert entries() == []
+
+    @pytest.mark.parametrize(
+        "argv", [["dist", "--kind", "occupied-ports", "--n"], ["table2", "--n"], ["table1", "--n-max"]], ids=" ".join
+    )
+    def test_q0_code_whose_digits_miss_n_recomputed(self, capsys, tmp_path, argv):
+        # 2886 is (0, 1, 1, 2, 6, 2) in base 7, in place of the 2850 of the
+        # anomalous zero (0, 1, 1, 2, 1, 1): Q = 0, still ascending, and z = 0,
+        # so none of these commands decodes it, yet the certificate reads its digits
+        cache = tmp_path / "cache"
+        _, clean, _ = run(capsys, *argv, "6")
+        assert run(capsys, *argv, "6", "--cache-dir", str(cache))[0] == 0
+        entry = cache / f"{cli.cache_key(6)}.json"
+        good = entry.read_bytes()
+        payload = cache_load(cache, entry.stem)
+        codes = payload["codes"]
+        codes[codes.index(2850)] = 2886
+        assert codes == sorted(codes) and 2886 % 36 == 6
+        cache_store(cache, entry.stem, payload)  # a valid checksum
+        code, out, err = run(capsys, *argv, "6", "--cache-dir", str(cache))
+        assert (code, out) == (0, clean)
+        assert f"warning: unreadable cache entry {entry}: expected codes of arrangements of 6" in err
+        assert entry.read_bytes() == good
 
     @pytest.mark.parametrize(
         "argv",

@@ -244,7 +244,7 @@ class TestExactAmplitude:
 
         def record(ts):
             calls.append(list(ts))
-            return [0] * len(calls[-1])
+            return exact_integer_amplitudes(calls[-1])
 
         monkeypatch.setattr(statistics, "exact_integer_amplitudes", record)
         statistics.class_table(n)

@@ -21,6 +21,7 @@ from multiport.scattering import (
     suppression_Q,
 )
 from multiport import statistics as st
+from multiport.errors import CertificateError
 
 
 def _code(s):
@@ -72,7 +73,7 @@ class TestApproxColumn:
         for s, w in weights.items():
             for label, share in _categories(kind, variant, s):
                 expected[label] = expected.get(label, Fraction(0)) + w * share / norm
-        table = st.distribution(kind, n, variant=variant)
+        table = st.distribution(kind, st.class_table(n), variant=variant)
         assert {row[0]: row[3] for row in table.rows} == {
             label: float(p) for label, p in expected.items()
         }
@@ -81,7 +82,7 @@ class TestApproxColumn:
 class TestClosedForms:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_occupied_ports(self, n):
-        t = st.distribution("occupied-ports", n)
+        t = st.distribution("occupied-ports", st.class_table(n))
         total = math.comb(2 * n - 1, n)
         assert t.column("classical") == [
             math.comb(n, k) * math.factorial(k) * _stirling2(n, k) / n**n
@@ -93,7 +94,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_port_occupancy_marginal(self, n):
-        t = st.distribution("port-occupancy", n)
+        t = st.distribution("port-occupancy", st.class_table(n))
         total = math.comb(2 * n - 1, n)
         assert t.column("classical") == [
             math.comb(n, k) * (n - 1) ** (n - k) / n**n for k in range(n + 1)
@@ -167,31 +168,40 @@ class TestNonzeroRows:
     @pytest.mark.parametrize("kind,variant", KINDS)
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_unchanged_without_zero_rows(self, n, kind, variant):
-        rows = st.class_table(n).rows()
-        alive = [r for r in rows if r.z]
-        assert len(alive) < len(rows) or n < 3
-        assert st.distribution(kind, n, rows=alive, variant=variant) == st.distribution(
-            kind, n, rows=rows, variant=variant
-        )
+        # distribution tallies only the rows with z != 0; the exact tally
+        # over every row, zeros included, gives the same quantum column
+        table = st.class_table(n)
+        rows = table.rows()
+        assert len(table.rows(nonzero=True)) < len(rows) or n < 3
+        categories, _, _, scale, weights = st.category_columns(kind, n, variant)
+        full = dict.fromkeys(categories, Fraction(0))
+        for r in rows:
+            p = Fraction(r.orbit_size * r.z * r.z, n**n * math.prod(map(math.factorial, r.representative)))
+            for c, w in weights(r.representative):
+                full[c] += p * Fraction(w, scale)
+        quantum = st.distribution(kind, table, variant=variant).column("quantum")
+        assert quantum == [float(full[c]) for c in categories]
 
 
 class TestDistributionCertifiesRows:
-    @staticmethod
-    def _bumped(n):
-        # every nonzero z raised by 1: the n = 6 rows then carry probability 0.994
-        return [r._replace(z=r.z + 1) if r.z else r for r in st.class_table(n).rows()]
+    """A table is certified when it is made, so distribution never tallies one that fails."""
 
     @pytest.mark.parametrize("kind,variant", KINDS)
     def test_rows_that_fail_normalization_raise(self, kind, variant):
-        with pytest.raises(ArithmeticError, match="not 1"):
-            st.distribution(kind, 6, rows=self._bumped(6), variant=variant)
+        columns = st.class_table(6).columns()
+        quantum = st.distribution(kind, st.ClassTable.from_columns(6, columns), variant=variant).column("quantum")
+        assert math.isclose(sum(quantum), 1) or variant == "at-least-one"  # whose columns do not sum to one
+        # every nonzero z raised by 1: the n = 6 classes then carry probability 0.994
+        bumped = {**columns, "z": [zi + 1 if zi else 0 for zi in columns["z"]]}
+        with pytest.raises(CertificateError, match="not 1"):
+            st.distribution(kind, st.ClassTable.from_columns(6, bumped), variant=variant)
 
     def test_default_rows_are_checked_too(self, monkeypatch):
-        table = st.class_table(6)
-        bumped = table._replace(z=[zi + 1 if zi else 0 for zi in table.z])
-        monkeypatch.setattr(st, "class_table", lambda n: bumped)
-        with pytest.raises(ArithmeticError, match="not 1"):
-            st.distribution("occupied-ports", 6)
+        # a build that fails the certificate raises in class_table itself
+        real = st.exact_integer_amplitudes
+        monkeypatch.setattr(st, "exact_integer_amplitudes", lambda ts: [z + 1 if z else 0 for z in real(ts)])
+        with pytest.raises(CertificateError, match="n=6 .* not 1"):
+            st.distribution("occupied-ports", st.class_table(6))
 
 
 def _enhancement(s):
@@ -353,11 +363,11 @@ class TestQ0Rows:
     @pytest.mark.parametrize("n", sorted(Q0_ORBITS))
     def test_orbit_counts(self, n, monkeypatch, quantum_classes):
         reps = [rep for rep, _ in quantum_classes(n)]
-        calls = []
+        real, calls = st.exact_integer_amplitudes, []
 
         def record(ts):
             calls.append([tuple(s) for s in ts])
-            return [0] * len(calls[-1])
+            return real(calls[-1])
 
         monkeypatch.setattr(st, "exact_integer_amplitudes", record)
         table = st.class_table(n)
@@ -404,6 +414,38 @@ class TestFromColumns:
         with pytest.raises(ValueError, match="expected strictly ascending codes of 6 base-7 digits"):
             st.class_table(6)
 
+    @pytest.mark.parametrize("mutation", ["drop", "orbit", "z"])
+    def test_certificate_catches_mutations(self, mutation):
+        # each mutation passes every shape check, so only the certificate sees it
+        table = st.class_table(8)
+        columns = table.columns()
+        assert st.ClassTable.from_columns(8, columns) == table
+        orbits, z = list(table.orbit_sizes), list(table.z)
+        last = max(i for i, zi in enumerate(z) if zi)  # the last Q = 0 class with z != 0
+        if mutation == "drop":  # its probability dropped, as if the class were lost
+            z[last] = 0
+        elif mutation == "orbit":  # one arrangement moved to it from a Q != 0 class
+            donor = next(i for i, size in enumerate(orbits) if i not in table.q0 and size > 1)
+            orbits[donor] -= 1
+            orbits[table.q0[last]] += 1
+        else:
+            z[last] += 1
+        with pytest.raises(CertificateError, match="n=8 .* not 1"):
+            st.ClassTable.from_columns(8, {**columns, "orbit_sizes": orbits, "z": z})
+
+    def test_code_whose_digits_miss_n_raises_before_the_certificate(self):
+        # 2886 is (0, 1, 1, 2, 6, 2), with Q = 0, in place of the 2850 of the
+        # anomalous zero (0, 1, 1, 2, 1, 1): codes still ascending, z unchanged
+        columns = st.class_table(6).columns()
+        codes = columns["codes"]
+        assert codes[codes.index(2850) + 1] > 2886 and 2886 % 36 == 6
+        codes[codes.index(2850)] = 2886
+        with pytest.raises(ValueError, match="expected codes of arrangements of 6"):
+            st.ClassTable.from_columns(6, columns)
+
+    def test_certificate_error_is_arithmetic(self):
+        assert issubclass(CertificateError, ArithmeticError)
+
 
 class TestTable1:
     def test_matches_census_through_n8(self, census):
@@ -416,28 +458,16 @@ class TestTable1:
                 row.anomalous_suppressed,
             ) == census[row.n]
 
-    def test_census_row_requires_the_certificate(self, census):
+    def test_census_row_requires_the_certificate(self, census, monkeypatch):
+        # census_row counts from the columns and decodes no code; the table it
+        # counts was certified when it was made, and one that fails is never made
         table = st.class_table(6)
+        monkeypatch.setattr(st, "decode_codes", lambda n, codes: pytest.fail("census_row decoded a code"))
         assert st.census_row(table) == (6, *census[6])
         z = list(table.z)
         z[next(i for i, zi in enumerate(z) if zi)] = 0
-        with pytest.raises(ArithmeticError, match="n=6"):
-            st.census_row(table._replace(z=z))
-
-
-class TestTotalProbability:
-    @pytest.mark.parametrize("mutation", ["drop", "orbit", "z"])
-    def test_certificate_catches_mutations(self, mutation):
-        rows = [r for r in st.class_table(8).rows() if suppression_Q(r.representative) == 0]
-        assert st.total_probability(8, rows) == 1
-        r = rows[-1]
-        if mutation == "drop":
-            del rows[-1]
-        elif mutation == "orbit":
-            rows[-1] = st.ClassProbabilityRow(r.representative, r.orbit_size + 1, r.z)
-        else:
-            rows[-1] = st.ClassProbabilityRow(r.representative, r.orbit_size, r.z + 1)
-        assert st.total_probability(8, rows) != 1
+        with pytest.raises(CertificateError, match="n=6"):
+            st.census_row(st.ClassTable.from_columns(6, {**table.columns(), "z": z}))
 
 
 class TestSuppressedFractionEstimate:
@@ -452,7 +482,7 @@ class TestSuppressedFractionEstimate:
 
 class TestOccupiedPorts:
     def test_n2_columns(self):
-        t = st.distribution("occupied-ports", 2)
+        t = st.distribution("occupied-ports", st.class_table(2))
         classical = t.column("classical")
         quantum = t.column("quantum")
         assert classical == [0.5, 0.5]
@@ -461,31 +491,31 @@ class TestOccupiedPorts:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_columns_normalized(self, n):
-        t = st.distribution("occupied-ports", n)
+        t = st.distribution("occupied-ports", st.class_table(n))
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_quantum_mean_below_classical(self, n):
-        t = st.distribution("occupied-ports", n)
+        t = st.distribution("occupied-ports", st.class_table(n))
         assert st.occupied_ports_mean(t, "quantum") < st.occupied_ports_mean(t, "classical")
 
 
 class TestPortOccupancy:
     def test_n2_quantum_marginal(self):
-        t = st.distribution("port-occupancy", 2)
+        t = st.distribution("port-occupancy", st.class_table(2))
         quantum = t.column("quantum")
         assert abs(quantum[0] - 0.5) < 1e-12
         assert quantum[1] < 1e-30
         assert abs(quantum[2] - 0.5) < 1e-12
 
     def test_n2_classical_marginal(self):
-        t = st.distribution("port-occupancy", 2)
+        t = st.distribution("port-occupancy", st.class_table(2))
         assert t.column("classical") == [0.25, 0.5, 0.25]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_marginal_columns_normalized(self, n):
-        t = st.distribution("port-occupancy", n)
+        t = st.distribution("port-occupancy", st.class_table(n))
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
@@ -493,14 +523,14 @@ class TestPortOccupancy:
     def test_equals_first_port_marginal(self, n):
         # Cyclic invariance: the uniform-port law equals port 1's law, and
         # both are one exact rational rounded once.
-        t = st.distribution("port-occupancy", n)
+        t = st.distribution("port-occupancy", st.class_table(n))
         direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
             direct[s[0]] += exact_quantum_probability(s)
         assert t.column("quantum") == [float(p) for p in direct]
 
     def test_at_least_one_variant(self):
-        t = st.distribution("port-occupancy", 2, variant="at-least-one")
+        t = st.distribution("port-occupancy", st.class_table(2), variant="at-least-one")
         # classical: some port empty iff bunched (prob 1/2); some port with
         # one particle iff coincident (1/2); some port with two iff bunched.
         assert t.column("classical") == [0.5, 0.5, 0.5]
@@ -511,23 +541,23 @@ class TestPortOccupancy:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            st.distribution("port-occupancy", 3, variant="bogus")
+            st.distribution("port-occupancy", st.class_table(3), variant="bogus")
 
 
 class TestClassicalClassDistribution:
     @pytest.mark.parametrize("n,rows", [(4, 5), (6, 11)])
     def test_row_counts(self, n, rows):
-        t = st.distribution("classical-classes", n)
+        t = st.distribution("classical-classes", st.class_table(n))
         assert len(t.rows) == rows
 
     def test_sorted_ascending_in_classical(self):
-        t = st.distribution("classical-classes", 6)
+        t = st.distribution("classical-classes", st.class_table(6))
         classical = t.column("classical")
         assert classical == sorted(classical)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_columns_normalized(self, n):
-        t = st.distribution("classical-classes", n)
+        t = st.distribution("classical-classes", st.class_table(n))
         for name in ("classical", "quantum", "approx"):
             assert abs(sum(t.column(name)) - 1.0) < 1e-9
 
@@ -535,7 +565,7 @@ class TestClassicalClassDistribution:
 class TestOrbitExpansionConsistency:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_class_sweep_equals_direct_enumeration(self, n):
-        t = st.distribution("occupied-ports", n)
+        t = st.distribution("occupied-ports", st.class_table(n))
         direct = [Fraction(0)] * (n + 1)
         for s in enumerate_arrangements(n):
             k = sum(1 for x in s if x > 0)
@@ -546,15 +576,15 @@ class TestOrbitExpansionConsistency:
 class TestDistributionDispatch:
     def test_kinds(self):
         for kind in st.DISTRIBUTION_KINDS:
-            table = st.distribution(kind, 3)
+            table = st.distribution(kind, st.class_table(3))
             assert table.kind == kind
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            st.distribution("bogus", 3)
+            st.distribution("bogus", st.class_table(3))
 
     @pytest.mark.parametrize("kind", ["occupied-ports", "classical-classes"])
     @pytest.mark.parametrize("variant", ["at-least-one", "bogus"])
     def test_variant_only_for_port_occupancy(self, kind, variant):
         with pytest.raises(ValueError, match="port-occupancy only"):
-            st.distribution(kind, 4, variant=variant)
+            st.distribution(kind, st.class_table(4), variant=variant)
