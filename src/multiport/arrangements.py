@@ -24,9 +24,13 @@ against C(2n-1, n) arrangements and Burnside's class count
 (dihedral_class_count).
 
 No other module makes a code or reads its digits.  digit_groups is the
-one digit reader, decode_codes turns codes into tuples with it, and code_Q
-reads Q off a code with no digit decoded; all run in pure Python.
-dihedral_orbit and quantum_class_of are the per-arrangement reference.
+one digit reader, decode_codes turns codes into tuples with it,
+factorial_products gives prod s_j! from its groups, and code_Q reads Q off
+a code with no digit decoded; all run in pure Python.  This module also
+owns the digit tables those read: for each group width, the digits, digit
+sum and prod digit! of every group value, built once per n on first use
+(_digit_tables) and held for one n at a time.  dihedral_orbit and
+quantum_class_of are the per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
@@ -286,40 +290,66 @@ def q0_positions(n: int, codes: Iterable[int]) -> list[int]:
     return [i for i, c in enumerate(codes) if c % m == r]
 
 
-def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...]], array]]:
+@functools.lru_cache(maxsize=1)  # one n at a time: a table of width 3 holds (n+1)^3 entries
+def _digit_tables(n: int) -> dict[int, tuple[list[tuple[int, ...]], list[int], list[int]]]:
+    """For each group width of digit_groups at n: the digits, digit sum and prod digit! of every group value.
+
+    A table of width w lists the b^w group values in order, b = n + 1, so
+    entry v of each list belongs to the group value v.
+    """
+    factorials, tables = list(map(math.factorial, range(n + 1))), {}
+    for width in {min(end, 3) for end in range(n - 3 * ((n - 1) // 3), n + 1, 3)}:
+        digits = list(itertools.product(range(n + 1), repeat=width))
+        products = list(map(math.prod, itertools.product(factorials, repeat=width)))  # in the order of digits
+        tables[width] = digits, list(map(sum, digits)), products
+    return tables
+
+
+def digit_groups(n: int, codes: Sequence[int]) -> list[tuple[list[tuple[int, ...]], list[int], array]]:
     """The digits of base-(n+1) codes in [0, (n+1)^n), read in groups of up to three, in pure Python.
 
-    Returns one (digits, values) pair per group, from the left: values[i]
-    is the base-(n+1) value of the group's digits in codes[i], and
-    digits[v] the tuple of the digits of group value v.  The leading group
-    holds the one to three digits left over, so a code costs about n/3
-    divisions.  The values are one array('I') per group, and groups of one
-    width share one digits table.  ValueError unless the digits of every
-    code sum to n.  This is the one reader of the digits of a code;
-    decode_codes and statistics.ClassTable (the certificate of
-    from_columns, and by_weight) build on it.
+    Returns one (digits, products, values) triple per group, from the
+    left: values[i] is the base-(n+1) value of the group's digits in
+    codes[i], digits[v] the tuple of the digits of group value v and
+    products[v] the prod digit! of those digits.  The leading group holds
+    the one to three digits left over, so a code costs about n/3
+    divisions.  The values are one array('I') per group; digits and
+    products are the tables of the group's width (_digit_tables), shared
+    by every group and call of one n.  ValueError unless the digits of
+    every code sum to n.  This is the one reader of the digits of a code;
+    decode_codes, factorial_products and, through them,
+    statistics.ClassTable (its certificate and rows) and cli._class_lines
+    build on it.
     """
     b, first = n + 1, n - 3 * ((n - 1) // 3)
-    digits = {width: list(itertools.product(range(b), repeat=width)) for width in {first, 3}}
-    totals = {width: list(map(sum, table)) for width, table in digits.items()}
+    tables = _digit_tables(n)
     sums, groups = itertools.repeat(0), []
     for end in range(first, n + 1, 3):  # the digits end-width+1..end
         width = min(end, 3)
+        digits, totals, products = tables[width]
         # the last group needs no division, and the leading one no mod, since codes < (n+1)^n
         values = map(operator.floordiv, codes, itertools.repeat(b ** (n - end))) if end < n else codes
         if end > first:
             values = map(operator.mod, values, itertools.repeat(b**width))
         values = array("I", values)
-        sums = list(map(operator.add, sums, map(totals[width].__getitem__, values)))
-        groups.append((digits[width], values))
+        sums = list(map(operator.add, sums, map(totals.__getitem__, values)))
+        groups.append((digits, products, values))
     if set(sums) - {n}:
         raise ValueError(f"expected codes of arrangements of {n}: digits summing to {n}")
     return groups
 
 
+def factorial_products(groups: list[tuple[list, list[int], array]]) -> list[int]:
+    """prod s_j! of each code, from its digit_groups: one product per group, read off the group's table."""
+    products = itertools.repeat(1)
+    for _, table, values in groups:
+        products = list(map(operator.mul, products, map(table.__getitem__, values)))
+    return products
+
+
 def decode_codes(n: int, codes: Sequence[int]) -> list[Arrangement]:
     """The arrangements of base-(n+1) codes, joined from their digit_groups (ValueError there), without numpy."""
-    groups = (map(digits.__getitem__, values) for digits, values in digit_groups(n, codes))
+    groups = (map(digits.__getitem__, values) for digits, _, values in digit_groups(n, codes))
     return list(functools.reduce(functools.partial(map, operator.add), groups))
 
 

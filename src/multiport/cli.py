@@ -34,17 +34,19 @@ _emit_table is the one writer of every table: it writes a head, the
 rows as lines of text, and a tail, and the lines of every command but
 classes come from one renderer, _line, which renders each tuple of cells
 as csv.writer (QUOTE_MINIMAL) or json.dumps would.  classes renders its
-lines in _class_lines, straight from the columns: ClassTable.by_weight
-reads the digits of each code once, sorts by descending prod s_j! it
-reads off them and hands over the digit pieces each representative is
-joined from as it is written; the other cells depend only on orbit
-size, Q, prod s_j! and z, so their text is rendered once for each
-distinct tuple, and the ClassProbabilityRow properties are the reference
-the tests hold them to.  The lines are written as they are rendered, so
-no table is held as text, and no byte is written before the certificate,
-which ran when the table was made.  As one process on a 2-vCPU Xeon, a
-classes hit at n = 14 (718,146 rows) takes about 1.6 s to os.devnull in
-CSV and JSON alike, 1.2 s of it in _class_lines.
+lines in _class_lines, straight from the columns: it reads the digits of
+each code once (arrangements.digit_groups), sorts by descending
+prod s_j! read off them (arrangements.factorial_products), both from the
+digit tables arrangements holds for n, and joins each representative
+from text pieces it builds per digit group as the line is written; the
+other cells depend only on orbit size, Q, prod s_j! and z, so their text
+is rendered once for each distinct tuple, and the ClassProbabilityRow
+properties are the reference the tests hold them to.  All output text is
+made here: statistics formats none.  The lines are written as they are
+rendered, so no table is held as text, and no byte is written before the
+certificate, which ran when the table was made.  As one process on a
+2-vCPU Xeon, a classes hit at n = 14 (718,146 rows) takes about 1.6 s to
+os.devnull in CSV and JSON alike, 1.2 s of it in _class_lines.
 
 Each subcommand takes only the options it reads (_build_parser), and each
 argument rule sits with its option: --n >= 1, table1's --n-max >= 2 and
@@ -86,12 +88,13 @@ import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from io import TextIOBase
+from itertools import repeat
 from operator import add
 from pathlib import Path
 
 from . import statistics as stats
 from ._numpy import np
-from .arrangements import enumerate_arrangements, multiplier_image
+from .arrangements import code_Q, digit_groups, enumerate_arrangements, factorial_products, multiplier_image
 from .errors import (
     BRUTE_FORCE_LIMIT,
     EXACT_AMPLITUDE_LIMIT,
@@ -372,19 +375,28 @@ CLASS_COLUMNS = (
 def _class_lines(table: stats.ClassTable, fmt: str) -> Iterator[str]:
     """The CLASS_COLUMNS lines of every class, as _line renders them for fmt, as one iterator in table order.
 
-    table.by_weight orders and decodes the classes of the certified table
-    here, so a code that is not an arrangement raises ValueError before
-    any line is read.  A line is its representative, by_weight's digit
-    pieces joined by "," in CSV and ", " in JSON, then the text of the
-    other cells.  Those depend only on orbit size, Q, prod s_j! and z, so
-    they are derived, exactly as the ClassProbabilityRow properties define
-    them, and rendered once for each distinct tuple: 4,817 for the 718,146
+    The classes of the certified table go by descending prod s_j!, ties in
+    code order (a stable sort): ascending classical probability
+    n!/prod s_j! over n^n, ties by representative.  The digits of each code
+    are read once, by arrangements.digit_groups (ValueError there, for a
+    code that is not an arrangement, before any line is read), and
+    prod s_j! comes from arrangements.factorial_products, both off the
+    digit tables arrangements holds for n.  A line is its representative,
+    then the text of the other cells.  The representative is joined from
+    one piece per digit group, its digits joined by "," in CSV and ", " in
+    JSON, after the line head (leading group) or the separator (every
+    later group, all of width 3); the piece text is built here once for
+    each of the two from the group's digits.  The other cells depend only
+    on orbit size, Q (arrangements.code_Q), prod s_j! and z, so they are
+    derived, exactly as the ClassProbabilityRow properties define them,
+    and rendered once for each distinct tuple: 4,817 for the 718,146
     classes of n = 14.  That text is cut from the _line of the cells with
     () for the representative, so _line is the one renderer of a cell.
     """
-    n_fact, n_pow = math.factorial(table.n), table.n**table.n
+    n, codes = table.n, table.codes
+    n_fact, n_pow = math.factorial(n), n**n
     # csv quotes a representative of more than one digit, since it holds commas
-    sep, head = (",", '"' if table.n > 1 else "") if fmt == "csv" else (", ", ', {"representative": [')
+    sep, head = (",", '"' if n > 1 else "") if fmt == "csv" else (", ", ', {"representative": [')
     line = _line(fmt, CLASS_COLUMNS)
 
     @functools.cache
@@ -394,8 +406,17 @@ def _class_lines(table: stats.ClassTable, fmt: str) -> Iterator[str]:
         blank = line(values)
         return head + blank if fmt == "csv" else blank[len(head) :]
 
-    pieces, orbit_sizes, q, weights, z = table.by_weight(sep, head)
-    return map("".join, zip(*pieces, map(rest, orbit_sizes, q, weights, z)))
+    groups = digit_groups(n, codes)
+    weights = factorial_products(groups)
+    order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)  # stable: ties in code order
+    # the pieces of the leading group follow head; those of every later group, all of width 3, follow sep
+    text = [[lead + sep.join(map(str, t)) for t in digits] for lead, (digits, _, _) in zip((head, sep), groups)]
+    pieces = [map(text[min(i, 1)].__getitem__, map(values.__getitem__, order))
+              for i, (_, _, values) in enumerate(groups)]
+    z = dict(zip(table.q0, table.z))
+    cells = map(rest, map(table.orbit_sizes.__getitem__, order), code_Q(n, map(codes.__getitem__, order)),
+                map(weights.__getitem__, order), map(z.get, order, repeat(0)))
+    return map("".join, zip(*pieces, cells))
 
 
 def cmd_classes(args: argparse.Namespace) -> int:
@@ -420,9 +441,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     # enhancement = z^2/n!, so descending z^2 is descending enhancement
     alive = sorted(class_rows_cached(args.n, args.cache_dir), key=lambda r: (-r.z * r.z, r.representative))
-    values = [(r.representative, r.orbit_size, r.enhancement) for r in alive]
+    cells = ((r.representative, r.orbit_size, r.enhancement) for r in alive)
     header = ["representative", "orbit_size", "enhancement"]
-    _emit_table(args, header, map(_line(args.format, header), values), "table2", args.n)
+    _emit_table(args, header, map(_line(args.format, header), cells), "table2", args.n)
     return EXIT_OK
 
 

@@ -15,22 +15,24 @@ per Q = 0 code (arrangements.q0_positions), and unless the digits of each
 Q = 0 code sum to n.  It then runs the one certificate,
 check_normalization, on the Q = 0 classes: their orbit-weighted
 z^2/(n^n * prod s_j!) must sum to exactly 1, prod s_j! read off the
-digits of their codes (arrangements.digit_groups), or CertificateError.
+digits of their codes (arrangements.digit_groups and factorial_products),
+or CertificateError.
 So every table that exists has been certified before it is stored,
 counted, decoded or rendered, and no consumer checks it again.  The
 digits of the Q != 0 codes are read only by what decodes them.  Classes
 with Q != 0 are exact zeros by the zero-transmission law; the exact kernel
 runs on the Q = 0 classes only, in one batched call per n on the key of
 each of their affine orbits, its least member (q0_amplitudes), and only
-those keys become tuples.  Codes are made and read in arrangements only.
+those keys become tuples.  Codes are made and read in arrangements only,
+which also owns the digit tables they are read with, built once per n.
 A class row is a representative, orbit size and z, decoded
 from the columns by ClassTable.rows for the rows a caller reads; every
-other column is derived from z.  The classes table reads the columns
-themselves, in its order (ClassTable.by_weight), with no row object; the
-census (census_row) counts from the columns and decodes nothing; the
-distributions' quantum columns read the rows with z != 0 (430 of 4,752
-at n = 10).  Every float a table reports is one exact rational rounded
-once.
+other column is derived from z.  The census (census_row) counts from the
+columns and decodes nothing; the distributions' quantum columns read the
+rows with z != 0 (430 of 4,752 at n = 10); the classes table is ordered
+and rendered from the columns by the CLI, with no row object.  Every
+float a table reports is one exact rational rounded once; no function
+here formats output.
 
 A multiplier p -> u*p (u a unit mod n) permutes the columns k -> u*k of
 the Fourier matrix, so z is exactly invariant, and it maps Q to u*Q, so
@@ -70,7 +72,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import lt, mul
 
 from ._numpy import np
@@ -78,11 +80,11 @@ from .arrangements import (
     Arrangement,
     affine_keys,
     class_columns,
-    code_Q,
     count_arrangements,
     decode_codes,
     digit_groups,
     dihedral_class_count,
+    factorial_products,
     partition_count,
     partitions,
     q0_positions,
@@ -137,16 +139,6 @@ class ClassProbabilityRow(namedtuple("ClassProbabilityRow", "representative orbi
         return Fraction(self.z * self.z, math.factorial(len(self.representative)))
 
 
-def _weights(groups) -> list[int]:
-    """prod s_j! of each code, from its arrangements.digit_groups groups and one table of products per group width."""
-    weights, tables = repeat(1), {}
-    for digits, values in groups:
-        if len(digits) not in tables:  # the groups of one width share one digits table
-            tables[len(digits)] = [math.prod(map(math.factorial, t)) for t in digits]
-        weights = list(map(mul, weights, map(tables[len(digits)].__getitem__, values)))
-    return weights
-
-
 class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
     """The quantum classes of n as columns: the one form rows are built, cached and reduced in.
 
@@ -170,7 +162,8 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         ints, as the module docstring says, or ValueError; q0 is read off
         the codes.  The digits of the Q = 0 codes are then read once
         (arrangements.digit_groups, ValueError unless they sum to n), and
-        their prod s_j! (_weights), orbit sizes and z must pass
+        their prod s_j! (arrangements.factorial_products, off the digit
+        tables arrangements holds for n), orbit sizes and z must pass
         check_normalization, or CertificateError.  No row is built.
         """
         if type(columns) is not dict or sorted(columns) != ["codes", "orbit_sizes", "z"]:
@@ -190,7 +183,7 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
         q0 = q0_positions(n, codes)
         if len(z) != len(q0):
             raise ValueError(f"expected one z for each of the {len(q0)} classes with Q = 0")
-        weights = _weights(digit_groups(n, list(map(codes.__getitem__, q0))))
+        weights = factorial_products(digit_groups(n, list(map(codes.__getitem__, q0))))
         check_normalization(n, zip(map(orbits.__getitem__, q0), weights, z))
         return cls(n, codes, orbits, q0, z)
 
@@ -213,44 +206,6 @@ class ClassTable(namedtuple("ClassTable", "n codes orbit_sizes q0 z")):
             for i, zi in zip(self.q0, self.z):
                 z[i] = zi
         return list(map(ClassProbabilityRow, decode_codes(self.n, codes), orbits, z))
-
-    def by_weight(self, sep: str, head: str = "") -> tuple:
-        """Every class of the certified table by descending prod s_j!, ties in code order.
-
-        That is the order of the classes table: ascending classical
-        probability n!/prod s_j! over n^n, ties by representative.  Returns
-        the pieces of the representatives, then four iterators, all over the
-        classes in that order, to be read once and in step: the orbit sizes,
-        Q (arrangements.code_Q), prod s_j! and z (0 off the q0 positions).
-        The pieces are one iterator per digit group, and a class's pieces
-        join ("".join) to its digits joined by sep, after head.
-
-        The digits of each code are read once, by arrangements.digit_groups
-        (ValueError there, before any class is read), and prod s_j!
-        (_weights, as from_columns reads it for the certificate) and the
-        piece of the representative come from tables over the group values,
-        built once per group width.  No representative is built here, so
-        the caller joins each as it is read.
-        """
-        n, codes = self.n, self.codes
-        groups = digit_groups(n, codes)
-        weights, reps, tables = _weights(groups), [], {}
-        for i, (digits, values) in enumerate(groups):
-            lead = sep if i else head  # before every group but the first
-            key = len(digits), lead  # the groups of one width share one digits table
-            if key not in tables:
-                tables[key] = [lead + sep.join(map(str, t)) for t in digits]
-            reps.append((tables[key], values))
-        # a stable sort, so ties stay in code order
-        order = sorted(range(len(codes)), key=weights.__getitem__, reverse=True)
-        z = dict(zip(self.q0, self.z))
-        return (
-            [map(d.__getitem__, map(v.__getitem__, order)) for d, v in reps],
-            map(self.orbit_sizes.__getitem__, order),
-            code_Q(n, map(codes.__getitem__, order)),
-            map(weights.__getitem__, order),
-            map(z.get, order, repeat(0)),
-        )
 
 
 def q0_amplitudes(n: int, codes: np.ndarray) -> list[int]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -199,6 +200,22 @@ class TestQuantumClasses:
         rcodes = np.concatenate([rcodes for _, rcodes in blocks]).tolist()
         assert sorted(codes) == sorted(by_code)
         assert rcodes == [_code(by_code[c][::-1]) for c in codes]
+
+
+class TestDigitTables:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_and_factorial_products(self, n):
+        # the widths of the groups of n digits, the leading group holding the one to three left over
+        assert sorted(arrangements_module._digit_tables(n)) == sorted({(n - 1) % 3 + 1} | ({3} if n > 3 else set()))
+        for width, (digits, sums, products) in arrangements_module._digit_tables(n).items():
+            assert digits == sorted(itertools.product(range(n + 1), repeat=width))
+            assert sums == [sum(t) for t in digits]
+            assert products == [math.prod(map(math.factorial, t)) for t in digits]
+        expected = list(enumerate_arrangements(n))
+        codes = [_code(s) for s in expected]
+        groups = arrangements_module.digit_groups(n, codes)
+        assert arrangements_module.factorial_products(groups) == [math.prod(map(math.factorial, s)) for s in expected]
+        assert arrangements_module.decode_codes(n, codes) == expected
 
 
 def _code(s):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import multiport
-from multiport import cli, scattering
+from multiport import arrangements, cli, scattering
 from multiport import statistics as st
 from multiport.arrangements import enumerate_arrangements
 from multiport.cli import (
@@ -1046,6 +1046,33 @@ class TestCache:
         assert run(capsys, *classes, *cache) == (0, clean, "")
         assert run(capsys, *classes, *cache, "--format", "json")[0] == 0
         assert built == []
+
+    def test_digit_tables_built_once_per_n(self, capsys, tmp_path, monkeypatch):
+        # arrangements owns the digit tables: n = 10 has groups of widths 1 and 3
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+        tables = arrangements._digit_tables
+        tables.cache_clear()
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        classes = ["classes", "--n", "10"]
+        clean = run(capsys, *classes, *cache)[1]  # a miss: the kernel's keys and the certificate
+        real, read = arrangements.digit_groups, []
+
+        def recording(n, codes):
+            read.append(len(codes))
+            return real(n, codes)
+
+        monkeypatch.setattr(st, "digit_groups", recording)
+        monkeypatch.setattr(cli, "digit_groups", recording)
+        assert run(capsys, *classes, *cache) == (0, clean, "")
+        assert read == [526, 4752]  # the certificate's Q = 0 codes, then every code
+        assert run(capsys, "dist", "--n", "10", "--kind", "occupied-ports", *cache)[0] == 0
+        assert (tables.cache_info().misses, tables.cache_info().currsize) == (1, 1)
+        assert sorted(tables(10)) == [1, 3] and tables.cache_info().misses == 1
+        # a table1 run builds each n once and keeps only the last n's tables
+        tables.cache_clear()
+        assert run(capsys, "table1", "--n-max", "8")[0] == 0
+        assert (tables.cache_info().misses, tables.cache_info().currsize) == (7, 1)
+        assert sorted(tables(8)) == [2, 3] and tables.cache_info().misses == 7
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_code_whose_digits_miss_n_recomputed(self, capsys, tmp_path, fmt):
