@@ -29,8 +29,10 @@ factorial_products gives prod s_j! from its groups, and code_Q reads Q off
 a code with no digit decoded; all run in pure Python.  This module also
 owns the digit tables those read: for each group width, the digits, digit
 sum and prod digit! of every group value, built once per n on first use
-(_digit_tables) and held for one n at a time.  dihedral_orbit and
-quantum_class_of are the per-arrangement reference.
+(_digit_tables) and held for one n at a time; class_columns drops them
+before it enumerates, so an earlier n's tables are not held through the
+peak of the next n's build.  dihedral_orbit and quantum_class_of are the
+per-arrangement reference.
 
 The dihedral group is the part u = +-1 of the affine relabelings
 p -> u*p + a (mod n) of the 0-based ports, u a unit mod n.  A multiplier
@@ -247,6 +249,7 @@ def class_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     code left out of the candidates.
     """
     check_size("class enumeration", n, EXACT_AMPLITUDE_LIMIT)
+    _digit_tables.cache_clear()  # an earlier n's digit tables would be held through this n's peak
     b = n + 1
     high = b ** (n - 1)
     blocks = []

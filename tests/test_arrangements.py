@@ -217,6 +217,14 @@ class TestDigitTables:
         assert arrangements_module.factorial_products(groups) == [math.prod(map(math.factorial, s)) for s in expected]
         assert arrangements_module.decode_codes(n, codes) == expected
 
+    def test_enumeration_drops_the_tables_of_an_earlier_n(self):
+        # a census would otherwise hold n - 1's tables through the peak of n's build
+        tables = arrangements_module._digit_tables
+        tables(5)
+        assert tables.cache_info().currsize == 1
+        arrangements_module.class_columns(6)
+        assert tables.cache_info().currsize == 0
+
 
 def _code(s):
     return sum(x * (len(s) + 1) ** (len(s) - 1 - p) for p, x in enumerate(s))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -1050,8 +1051,15 @@ class TestCache:
     def test_digit_tables_built_once_per_n(self, capsys, tmp_path, monkeypatch):
         # arrangements owns the digit tables: n = 10 has groups of widths 1 and 3
         monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
-        tables = arrangements._digit_tables
-        tables.cache_clear()
+        memo, built = arrangements._digit_tables, []
+
+        def counting(n):
+            built.append(n)
+            return memo.__wrapped__(n)
+
+        # the module's memo, with the same bound, counting the n of each build
+        tables = functools.lru_cache(maxsize=memo.cache_parameters()["maxsize"])(counting)
+        monkeypatch.setattr(arrangements, "_digit_tables", tables)
         cache = ["--cache-dir", str(tmp_path / "cache")]
         classes = ["classes", "--n", "10"]
         clean = run(capsys, *classes, *cache)[1]  # a miss: the kernel's keys and the certificate
@@ -1066,13 +1074,13 @@ class TestCache:
         assert run(capsys, *classes, *cache) == (0, clean, "")
         assert read == [526, 4752]  # the certificate's Q = 0 codes, then every code
         assert run(capsys, "dist", "--n", "10", "--kind", "occupied-ports", *cache)[0] == 0
-        assert (tables.cache_info().misses, tables.cache_info().currsize) == (1, 1)
-        assert sorted(tables(10)) == [1, 3] and tables.cache_info().misses == 1
+        assert built == [10] and tables.cache_info().currsize == 1
+        assert sorted(tables(10)) == [1, 3] and built == [10]
         # a table1 run builds each n once and keeps only the last n's tables
-        tables.cache_clear()
+        built.clear()
         assert run(capsys, "table1", "--n-max", "8")[0] == 0
-        assert (tables.cache_info().misses, tables.cache_info().currsize) == (7, 1)
-        assert sorted(tables(8)) == [2, 3] and tables.cache_info().misses == 7
+        assert built == list(range(2, 9)) and tables.cache_info().currsize == 1
+        assert sorted(tables(8)) == [2, 3] and built == list(range(2, 9))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_code_whose_digits_miss_n_recomputed(self, capsys, tmp_path, fmt):
