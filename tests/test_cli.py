@@ -1227,6 +1227,31 @@ class TestCache:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv", [["classes", "--n", "11"], ["table1", "--n-max", "11"], ["dist", "--n", "11", "--kind", "occupied-ports"],
+                 ["table2", "--n", "11"], ["verify", "--n", "5"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["under-a-file", "a-file", "env-under-a-file"])
+    def test_unusable_cache_dir_exits_4_before_any_rows(self, capsys, tmp_path, monkeypatch, argv, where):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("file in the way")
+        cache = blocker if where == "a-file" else blocker / "sub"
+
+        def refuse(n):
+            raise AssertionError(f"class_table({n}) called")
+
+        monkeypatch.setattr(st, "class_table", refuse)
+        if where.startswith("env"):
+            monkeypatch.setenv("MULTIPORT_CACHE_DIR", str(cache))
+        else:
+            argv = [*argv, "--cache-dir", str(cache)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: cannot write cache under {cache}: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "file in the way"
+
     def test_failed_replace_keeps_previous_entry(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         cache_store(cache, "k", {"rows": [1]})
@@ -1252,3 +1277,153 @@ class TestCache:
         code, _, _ = run(capsys, "classes", "--n", "3")
         assert code == 0
         assert list(cache.glob("*.json"))
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """Run python -m multiport.cli as its own process: its exit code, stdout bytes and stderr text.
+
+    stdout=None starts the process with its stdout closed.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(multiport.__file__).parents[1]))
+    env.pop("MULTIPORT_CACHE_DIR", None)
+    argv = [sys.executable, "-m", "multiport.cli", *argv]
+    if stdout is None:
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    p = subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+    return p.returncode, p.stdout, p.stderr.decode()
+
+
+def run_main(capsys, *argv):
+    """The same as run_process, through main in this process."""
+    code = _exit_code(list(argv))
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err
+
+
+class TestProcess:
+    """A process (process_main) writes the bytes, stderr and exit code that main does in process."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_cache(self, monkeypatch):
+        monkeypatch.delenv("MULTIPORT_CACHE_DIR", raising=False)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["table1", "--n-max", "5"], 0),  # smaller than one buffer
+            (["table1", "--n-max", "5", "--format", "json"], 0),
+            (["classes", "--n", "10"], 0),  # many buffers
+            (["table1", "--n-max", "15"], 3),
+            (["table1", "--n-max", "5", "--bogus"], 2),  # argparse's SystemExit
+        ],
+        ids=["table1-csv", "table1-json", "classes", "too-large", "usage"],
+    )
+    @pytest.mark.parametrize("to", ["pipe", "file"])
+    def test_same_as_main(self, capsys, tmp_path, argv, code, to):
+        if to == "file":  # a regular file makes stdout block-buffered
+            with open(tmp_path / "out", "wb") as f:
+                got = run_process(*argv, stdout=f)
+            got = (got[0], (tmp_path / "out").read_bytes(), got[2])
+        else:
+            got = run_process(*argv)
+        assert got == run_main(capsys, *argv)
+        assert got[0] == code
+        if code:
+            assert got[1] == b""
+            lines = got[2].splitlines(keepends=True)
+            assert len(lines) == (1 if code == 3 else 2)  # a usage error adds argparse's usage line
+            assert lines[-1].startswith("error: " if code == 3 else "multiport: error: ")
+
+    def test_output_file(self, capsys, tmp_path):
+        argv = ["classes", "--n", "10", "--output"]
+        got = run_process(*argv, str(tmp_path / "process.csv"))
+        assert got == run_main(capsys, *argv, str(tmp_path / "main.csv")) == (0, b"", "")
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+        assert (tmp_path / "process.csv").read_bytes() == run_main(capsys, *argv[:-1])[1]
+
+    def test_output_file_with_stdout_closed(self, capsys, tmp_path):
+        # sys.stdout is None in a process started with its stdout closed
+        argv = ["classes", "--n", "6", "--output", str(tmp_path / "out.csv")]
+        assert run_process(*argv, stdout=None) == (0, None, "")
+        assert (tmp_path / "out.csv").read_bytes() == run_main(capsys, *argv[:-2])[1]
+
+    def test_cache_under_a_file_exits_4(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        argv = ["table1", "--n-max", "5", "--cache-dir", str(tmp_path / "file" / "cache")]
+        code, out, err = got = run_process(*argv)
+        assert got == run_main(capsys, *argv)
+        assert (code, out) == (4, b"")
+        assert err.startswith(f"error: cannot write cache under {tmp_path / 'file' / 'cache'}: ")
+        assert err.count("\n") == 1
+
+    def test_miss_then_hit(self, capsys, tmp_path):
+        argv = ["classes", "--n", "10", "--format", "json", "--cache-dir"]
+        name = cli.cache_key(10) + ".json"
+        miss = run_process(*argv, str(tmp_path / "cache"))
+        assert miss == (0, run_main(capsys, *argv[:-1])[1], "")
+        # one complete entry, byte for byte the one main stores
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [name]
+        entry = (tmp_path / "cache" / name).read_bytes()
+        assert run_main(capsys, *argv, str(tmp_path / "main"))[0] == 0
+        assert entry == (tmp_path / "main" / name).read_bytes()
+        assert run_process(*argv, str(tmp_path / "cache")) == miss
+        assert (tmp_path / "cache" / name).read_bytes() == entry
+
+    def test_corrupted_entry_rewritten(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["dist", "--n", "8", "--kind", "port-occupancy", "--cache-dir", str(cache)]
+        clean = run_process(*argv)
+        assert clean[0] == 0
+        entry = cache / f"{cli.cache_key(8)}.json"
+        good = entry.read_bytes()
+        doc = json.loads(good)
+        doc["payload"]["orbit_sizes"][0] += 1
+        entry.write_text(_canonical_json(doc))
+        code, out, err = run_process(*argv)
+        assert (code, out) == (0, clean[1])
+        assert err == f"warning: checksum mismatch in {entry}, recomputing\n"
+        assert entry.read_bytes() == good
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            script = tomllib.load(f)["project"]["scripts"]["multiport"]
+        assert script == "multiport.cli:process_main"
+
+    @pytest.mark.skipif(not hasattr(__import__("atexit"), "_ncallbacks"), reason="counts CPython's atexit callbacks")
+    def test_package_registers_no_atexit_handler(self, tmp_path):
+        # process_main ends a process with os._exit, so no atexit handler would run
+        probe = (
+            "import atexit, json, sys\n"
+            "before = atexit._ncallbacks()\n"
+            "from multiport.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    main(argv)\n"
+            "print(atexit._ncallbacks() - before, file=sys.stderr)\n"
+        )
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        commands = [["table1", "--n-max", "8", *cache], ["dist", "--n", "8", "--kind", "occupied-ports", *cache],
+                    ["verify", "--n", "3"], ["ck", "--arrangement", "0,1,2,1,0,2"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(multiport.__file__).parents[1]))
+        argv = [sys.executable, "-c", probe, json.dumps(commands)]
+        p = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert p.stderr == "0\n"
+
+    def test_failed_final_flush_keeps_the_code(self, monkeypatch):
+        # what main left in stdout's buffer cannot be written: stdout goes
+        # to os.devnull, and the process still ends with main's code
+        read, write = os.pipe()
+        os.close(read)
+        exits = []
+
+        def main():
+            print("left in the buffer")
+            return 3
+
+        monkeypatch.setattr(cli, "main", main)
+        monkeypatch.setattr(os, "_exit", exits.append)
+        with open(write, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            cli.process_main()
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        assert exits == [3]
